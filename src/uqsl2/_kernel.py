@@ -1,8 +1,4 @@
-"""Pure Python scalar kernel.
-
-Mirrors the compiled kernel in ``_ckernel.pyx``.  This will be slower than
-the C version, but is always available and useful for comparison (see
-benchmarks/bench_kernel.py).
+"""Scalar kernel: exact arithmetic on cyclotomic numbers as integer tuples.
 
 A scalar is a pair ``(nums, den)``: ``nums`` is a tuple of integer
 numerators (coefficients of q^0, q^1, ...) of length ``deg``, ``den`` a
@@ -15,6 +11,9 @@ ints throughout; exactness requires arbitrary precision.
 from __future__ import annotations
 
 from math import gcd
+
+# Read by the benchmark's import probe (perfbench/run.py); there is one backend.
+BACKEND = "pure"
 
 
 def knorm(nums, den):

@@ -239,9 +239,16 @@ def _section_conjecture(config: RunConfig) -> tuple[dict, int]:
 
 
 def _section_hom(config: RunConfig) -> tuple[dict, int]:
-    rows, failures = [], []
+    rows, failures, skipped = [], [], []
     ok = True
     for p in config.ps:
+        # the largest modules have dimension 2p, so the largest Hom solve
+        # has (2p)^2 unknowns
+        unknowns = (2 * p) ** 2
+        if unknowns >= config.budget:
+            reason = f"{unknowns} unknowns in a Hom solve reach budget {config.budget}"
+            skipped.append({"p": p, "skipped": reason})
+            continue
         result = verify_hom_forms(FieldCtx(p))
         ok = ok and result["ok"]
         for entry in result["explicit_maps"]:
@@ -253,8 +260,13 @@ def _section_hom(config: RunConfig) -> tuple[dict, int]:
         "columns": ["p", "map", "source", "target", "intertwiner", "in_span"],
         "rows": rows,
         "failures": failures,
+        "skipped": skipped,
     }
-    return payload, EXIT_OK if ok else EXIT_FAILED
+    if not ok:
+        return payload, EXIT_FAILED
+    if skipped and len(skipped) == len(config.ps):
+        return payload, EXIT_ALL_SKIPPED
+    return payload, EXIT_OK
 
 
 def _section_basis(config: RunConfig) -> tuple[dict, int]:

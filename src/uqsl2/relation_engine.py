@@ -21,7 +21,7 @@ from __future__ import annotations
 import time
 from collections import defaultdict
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from ._elim import SparseRref, nullspace, rank_of_vectors, row_from_cyclo
 from .cyclo_field import CycloNum, FieldCtx, QFactProduct
@@ -46,19 +46,6 @@ from .pa_generators import (
 from .tensor_space import LinOp, all_indices, op_E, op_F
 
 DEFAULT_BUDGET = 2**16
-
-RELATION_IDS = tuple(f"eq{i}" for i in range(1, 22)) + (
-    "prop2",
-    "prop3",
-    "prop4",
-    "prop5",
-    "pt_alpha",
-    "pt_beta",
-    "pt_alphabeta",
-    "pt_betaalpha",
-    "rot_rank",
-    "kp_periodicity",
-)
 
 
 class InfeasibleSize(RuntimeError):
@@ -236,7 +223,6 @@ def coefficient_identity_failures(ctx: FieldCtx) -> list:
     return bad
 
 
-@lru_cache(maxsize=None)
 def commutant_dim(p: int, n: int, budget: int = DEFAULT_BUDGET) -> int:
     """Dimension of {M : M commutes with the lifted K, E, F on n strands}.
 
@@ -245,6 +231,11 @@ def commutant_dim(p: int, n: int, budget: int = DEFAULT_BUDGET) -> int:
     linear constraints solved by exact elimination.
     """
     _require_solve(n, budget)
+    return _commutant_dim(p, n)
+
+
+@lru_cache(maxsize=None)
+def _commutant_dim(p: int, n: int) -> int:
     ctx = FieldCtx(p)
     basis = list(all_indices(n))
     classes: dict[int, list] = defaultdict(list)
@@ -276,6 +267,10 @@ def commutant_dim(p: int, n: int, budget: int = DEFAULT_BUDGET) -> int:
                 if row:
                     rr.add_row(row_from_cyclo(row))
     return unknowns - rr.rank
+
+
+# The budget only gates a solve, so the cache is keyed on (p, n) alone.
+commutant_dim.cache_info = _commutant_dim.cache_info
 
 
 def rotation_span_rank(p: int, budget: int = DEFAULT_BUDGET, generator: str = "alpha") -> int:
@@ -337,214 +332,181 @@ def capping_pattern(p: int, budget: int = DEFAULT_BUDGET):
     return True, all_centers
 
 
-# --- individual checks ----------------------------------------------------------
-# Each returns (strands, holds, witness-or-None).
+# --- operator identities -------------------------------------------------------
 
-def _check_squares_vanish(p, budget):
-    n = 2 * p - 1
-    _require_strands(n, budget)
-    g = _gens(p)
+_STRANDS = {"2p-1": lambda p: 2 * p - 1, "2p": lambda p: 2 * p, "3p-1": lambda p: 3 * p - 1}
+
+
+class Identity(NamedTuple):
+    """One of the paper's operator identities, checked as exact matrix equalities.
+
+    ``sides(g, n, *args)`` builds it on n = _STRANDS[strands](p) strands
+    from the generator set g and lazily yields (tag, lhs, rhs), one pair of
+    sides at a time, so only one product is alive at once.  The first pair
+    that differs fails the check with a witness headed by the tag: the
+    identity's text, or a dict of leading witness fields.  A builder may
+    end with ``return holds, witness`` to give its own verdict once every
+    pair agrees.
+    """
+
+    strands: str
+    sides: Callable
+    args: tuple = ()
+
+    def __call__(self, p, budget):
+        n = _STRANDS[self.strands](p)
+        _require_strands(n, budget)
+        pairs = self.sides(_gens(p), n, *self.args)
+        while True:
+            try:
+                tag, lhs, rhs = next(pairs)
+            except StopIteration as done:
+                return (n, *(done.value or (True, None)))
+            w = _witness(lhs, rhs)
+            if w:
+                head = tag if isinstance(tag, dict) else {"identity": tag}
+                return n, False, {**head, **w}
+            del lhs, rhs  # drop this pair before the builder makes the next
+
+
+def _squares_vanish(g, n):
     zero = LinOp.zero(g.ctx, n, n)
-    for name, op in (("alpha", g.alpha), ("beta", g.beta)):
-        w = _witness(op * op, zero)
-        if w:
-            return n, False, {"identity": f"{name}^2 = 0", **w}
-    return n, True, None
+    for name in ("alpha", "beta"):
+        op = getattr(g, name)
+        yield f"{name}^2 = 0", op * op, zero
 
 
-def _check_aba(p, budget):
-    n = 2 * p - 1
-    _require_strands(n, budget)
-    g = _gens(p)
-    w = _witness(g.alpha * g.beta * g.alpha, g.alpha.scale(g.gamma))
-    return n, w is None, w and {"identity": "alpha.beta.alpha = gamma.alpha", **w}
+def _sandwich(g, n, outer, inner):
+    x, y = getattr(g, outer), getattr(g, inner)
+    yield f"{outer}.{inner}.{outer} = gamma.{outer}", x * y * x, x.scale(g.gamma)
 
 
-def _check_bab(p, budget):
-    n = 2 * p - 1
-    _require_strands(n, budget)
-    g = _gens(p)
-    w = _witness(g.beta * g.alpha * g.beta, g.beta.scale(g.gamma))
-    return n, w is None, w and {"identity": "beta.alpha.beta = gamma.beta", **w}
-
-
-def _check_near_overlap(p, budget):
-    n = 3 * p - 1
-    _require_strands(n, budget)
-    g = _gens(p)
+def _near_overlap(g, n):
     zero = LinOp.zero(g.ctx, n, n)
-    for name, gen in (("alpha", g.alpha), ("beta", g.beta)):
-        for gap in range(1, p):
-            x = embed(gen, 1, n)
+    for name in ("alpha", "beta"):
+        gen = getattr(g, name)
+        x = embed(gen, 1, n)
+        for gap in range(1, g.p):
             y = embed(gen, 1 + gap, n)
-            for tag, prod in (
-                (f"{name}_1.{name}_{1 + gap}", x * y),
-                (f"{name}_{1 + gap}.{name}_1", y * x),
-            ):
-                w = _witness(prod, zero)
-                if w:
-                    return n, False, {"identity": f"{tag} = 0", **w}
-    return n, True, None
+            yield f"{name}_1.{name}_{1 + gap} = 0", x * y, zero
+            yield f"{name}_{1 + gap}.{name}_1 = 0", y * x, zero
 
 
-def _check_far_commute(p, budget, which):
-    n = 3 * p - 1
-    _require_strands(n, budget)
-    g = _gens(p)
-    gen = g.alpha if which == "alpha" else g.beta
+def _far_commute(g, n, name):
+    gen = getattr(g, name)
     x = embed(gen, 1, n)
-    y = embed(gen, 1 + p, n)
-    w = _witness(x * y, y * x)
-    if w:
-        return n, False, {"identity": f"{which}_1.{which}_{1 + p} commute", **w}
-    if which == "alpha":
+    y = embed(gen, 1 + g.p, n)
+    yield f"{name}_1.{name}_{1 + g.p} commute", x * y, y * x
+    # the alpha overlap also rests on a closed-form coefficient identity
+    if name == "alpha":
         bad = coefficient_identity_failures(g.ctx)
         if bad:
-            return n, False, {
-                "identity": "overlap coefficient identity",
-                "tuple": list(bad[0]),
-            }
-    return n, True, None
+            return False, {"identity": "overlap coefficient identity", "tuple": list(bad[0])}
 
 
-def _check_anticommutator(p, budget):
-    n = 2 * p - 1
-    _require_strands(n, budget)
-    g = _gens(p)
-    lhs = g.alpha * g.beta + g.beta * g.alpha
-    rhs = jw_closed(g.ctx, n).scale(g.gamma)
-    w = _witness(lhs, rhs)
-    return n, w is None, w and {"identity": "alpha.beta + beta.alpha = gamma.top-projector", **w}
+def _anticommutator(g, n):
+    yield (
+        "alpha.beta + beta.alpha = gamma.top-projector",
+        g.alpha * g.beta + g.beta * g.alpha,
+        jw_closed(g.ctx, n).scale(g.gamma),
+    )
 
 
-def _check_cap_kill(p, budget):
-    n = 2 * p - 1
-    _require_strands(n, budget)
-    g = _gens(p)
+def _cap_kill(g, n):
     ctx = g.ctx
-    for name, gen in (("alpha", g.alpha), ("beta", g.beta)):
+    for name in ("alpha", "beta"):
+        gen = getattr(g, name)
         for i in range(1, n):
-            w = _witness(gen * cap(ctx, i, n), LinOp.zero(ctx, n - 2, n))
-            if w:
-                return n, False, {"identity": f"{name}.cap_{i} = 0", **w}
-            w = _witness(cup(ctx, i, n) * gen, LinOp.zero(ctx, n, n - 2))
-            if w:
-                return n, False, {"identity": f"cup_{i}.{name} = 0", **w}
-    return n, True, None
+            yield f"{name}.cap_{i} = 0", gen * cap(ctx, i, n), LinOp.zero(ctx, n - 2, n)
+            yield f"cup_{i}.{name} = 0", cup(ctx, i, n) * gen, LinOp.zero(ctx, n, n - 2)
 
 
-def _check_cap_slide(p, budget, which):
-    n = 2 * p
-    _require_strands(n, budget)
-    g = _gens(p)
-    ctx = g.ctx
-    gen = g.alpha if which == "alpha" else g.beta
-    lhs = embed(gen, 2, n) * cap(ctx, 1, n)
-    rhs = embed(gen, 1, n) * cap(ctx, n - 1, n)
-    w = _witness(lhs, rhs)
-    return n, w is None, w and {"identity": f"{which}_2.cap_1 = {which}_1.cap_{n - 1}", **w}
+def _cap_slide(g, n, name):
+    gen = getattr(g, name)
+    yield (
+        f"{name}_2.cap_1 = {name}_1.cap_{n - 1}",
+        embed(gen, 2, n) * cap(g.ctx, 1, n),
+        embed(gen, 1, n) * cap(g.ctx, n - 1, n),
+    )
 
 
-def _check_cup_slide(p, budget, which):
-    n = 2 * p
-    _require_strands(n, budget)
-    g = _gens(p)
-    ctx = g.ctx
-    gen = g.alpha if which == "alpha" else g.beta
-    lhs = cup(ctx, 1, n) * embed(gen, 2, n)
-    rhs = cup(ctx, n - 1, n) * embed(gen, 1, n)
-    w = _witness(lhs, rhs)
-    return n, w is None, w and {"identity": f"cup_1.{which}_2 = cup_{n - 1}.{which}_1", **w}
+def _cup_slide(g, n, name):
+    gen = getattr(g, name)
+    yield (
+        f"cup_1.{name}_2 = cup_{n - 1}.{name}_1",
+        cup(g.ctx, 1, n) * embed(gen, 2, n),
+        cup(g.ctx, n - 1, n) * embed(gen, 1, n),
+    )
 
 
-def _check_rotation_fixed(p, budget, which):
+def _rotation_fixed(g, n, name):
     # One click fixes the generator up to a global sign; the sign is a
     # cup/cap orientation convention, so we record the observed value
     # instead of asserting it (it is -1 in this realization, at every p).
-    n = 2 * p - 1
-    _require_strands(n, budget)
-    g = _gens(p)
-    gen = g.alpha if which == "alpha" else g.beta
+    gen = getattr(g, name)
     rot = rotation(g.ctx, gen)
-    if rot == gen:
-        return n, True, None
-    if rot == -gen:
-        return n, True, {"observed_sign": -1}
-    w = _witness(rot, gen)
-    return n, False, {"identity": f"one rotation click fixes {which} up to sign", **w}
+    if rot != gen and rot == -gen:
+        return True, {"observed_sign": -1}
+    yield f"one rotation click fixes {name} up to sign", rot, gen
 
 
-def _check_rotation_sum(p, budget, which):
-    n = 2 * p
-    _require_strands(n, budget)
-    g = _gens(p)
+def _rotation_sum(g, n, name):
     ctx = g.ctx
-    ops = _rotation_orbit(p, which)
+    ops = _rotation_orbit(g.p, name)
     zero = LinOp.zero(ctx, n, n)
     for seed in ((1, 0), (0, 1)):
-        kv = CoefficientVector(ctx, *seed)
         total = zero
-        for ki, op in zip(kv.k, ops):
+        for ki, op in zip(CoefficientVector(ctx, *seed).k, ops):
             if ki:
                 total = total + op.scale(ki)
-        w = _witness(total, zero)
-        if w:
-            return n, False, {
-                "identity": f"sum k_i R^i({which} x 1) = 0",
-                "seed": list(seed),
-                **w,
-            }
-    return n, True, None
+        yield {"identity": f"sum k_i R^i({name} x 1) = 0", "seed": list(seed)}, total, zero
 
 
-def _check_e_kill(p, budget):
-    n = 2 * p
-    _require_strands(n, budget)
-    g = _gens(p)
+def _e_kill(g, n):
     ctx = g.ctx
-    for name, gen in (("alpha", g.alpha), ("beta", g.beta)):
+    zero = LinOp.zero(ctx, n, n)
+    for name in ("alpha", "beta"):
+        gen = getattr(g, name)
         for j in (1, 2):
             gj = embed(gen, j, n)
-            for i in range(1, n):
-                if not 0 <= i - j <= 2 * p - 3:
-                    continue
+            for i in range(j, j + 2 * g.p - 2):  # 0 <= i - j <= 2p - 3
                 e = e_op(ctx, i, n)
-                w = _witness(e * gj, LinOp.zero(ctx, n, n))
-                if w:
-                    return n, False, {"identity": f"e_{i}.{name}_{j} = 0", **w}
-                w = _witness(gj * e, LinOp.zero(ctx, n, n))
-                if w:
-                    return n, False, {"identity": f"{name}_{j}.e_{i} = 0", **w}
-    return n, True, None
+                yield f"e_{i}.{name}_{j} = 0", e * gj, zero
+                yield f"{name}_{j}.e_{i} = 0", gj * e, zero
 
 
-def _check_e_chain_left(p, budget, which):
-    n = 2 * p
-    _require_strands(n, budget)
-    g = _gens(p)
+def _e_chain_left(g, n, name):
     ctx = g.ctx
-    gen = g.alpha if which == "alpha" else g.beta
+    gen = getattr(g, name)
     lhs = e_op(ctx, 1, n) * embed(gen, 2, n)
     rhs = e_op(ctx, 1, n)
     for t in range(2, n):
         rhs = rhs * e_op(ctx, t, n)
-    rhs = rhs * embed(gen, 1, n)
-    w = _witness(lhs, rhs)
-    return n, w is None, w and {"identity": f"e_1.{which}_2 = e_1..e_{n - 1}.{which}_1", **w}
+    yield f"e_1.{name}_2 = e_1..e_{n - 1}.{name}_1", lhs, rhs * embed(gen, 1, n)
 
 
-def _check_e_chain_right(p, budget, which):
-    n = 2 * p
-    _require_strands(n, budget)
-    g = _gens(p)
+def _e_chain_right(g, n, name):
     ctx = g.ctx
-    gen = g.alpha if which == "alpha" else g.beta
+    gen = getattr(g, name)
     lhs = embed(gen, 2, n) * e_op(ctx, 1, n)
     rhs = embed(gen, 1, n)
     for t in range(n - 1, 0, -1):
         rhs = rhs * e_op(ctx, t, n)
-    w = _witness(lhs, rhs)
-    return n, w is None, w and {"identity": f"{which}_2.e_1 = {which}_1.e_{n - 1}..e_1", **w}
+    yield f"{name}_2.e_1 = {name}_1.e_{n - 1}..e_1", lhs, rhs
+
+
+def _pt_vanishes(g, n, name):
+    gen = getattr(g, name)
+    zero = LinOp.zero(g.ctx, n - 1, n - 1)
+    for side, pt in (("right", partial_trace_right), ("left", partial_trace_left)):
+        yield f"{side} partial trace of {name} = 0", pt(gen), zero
+
+
+def _pt_composite(g, n, first, second):
+    op = getattr(g, first) * getattr(g, second)
+    target = partial_trace_comparison(g.ctx)
+    for side, pt in (("right", partial_trace_right), ("left", partial_trace_left)):
+        yield f"{side} partial trace of {first}.{second}", pt(op), target
 
 
 def _prop2_core(p, n, budget):
@@ -685,33 +647,6 @@ def prop2_injectivity(p: int, n: int, budget: int = DEFAULT_BUDGET) -> RelationR
     return RelationReport("prop2", p, strands, holds, wit, (time.perf_counter() - start) * 1000.0)
 
 
-def _check_pt_vanishes(p, budget, which):
-    n = 2 * p - 1
-    _require_strands(n, budget)
-    g = _gens(p)
-    gen = g.alpha if which == "alpha" else g.beta
-    zero = LinOp.zero(g.ctx, n - 1, n - 1)
-    for side, pt in (("right", partial_trace_right), ("left", partial_trace_left)):
-        w = _witness(pt(gen), zero)
-        if w:
-            return n, False, {"identity": f"{side} partial trace of {which} = 0", **w}
-    return n, True, None
-
-
-def _check_pt_composite(p, budget, order):
-    n = 2 * p - 1
-    _require_strands(n, budget)
-    g = _gens(p)
-    op = g.alpha * g.beta if order == "ab" else g.beta * g.alpha
-    target = partial_trace_comparison(g.ctx)
-    tag = "alpha.beta" if order == "ab" else "beta.alpha"
-    for side, pt in (("right", partial_trace_right), ("left", partial_trace_left)):
-        w = _witness(pt(op), target)
-        if w:
-            return n, False, {"identity": f"{side} partial trace of {tag}", **w}
-    return n, True, None
-
-
 def _check_rot_rank(p, budget):
     n = 2 * p
     _require_solve(n, budget)
@@ -769,41 +704,46 @@ def _check_kp(p, budget):
     return n, True, None
 
 
+# Every check in report order, which is RELATION_IDS.  Each is called as
+# check(p, budget) and returns (strands, holds, witness-or-None).  The
+# propositions, the rotation-orbit rank and the coefficient law compare
+# ranks, dimensions or scalars rather than two operators, so they are
+# functions; the rest are operator identities.
 _CHECKS = {
-    "eq1": _check_squares_vanish,
-    "eq2": _check_aba,
-    "eq3": _check_bab,
-    "eq4": _check_near_overlap,
-    "eq5": lambda p, budget: _check_far_commute(p, budget, "alpha"),
-    "eq6": lambda p, budget: _check_far_commute(p, budget, "beta"),
-    "eq7": _check_anticommutator,
-    "eq8": _check_cap_kill,
-    "eq9": lambda p, budget: _check_cap_slide(p, budget, "alpha"),
-    "eq10": lambda p, budget: _check_cap_slide(p, budget, "beta"),
-    "eq11": lambda p, budget: _check_cup_slide(p, budget, "alpha"),
-    "eq12": lambda p, budget: _check_cup_slide(p, budget, "beta"),
-    "eq13": lambda p, budget: _check_rotation_fixed(p, budget, "alpha"),
-    "eq14": lambda p, budget: _check_rotation_fixed(p, budget, "beta"),
-    "eq15": lambda p, budget: _check_rotation_sum(p, budget, "alpha"),
-    "eq16": lambda p, budget: _check_rotation_sum(p, budget, "beta"),
-    "eq17": _check_e_kill,
-    "eq18": lambda p, budget: _check_e_chain_left(p, budget, "alpha"),
-    "eq19": lambda p, budget: _check_e_chain_right(p, budget, "alpha"),
-    "eq20": lambda p, budget: _check_e_chain_left(p, budget, "beta"),
-    "eq21": lambda p, budget: _check_e_chain_right(p, budget, "beta"),
+    "eq1": Identity("2p-1", _squares_vanish),
+    "eq2": Identity("2p-1", _sandwich, ("alpha", "beta")),
+    "eq3": Identity("2p-1", _sandwich, ("beta", "alpha")),
+    "eq4": Identity("3p-1", _near_overlap),
+    "eq5": Identity("3p-1", _far_commute, ("alpha",)),
+    "eq6": Identity("3p-1", _far_commute, ("beta",)),
+    "eq7": Identity("2p-1", _anticommutator),
+    "eq8": Identity("2p-1", _cap_kill),
+    "eq9": Identity("2p", _cap_slide, ("alpha",)),
+    "eq10": Identity("2p", _cap_slide, ("beta",)),
+    "eq11": Identity("2p", _cup_slide, ("alpha",)),
+    "eq12": Identity("2p", _cup_slide, ("beta",)),
+    "eq13": Identity("2p-1", _rotation_fixed, ("alpha",)),
+    "eq14": Identity("2p-1", _rotation_fixed, ("beta",)),
+    "eq15": Identity("2p", _rotation_sum, ("alpha",)),
+    "eq16": Identity("2p", _rotation_sum, ("beta",)),
+    "eq17": Identity("2p", _e_kill),
+    "eq18": Identity("2p", _e_chain_left, ("alpha",)),
+    "eq19": Identity("2p", _e_chain_right, ("alpha",)),
+    "eq20": Identity("2p", _e_chain_left, ("beta",)),
+    "eq21": Identity("2p", _e_chain_right, ("beta",)),
     "prop2": _check_prop2,
     "prop3": _check_prop3,
     "prop4": _check_prop4,
     "prop5": _check_prop5,
-    "pt_alpha": lambda p, budget: _check_pt_vanishes(p, budget, "alpha"),
-    "pt_beta": lambda p, budget: _check_pt_vanishes(p, budget, "beta"),
-    "pt_alphabeta": lambda p, budget: _check_pt_composite(p, budget, "ab"),
-    "pt_betaalpha": lambda p, budget: _check_pt_composite(p, budget, "ba"),
+    "pt_alpha": Identity("2p-1", _pt_vanishes, ("alpha",)),
+    "pt_beta": Identity("2p-1", _pt_vanishes, ("beta",)),
+    "pt_alphabeta": Identity("2p-1", _pt_composite, ("alpha", "beta")),
+    "pt_betaalpha": Identity("2p-1", _pt_composite, ("beta", "alpha")),
     "rot_rank": _check_rot_rank,
     "kp_periodicity": _check_kp,
 }
 
-assert set(_CHECKS) == set(RELATION_IDS)
+RELATION_IDS = tuple(_CHECKS)
 
 
 def verify(relation_id: str, p: int, budget: int = DEFAULT_BUDGET) -> RelationReport:

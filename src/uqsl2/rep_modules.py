@@ -301,13 +301,21 @@ def verify_hom_forms(ctx: FieldCtx) -> dict:
     """
     p = ctx.p
     mods = all_modules(ctx)
+    solved = {}
+
+    def hom_space(src, tgt):
+        key = (src.label, tgt.label)
+        if key not in solved:
+            solved[key] = intertwiner_space(src, tgt)
+        return solved[key]
+
     table_failures = []
     for src in mods:
         for tgt in mods:
             expected = _expected_hom_dim(p, src, tgt)
             if expected is None:
                 continue
-            got = intertwiner_space(src, tgt).dimension
+            got = hom_space(src, tgt).dimension
             if got != expected:
                 table_failures.append(
                     {"source": src.label, "target": tgt.label,
@@ -316,7 +324,7 @@ def verify_hom_forms(ctx: FieldCtx) -> dict:
     entries = []
 
     def check(src, tgt, M, name):
-        hom = intertwiner_space(src, tgt)
+        hom = hom_space(src, tgt)
         entries.append(
             {
                 "map": name,

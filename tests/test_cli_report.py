@@ -201,6 +201,14 @@ def test_hom_section_all_maps_check_out():
         assert row["in_span"] is True
 
 
+def test_hom_budget_skip_exits_3():
+    code, text = invoke(["hom", "--p", "4", "--budget", "1", "--format", "json"])
+    assert code == EXIT_ALL_SKIPPED
+    section = json.loads(text)["sections"][0]
+    assert section["rows"] == []
+    assert section["skipped"] == [{"p": 4, "skipped": "64 unknowns in a Hom solve reach budget 1"}]
+
+
 def test_csv_layout():
     _, text = invoke(["verify", "--p", "2", "--relations", "eq7", "--format", "csv"])
     lines = text.splitlines()

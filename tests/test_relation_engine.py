@@ -109,6 +109,14 @@ def test_commutant_dim_frozen():
     assert commutant_dim(2, 1) == 1
 
 
+def test_commutant_cache_ignores_budget():
+    commutant_dim(2, 3)
+    before = commutant_dim.cache_info()
+    assert commutant_dim(2, 3, DEFAULT_BUDGET) == commutant_dim(2, 3, 2**10) == 8
+    after = commutant_dim.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (2, 0)
+
+
 def test_commutant_matches_fusion_small():
     for p in (2, 3):
         for n in range(1, 5):

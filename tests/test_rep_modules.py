@@ -123,6 +123,20 @@ def test_explicit_hom_forms(p):
         assert entry["in_span"], entry
 
 
+def test_hom_forms_solve_each_pair_once(monkeypatch):
+    import uqsl2.rep_modules as rm
+
+    pairs = []
+
+    def counting(src, tgt):
+        pairs.append((src.label, tgt.label))
+        return intertwiner_space(src, tgt)
+
+    monkeypatch.setattr(rm, "intertwiner_space", counting)
+    assert verify_hom_forms(CTX[3])["ok"]
+    assert len(pairs) == len(set(pairs))
+
+
 def test_zero_map_is_intertwiner():
     ctx = CTX[2]
     src = simple_module(ctx, 1, 1)

@@ -1,0 +1,330 @@
+"""Witness text of every identity check, pinned on deliberately faulted generators.
+
+All identity checks hold on the real generators, so their failure paths
+never run in the other tests.  Here ``_gens`` is replaced by a faulted
+set (alpha and beta each plus the identity, gamma doubled) and the full
+verdict and witness of each check is compared with literal values, so a
+change to how a check builds its sides or reports its first difference
+shows up as a diff of witness text.
+"""
+
+from __future__ import annotations
+
+from functools import lru_cache
+
+import pytest
+
+from uqsl2 import relation_engine
+from uqsl2.pa_generators import GeneratorSet, make_generators
+from uqsl2.relation_engine import RELATION_IDS, verify
+from uqsl2.tensor_space import LinOp
+
+# prop2..prop5 and rot_rank compare ranks and solver dimensions, not
+# operator identities; they are covered by their own tests.
+IDS = [r for r in RELATION_IDS if r not in ("prop2", "prop3", "prop4", "prop5", "rot_rank")]
+
+
+@lru_cache(maxsize=None)
+def _faulted_gens(p: int) -> GeneratorSet:
+    g = make_generators(p)
+    ident = LinOp.identity(g.ctx, 2 * p - 1)
+    return GeneratorSet(
+        g.ctx, g.alpha + ident, g.beta + ident, g.gamma + g.gamma, g.e_scalars, g.f_scalars
+    )
+
+
+@pytest.fixture
+def faulted(monkeypatch):
+    relation_engine._gens.cache_clear()
+    relation_engine._rotation_orbit.cache_clear()
+    monkeypatch.setattr(relation_engine, "_gens", _faulted_gens)
+    yield
+    monkeypatch.undo()
+    relation_engine._gens.cache_clear()
+    relation_engine._rotation_orbit.cache_clear()
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_faulted_witnesses(faulted, p):
+    got = {(rid, p): (r.holds, r.witness) for rid in IDS for r in [verify(rid, p)]}
+    assert got == {k: v for k, v in EXPECTED.items() if k[1] == p}
+
+
+EXPECTED = {
+    ("eq1", 2): (False, {
+        "identity": "alpha^2 = 0",
+        "basis": "000",
+        "lhs": "v000 - 2*v011 - 2*q*v101 + 2*v110",
+        "rhs": "0",
+    }),
+    ("eq2", 2): (False, {
+        "identity": "alpha.beta.alpha = gamma.alpha",
+        "basis": "000",
+        "lhs": "-v011 - q*v101 + v110",
+        "rhs": "-2*v000 + 2*v011 + 2*q*v101 - 2*v110",
+    }),
+    ("eq3", 2): (False, {
+        "identity": "beta.alpha.beta = gamma.beta",
+        "basis": "000",
+        "lhs": "-v011 - q*v101 + v110",
+        "rhs": "-2*v000",
+    }),
+    ("eq4", 2): (False, {
+        "identity": "alpha_1.alpha_2 = 0",
+        "basis": "00000",
+        "lhs": "v00000 - v00110 - q*v01010 - q*v10100 + v11000",
+        "rhs": "0",
+    }),
+    ("eq5", 2): (True, None),
+    ("eq6", 2): (True, None),
+    ("eq7", 2): (False, {
+        "identity": "alpha.beta + beta.alpha = gamma.top-projector",
+        "basis": "000",
+        "lhs": "v000 - 2*v011 - 2*q*v101 + 2*v110",
+        "rhs": "-2*v000",
+    }),
+    ("eq8", 2): (False, {
+        "identity": "alpha.cap_1 = 0",
+        "basis": "0",
+        "lhs": "-v010 - q*v100",
+        "rhs": "0",
+    }),
+    ("eq9", 2): (False, {
+        "identity": "alpha_2.cap_1 = alpha_1.cap_3",
+        "basis": "00",
+        "lhs": "-v0100 + v0111 - q*v1000 + q*v1011 - v1101 - q*v1110",
+        "rhs": "-v0001 - q*v0010 + v0111 + q*v1011 - v1101 - q*v1110",
+    }),
+    ("eq10", 2): (False, {
+        "identity": "beta_2.cap_1 = beta_1.cap_3",
+        "basis": "00",
+        "lhs": "-v0100 - q*v1000",
+        "rhs": "-v0001 - q*v0010",
+    }),
+    ("eq11", 2): (False, {
+        "identity": "cup_1.alpha_2 = cup_3.alpha_1",
+        "basis": "1000",
+        "lhs": "v00 - v11",
+        "rhs": "-v11",
+    }),
+    ("eq12", 2): (False, {
+        "identity": "cup_1.beta_2 = cup_3.beta_1",
+        "basis": "1000",
+        "lhs": "v00",
+        "rhs": "0",
+    }),
+    ("eq13", 2): (False, {
+        "identity": "one rotation click fixes alpha up to sign",
+        "basis": "000",
+        "lhs": "v011 + q*v101 - v110",
+        "rhs": "v000 - v011 - q*v101 + v110",
+    }),
+    ("eq14", 2): (False, {
+        "identity": "one rotation click fixes beta up to sign",
+        "basis": "000",
+        "lhs": "0",
+        "rhs": "v000",
+    }),
+    ("eq15", 2): (False, {
+        "identity": "sum k_i R^i(alpha x 1) = 0",
+        "seed": [1, 0],
+        "basis": "1000",
+        "lhs": "-2*v0001 - 2*q*v0010",
+        "rhs": "0",
+    }),
+    ("eq16", 2): (False, {
+        "identity": "sum k_i R^i(beta x 1) = 0",
+        "seed": [1, 0],
+        "basis": "1000",
+        "lhs": "-2*v0001 - 2*q*v0010",
+        "rhs": "0",
+    }),
+    ("eq17", 2): (False, {
+        "identity": "e_1.alpha_1 = 0",
+        "basis": "1000",
+        "lhs": "-v0100 - q*v1000",
+        "rhs": "0",
+    }),
+    ("eq18", 2): (False, {
+        "identity": "e_1.alpha_2 = e_1..e_3.alpha_1",
+        "basis": "1000",
+        "lhs": "-v0100 + v0111 - q*v1000 + q*v1011",
+        "rhs": "v0111 + q*v1011",
+    }),
+    ("eq19", 2): (False, {
+        "identity": "alpha_2.e_1 = alpha_1.e_3..e_1",
+        "basis": "1000",
+        "lhs": "-v0100 + v0111 - q*v1000 + q*v1011 - v1101 - q*v1110",
+        "rhs": "-v0001 - q*v0010 + v0111 + q*v1011 - v1101 - q*v1110",
+    }),
+    ("eq20", 2): (False, {
+        "identity": "e_1.beta_2 = e_1..e_3.beta_1",
+        "basis": "1000",
+        "lhs": "-v0100 - q*v1000",
+        "rhs": "0",
+    }),
+    ("eq21", 2): (False, {
+        "identity": "beta_2.e_1 = beta_1.e_3..e_1",
+        "basis": "1000",
+        "lhs": "-v0100 - q*v1000",
+        "rhs": "-v0001 - q*v0010",
+    }),
+    ("pt_alpha", 2): (True, None),
+    ("pt_beta", 2): (True, None),
+    ("pt_alphabeta", 2): (True, None),
+    ("pt_betaalpha", 2): (True, None),
+    ("kp_periodicity", 2): (False, {
+        "identity": "capping survivor pattern",
+        "generator": "alpha",
+        "position": 1,
+        "from_top": False,
+    }),
+    ("eq1", 3): (False, {
+        "identity": "alpha^2 = 0",
+        "basis": "00000",
+        "lhs": "v00000 + 2*v00111 + 2*q*v01011 + (2*q - 2)*v01101 - 2*v01110 + (2*q - 2)*v10011 - 2*v10101 - 2*q*v10110 - 2*q*v11001 + (-2*q + 2)*v11010 + 2*v11100",
+        "rhs": "0",
+    }),
+    ("eq2", 3): (False, {
+        "identity": "alpha.beta.alpha = gamma.alpha",
+        "basis": "00000",
+        "lhs": "2*v00000 + 3*v00111 + 3*q*v01011 + (3*q - 3)*v01101 - 3*v01110 + (3*q - 3)*v10011 - 3*v10101 - 3*q*v10110 - 3*q*v11001 + (-3*q + 3)*v11010 + 3*v11100",
+        "rhs": "2*v00000 + 2*v00111 + 2*q*v01011 + (2*q - 2)*v01101 - 2*v01110 + (2*q - 2)*v10011 - 2*v10101 - 2*q*v10110 - 2*q*v11001 + (-2*q + 2)*v11010 + 2*v11100",
+    }),
+    ("eq3", 3): (False, {
+        "identity": "beta.alpha.beta = gamma.beta",
+        "basis": "00000",
+        "lhs": "2*v00000 + v00111 + q*v01011 + (q - 1)*v01101 - v01110 + (q - 1)*v10011 - v10101 - q*v10110 - q*v11001 + (-q + 1)*v11010 + v11100",
+        "rhs": "2*v00000",
+    }),
+    ("eq4", 3): (False, {
+        "identity": "alpha_1.alpha_2 = 0",
+        "basis": "00000000",
+        "lhs": "v00000000 + v00011100 + q*v00101100 + (q - 1)*v00110100 + (q - 1)*v01001100 - v01010100 - q*v01100100 + (q - 1)*v10011000 - v10101000 - q*v10110000 - q*v11001000 + (-q + 1)*v11010000 + v11100000",
+        "rhs": "0",
+    }),
+    ("eq5", 3): (True, None),
+    ("eq6", 3): (True, None),
+    ("eq7", 3): (False, {
+        "identity": "alpha.beta + beta.alpha = gamma.top-projector",
+        "basis": "00000",
+        "lhs": "3*v00000 + 2*v00111 + 2*q*v01011 + (2*q - 2)*v01101 - 2*v01110 + (2*q - 2)*v10011 - 2*v10101 - 2*q*v10110 - 2*q*v11001 + (-2*q + 2)*v11010 + 2*v11100",
+        "rhs": "2*v00000",
+    }),
+    ("eq8", 3): (False, {
+        "identity": "alpha.cap_1 = 0",
+        "basis": "000",
+        "lhs": "-v01000 + (-q + 1)*v10000",
+        "rhs": "0",
+    }),
+    ("eq9", 3): (False, {
+        "identity": "alpha_2.cap_1 = alpha_1.cap_5",
+        "basis": "0000",
+        "lhs": "-v001111 - v010000 - q*v010111 + (-q + 1)*v011011 + v011101 + q*v011110 + (-q + 1)*v100000 + (-q + 1)*v100111 + v101011 + q*v101101 + (q - 1)*v101110 + q*v110011 + (q - 1)*v110101 - v110110 - v111001 - q*v111010 + (-q + 1)*v111100",
+        "rhs": "-v000001 + (-q + 1)*v000010 - v001111 - q*v010111 + (-q + 1)*v011011 + v011101 + q*v011110 + (-q + 1)*v100111 + v101011 + q*v101101 + (q - 1)*v101110 + q*v110011 + (q - 1)*v110101 - v110110 - v111001 - q*v111010 + (-q + 1)*v111100",
+    }),
+    ("eq10", 3): (False, {
+        "identity": "beta_2.cap_1 = beta_1.cap_5",
+        "basis": "0000",
+        "lhs": "-v010000 + (-q + 1)*v100000",
+        "rhs": "-v000001 + (-q + 1)*v000010",
+    }),
+    ("eq11", 3): (False, {
+        "identity": "cup_1.alpha_2 = cup_5.alpha_1",
+        "basis": "100000",
+        "lhs": "v0000 + v0111 + q*v1011 + (q - 1)*v1101 - v1110",
+        "rhs": "v0111 + q*v1011 + (q - 1)*v1101 - v1110",
+    }),
+    ("eq12", 3): (False, {
+        "identity": "cup_1.beta_2 = cup_5.beta_1",
+        "basis": "100000",
+        "lhs": "v0000",
+        "rhs": "0",
+    }),
+    ("eq13", 3): (False, {
+        "identity": "one rotation click fixes alpha up to sign",
+        "basis": "00000",
+        "lhs": "-v00111 - q*v01011 + (-q + 1)*v01101 + v01110 + (-q + 1)*v10011 + v10101 + q*v10110 + q*v11001 + (q - 1)*v11010 - v11100",
+        "rhs": "v00000 + v00111 + q*v01011 + (q - 1)*v01101 - v01110 + (q - 1)*v10011 - v10101 - q*v10110 - q*v11001 + (-q + 1)*v11010 + v11100",
+    }),
+    ("eq14", 3): (False, {
+        "identity": "one rotation click fixes beta up to sign",
+        "basis": "00000",
+        "lhs": "0",
+        "rhs": "v00000",
+    }),
+    ("eq15", 3): (False, {
+        "identity": "sum k_i R^i(alpha x 1) = 0",
+        "seed": [1, 0],
+        "basis": "000000",
+        "lhs": "-2*v000000",
+        "rhs": "0",
+    }),
+    ("eq16", 3): (False, {
+        "identity": "sum k_i R^i(beta x 1) = 0",
+        "seed": [1, 0],
+        "basis": "000000",
+        "lhs": "-2*v000000",
+        "rhs": "0",
+    }),
+    ("eq17", 3): (False, {
+        "identity": "e_1.alpha_1 = 0",
+        "basis": "100000",
+        "lhs": "-v010000 + (-q + 1)*v100000",
+        "rhs": "0",
+    }),
+    ("eq18", 3): (False, {
+        "identity": "e_1.alpha_2 = e_1..e_5.alpha_1",
+        "basis": "100000",
+        "lhs": "-v010000 - v010111 - q*v011011 + (-q + 1)*v011101 + v011110 + (-q + 1)*v100000 + (-q + 1)*v100111 + v101011 + q*v101101 + (q - 1)*v101110",
+        "rhs": "-v010111 - q*v011011 + (-q + 1)*v011101 + v011110 + (-q + 1)*v100111 + v101011 + q*v101101 + (q - 1)*v101110",
+    }),
+    ("eq19", 3): (False, {
+        "identity": "alpha_2.e_1 = alpha_1.e_5..e_1",
+        "basis": "100000",
+        "lhs": "-v001111 - v010000 - q*v010111 + (-q + 1)*v011011 + v011101 + q*v011110 + (-q + 1)*v100000 + (-q + 1)*v100111 + v101011 + q*v101101 + (q - 1)*v101110 + q*v110011 + (q - 1)*v110101 - v110110 - v111001 - q*v111010 + (-q + 1)*v111100",
+        "rhs": "-v000001 + (-q + 1)*v000010 - v001111 - q*v010111 + (-q + 1)*v011011 + v011101 + q*v011110 + (-q + 1)*v100111 + v101011 + q*v101101 + (q - 1)*v101110 + q*v110011 + (q - 1)*v110101 - v110110 - v111001 - q*v111010 + (-q + 1)*v111100",
+    }),
+    ("eq20", 3): (False, {
+        "identity": "e_1.beta_2 = e_1..e_5.beta_1",
+        "basis": "100000",
+        "lhs": "-v010000 + (-q + 1)*v100000",
+        "rhs": "0",
+    }),
+    ("eq21", 3): (False, {
+        "identity": "beta_2.e_1 = beta_1.e_5..e_1",
+        "basis": "100000",
+        "lhs": "-v010000 + (-q + 1)*v100000",
+        "rhs": "-v000001 + (-q + 1)*v000010",
+    }),
+    ("pt_alpha", 3): (False, {
+        "identity": "right partial trace of alpha = 0",
+        "basis": "0000",
+        "lhs": "v0000",
+        "rhs": "0",
+    }),
+    ("pt_beta", 3): (False, {
+        "identity": "right partial trace of beta = 0",
+        "basis": "0000",
+        "lhs": "v0000",
+        "rhs": "0",
+    }),
+    ("pt_alphabeta", 3): (False, {
+        "identity": "right partial trace of alpha.beta",
+        "basis": "0000",
+        "lhs": "v0000",
+        "rhs": "0",
+    }),
+    ("pt_betaalpha", 3): (False, {
+        "identity": "right partial trace of beta.alpha",
+        "basis": "0000",
+        "lhs": "v0000",
+        "rhs": "0",
+    }),
+    ("kp_periodicity", 3): (False, {
+        "identity": "capping survivor pattern",
+        "generator": "alpha",
+        "position": 1,
+        "from_top": False,
+    }),
+}
