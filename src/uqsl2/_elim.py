@@ -8,8 +8,21 @@ which keeps results deterministic.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from uqsl2._kernel import kmul, krow_axpy
 from uqsl2.cyclo_field import CycloNum, FieldCtx
+
+
+@lru_cache(maxsize=None)
+def _pivot_inv(ctx: FieldCtx, nums: tuple, den: int) -> tuple:
+    """Kernel-form inverse of a pivot value.
+
+    FieldCtx hashes and compares by p, so the key is exactly (p, nums, den)
+    and a hit returns the same inverse a fresh computation would.
+    """
+    inv = CycloNum(ctx, nums, den).inv()
+    return inv.nums, inv.den
 
 
 class SparseRref:
@@ -42,10 +55,10 @@ class SparseRref:
                 continue
             piv = self.pivots.get(c)
             if piv is None:
-                inv = CycloNum(self.ctx, cn, cd).inv()
+                inn, ind = _pivot_inv(self.ctx, cn, cd)
                 for k in list(row):
                     vn, vd = row[k]
-                    row[k] = kmul(vn, vd, inv.nums, inv.den, red)
+                    row[k] = kmul(vn, vd, inn, ind, red)
                 self.pivots[c] = row
                 return True
             krow_axpy(row, piv, cn, cd, red)

@@ -9,7 +9,10 @@ Oversized requests raise InfeasibleSize instead of running.  Relation
 checks refuse when the tensor space itself passes the budget
 (2^strands > budget); rank and commutant solves refuse when the
 matrix-entry lattice reaches it (4^n >= budget, which puts the 8-strand
-commutant exactly on the line and therefore off by default).
+commutant exactly on the line and therefore off by default).  The
+commutant End_U(X^n) is solved as Hom_U(1, X^2n), X being self-dual: the
+invariants of X^2n, one weight slice w = n (mod p) at a time, whose 4^n
+basis vectors are the same lattice the gate counts.
 
 Checks are pure and independent of each other; ``run_checks`` executes
 them in a fixed order (relation id, then p) so sweep reports come out
@@ -21,6 +24,7 @@ from __future__ import annotations
 import time
 from collections import defaultdict
 from functools import lru_cache
+from math import comb
 from typing import Callable, NamedTuple
 
 from ._elim import SparseRref, nullspace, rank_of_vectors, row_from_cyclo
@@ -43,7 +47,7 @@ from .pa_generators import (
     partial_trace_left,
     partial_trace_right,
 )
-from .tensor_space import LinOp, all_indices, op_E, op_F
+from .tensor_space import LinOp, all_indices
 
 DEFAULT_BUDGET = 2**16
 
@@ -224,11 +228,13 @@ def coefficient_identity_failures(ctx: FieldCtx) -> list:
 
 
 def commutant_dim(p: int, n: int, budget: int = DEFAULT_BUDGET) -> int:
-    """Dimension of {M : M commutes with the lifted K, E, F on n strands}.
+    """Dimension of End_U(X^n), the M commuting with the lifted K, E, F.
 
-    Commuting with K means M preserves weight classes mod p, which makes
-    the unknowns block-diagonal; the E and F commutators then give sparse
-    linear constraints solved by exact elimination.
+    X is self-dual, so End_U(X^n) = Hom_U(1, X^2n): the invariant vectors
+    of X^2n, killed by E and F and fixed by K.  K fixes exactly the
+    weights w = n (mod p), and E, F move weight by one, so each such
+    weight slice is an independent block solved by exact elimination.
+    The gate is 4^n >= budget, 4^n being both dim End(X^n) and dim X^2n.
     """
     _require_solve(n, budget)
     return _commutant_dim(p, n)
@@ -237,36 +243,29 @@ def commutant_dim(p: int, n: int, budget: int = DEFAULT_BUDGET) -> int:
 @lru_cache(maxsize=None)
 def _commutant_dim(p: int, n: int) -> int:
     ctx = FieldCtx(p)
-    basis = list(all_indices(n))
-    classes: dict[int, list] = defaultdict(list)
-    for b in basis:
-        classes[b.weight % p].append(b)
-    unknowns = sum(len(members) ** 2 for members in classes.values())
-
-    def key(v, u):
-        return (v.mask << n) | u.mask
-
-    rr = SparseRref(ctx)
-    for G, dw in ((op_E(ctx, n), -1), (op_F(ctx, n), 1)):
-        cols = {u: G.column(u).terms for u in basis}
+    qp = [(c.nums, c.den) for c in map(ctx.q_power, range(2 * p))]
+    z = 2 * n
+    dim = 0
+    for w in range(n % p, z + 1, p):
+        # E rows (weight w-1) and F rows (weight w+1), keyed by target mask.
         rows: dict = defaultdict(dict)
-        for v, col in cols.items():
-            for w, c in col.items():
-                rows[w][v] = c
-        # commutator entry at (w, u): sum_u' M[w,u'] G[u',u] - sum_v G[w,v] M[v,u]
-        for u in basis:
-            gcol = cols[u]
-            grow_class = (u.weight % p + dw) % p
-            for w in classes[grow_class]:
-                row = {}
-                for u2, c in gcol.items():
-                    row[key(w, u2)] = c
-                for v, c in rows.get(w, {}).items():
-                    kk = key(v, u)
-                    row[kk] = row.get(kk, ctx.zero) - c
-                if row:
-                    rr.add_row(row_from_cyclo(row))
-    return unknowns - rr.rank
+        for b in range(1 << z):
+            if b.bit_count() != w:
+                continue
+            col = int(f"{b:0{z}b}"[::-1], 2)
+            for j in range(1, z + 1):
+                bit = 1 << (j - 1)
+                if b & bit:
+                    rows[b & ~bit][col] = qp[((z - j) - 2 * (b >> j).bit_count()) % (2 * p)]
+                else:
+                    rows[b | bit][col] = qp[(2 * (b & (bit - 1)).bit_count() - (j - 1)) % (2 * p)]
+        # Pivot on the leftmost strand first (bit-reversed column key) and
+        # feed rows by ascending target, E and F merged: both keep fill-in low.
+        rr = SparseRref(ctx)
+        for t in sorted(rows):
+            rr.add_row(rows[t])
+        dim += comb(z, w) - rr.rank
+    return dim
 
 
 # The budget only gates a solve, so the cache is keyed on (p, n) alone.

@@ -123,6 +123,11 @@ def test_commutant_matches_fusion_small():
             assert commutant_dim(p, n) == dimension_formula(n, p)
 
 
+def test_commutant_reaches_seven_strands():
+    assert commutant_dim(4, 6) == dimension_formula(6, 4) == 132
+    assert commutant_dim(2, 7) == 2048
+
+
 def test_rotation_span_rank_frozen():
     assert rotation_span_rank(2) == 6
     assert rotation_span_rank(2, generator="beta") == 6
