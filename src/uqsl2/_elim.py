@@ -1,16 +1,19 @@
 """Sparse exact linear algebra over Q(q): row reduction and nullspaces.
 
-Rows map column keys (any comparable, hashable values) to kernel-form
-scalars, i.e. (nums, den) pairs as used by ``uqsl2._kernel``.  Everything
-here is exact; there is no pivoting heuristic beyond smallest column key,
-which keeps results deterministic.
+Rows and returned vectors map column keys (any comparable, hashable
+values) to nonzero kernel pairs (nums, den) as used by ``uqsl2._kernel``;
+that is the only scalar form here, so callers holding CycloNum values wrap
+and unwrap at their own boundary.  The one CycloNum in this module is the
+field inverse behind each pivot.  Everything here is exact; there is no
+pivoting heuristic beyond smallest column key, which keeps results
+deterministic.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from uqsl2._kernel import kmul, krow_axpy
+from uqsl2._kernel import kmul, kneg, krow_axpy
 from uqsl2.cyclo_field import CycloNum, FieldCtx
 
 
@@ -65,16 +68,11 @@ class SparseRref:
         return False
 
 
-def row_from_cyclo(entries: dict) -> dict:
-    """Kernel-form copy of a {col: CycloNum} mapping, zeros dropped."""
-    return {k: (x.nums, x.den) for k, x in entries.items() if x}
-
-
 def rank_of_vectors(ctx: FieldCtx, vectors) -> int:
-    """Rank of a family of {col: CycloNum} sparse vectors."""
+    """Rank of a family of kernel rows; the rows are not modified."""
     rr = SparseRref(ctx)
     for v in vectors:
-        rr.add_row(row_from_cyclo(v))
+        rr.add_row(dict(v))
     return rr.rank
 
 
@@ -83,7 +81,7 @@ def nullspace(ctx: FieldCtx, rows, columns) -> list[dict]:
 
     ``columns`` fixes the order of the free variables, so the basis is
     deterministic: one vector per free column, with that coordinate 1.
-    Returns vectors as {col: CycloNum} dicts.
+    Returns kernel-form vectors; the rows are not modified.
     """
     rr = SparseRref(ctx)
     for row in rows:
@@ -97,7 +95,7 @@ def nullspace(ctx: FieldCtx, rows, columns) -> list[dict]:
             if e is not None:
                 krow_axpy(row, pivs[c], e[0], e[1], red)
     basis = []
-    one = ctx.one
+    one = (ctx.one.nums, ctx.one.den)
     for f in columns:
         if f in pivs:
             continue
@@ -105,6 +103,6 @@ def nullspace(ctx: FieldCtx, rows, columns) -> list[dict]:
         for pc, row in pivs.items():
             e = row.get(f)
             if e is not None:
-                vec[pc] = -CycloNum(ctx, *e)
+                vec[pc] = kneg(*e)
         basis.append(vec)
     return basis

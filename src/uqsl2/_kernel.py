@@ -69,6 +69,19 @@ def kmul(an, ad, bn, bd, red):
     return knorm(tuple(nums), ad * bd)
 
 
+def kacc(acc, key, nums, den):
+    """In-place ``acc[key] += (nums, den)``; a sum that becomes zero is removed."""
+    e = acc.get(key)
+    if e is None:
+        acc[key] = (nums, den)
+        return
+    rn, rd = kadd(e[0], e[1], nums, den)
+    if any(rn):
+        acc[key] = (rn, rd)
+    else:
+        del acc[key]
+
+
 def krow_axpy(dst, src, cn, cd, red):
     """In-place ``dst[col] -= c*src[col]`` over the columns of src.
 

@@ -29,9 +29,9 @@ from uqsl2.relation_engine import (
     DEFAULT_BUDGET,
     RELATION_IDS,
     InfeasibleSize,
-    basis_check_2p,
     commutant_dim,
     run_checks,
+    verify,
 )
 from uqsl2.rep_modules import verify_hom_forms
 
@@ -274,7 +274,7 @@ def _section_basis(config: RunConfig) -> tuple[dict, int]:
     failed = False
     for p in config.ps:
         try:
-            report = basis_check_2p(p, config.budget)
+            report = verify("prop5", p, config.budget)
         except InfeasibleSize as exc:
             skipped.append(
                 {"relation_id": "prop5", "p": p, "strands": exc.strands, "skipped": str(exc)}

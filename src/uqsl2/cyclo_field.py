@@ -45,7 +45,8 @@ def _poly_div_exact(num: tuple[int, ...], den: tuple[int, ...]) -> tuple[int, ..
             quot[k] = c
             for j, y in enumerate(den):
                 rem[k + j] -= c * y
-    assert not any(rem), "non-exact polynomial division"
+    if any(rem):
+        raise ArithmeticError("non-exact polynomial division")
     return tuple(quot)
 
 

@@ -27,11 +27,6 @@ def label_dim(label: Label, p: int) -> int:
     return s if kind == "X" else 2 * p
 
 
-def label_name(label: Label) -> str:
-    kind, sign, s = label
-    return f"{kind}{'+' if sign > 0 else '-'}_{s}"
-
-
 def _step_one(label: Label, p: int) -> dict[Label, int]:
     """X tensor (one indecomposable), as a multiset of labels."""
     kind, sg, s = label

@@ -7,14 +7,15 @@ is the simple of dimension p with flipped sign.  gamma is the scalar
 
 Each generator is built twice, from the explicit coefficient formula and
 from the e_x / f_x scalars obtained by genuinely iterating E and F, and
-the two are asserted equal column by column.
+the two must agree column by column, or construction raises
+ArithmeticError.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from uqsl2.cyclo_field import CycloNum, FieldCtx, make_field
+from uqsl2.cyclo_field import FieldCtx, make_field
 from uqsl2.diagram_algebra import cap, cup
 from uqsl2.tensor_space import (
     BasisIndex,
@@ -77,7 +78,8 @@ def make_generators(p) -> GeneratorSet:
             e_x = v.coeff(bottom)
             e_scalars[b] = e_x
             explicit = e_tops[p - k - 1] * (base * ctx.qfact(k))
-            assert explicit == e_tops[p - k - 1] * e_x, b
+            if explicit != e_tops[p - k - 1] * e_x:
+                raise ArithmeticError(f"alpha column {b}: explicit and iterated E disagree")
             if explicit:
                 alpha_cols[b] = explicit
         else:
@@ -88,7 +90,8 @@ def make_generators(p) -> GeneratorSet:
             f_x = v.coeff(top)
             f_scalars[b] = f_x
             explicit = f_bots[k - p] * (base * ctx.qfact(z - k))
-            assert explicit == f_bots[k - p] * f_x, b
+            if explicit != f_bots[k - p] * f_x:
+                raise ArithmeticError(f"beta column {b}: explicit and iterated F disagree")
             if explicit:
                 beta_cols[b] = explicit
     alpha = LinOp(ctx, z, z, alpha_cols)

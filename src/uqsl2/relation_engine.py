@@ -27,7 +27,7 @@ from functools import lru_cache
 from math import comb
 from typing import Callable, NamedTuple
 
-from ._elim import SparseRref, nullspace, rank_of_vectors, row_from_cyclo
+from ._elim import SparseRref, nullspace, rank_of_vectors
 from .cyclo_field import CycloNum, FieldCtx, QFactProduct
 from .diagram_algebra import (
     all_diagrams,
@@ -47,7 +47,7 @@ from .pa_generators import (
     partial_trace_left,
     partial_trace_right,
 )
-from .tensor_space import LinOp, all_indices
+from .tensor_space import BasisIndex, LinOp, e_terms, f_terms, from_word
 
 DEFAULT_BUDGET = 2**16
 
@@ -100,22 +100,16 @@ def _require_solve(strands: int, budget: int) -> None:
         raise InfeasibleSize(strands, states, budget)
 
 
-def _flat(op: LinOp) -> dict:
-    """Entries of op as a single sparse vector keyed by integer."""
-    shift = op.z_out
-    return {(b.mask << shift) | b2.mask: c for (b, b2), c in op.entries().items()}
-
-
 def rank_of_linops(ctx: FieldCtx, ops) -> int:
-    return rank_of_vectors(ctx, (_flat(op) for op in ops))
+    return rank_of_vectors(ctx, (op.flat() for op in ops))
 
 
 def _witness(lhs: LinOp, rhs: LinOp) -> dict | None:
     diff = lhs - rhs
-    bad = [b for b, col in diff.columns.items() if col]
+    bad = [m for m, col in diff.columns.items() if col]
     if not bad:
         return None
-    b = min(bad, key=lambda x: x.mask)
+    b = BasisIndex(lhs.z_in, min(bad))
     return {"basis": b.word(), "lhs": str(lhs.column(b)), "rhs": str(rhs.column(b))}
 
 
@@ -253,12 +247,9 @@ def _commutant_dim(p: int, n: int) -> int:
             if b.bit_count() != w:
                 continue
             col = int(f"{b:0{z}b}"[::-1], 2)
-            for j in range(1, z + 1):
-                bit = 1 << (j - 1)
-                if b & bit:
-                    rows[b & ~bit][col] = qp[((z - j) - 2 * (b >> j).bit_count()) % (2 * p)]
-                else:
-                    rows[b | bit][col] = qp[(2 * (b & (bit - 1)).bit_count() - (j - 1)) % (2 * p)]
+            for rule in (e_terms, f_terms):
+                for t, e in rule(z, b):
+                    rows[t][col] = qp[e % (2 * p)]
         # Pivot on the leftmost strand first (bit-reversed column key) and
         # feed rows by ascending target, E and F merged: both keep fill-in low.
         rr = SparseRref(ctx)
@@ -270,12 +261,6 @@ def _commutant_dim(p: int, n: int) -> int:
 
 # The budget only gates a solve, so the cache is keyed on (p, n) alone.
 commutant_dim.cache_info = _commutant_dim.cache_info
-
-
-def rotation_span_rank(p: int, budget: int = DEFAULT_BUDGET, generator: str = "alpha") -> int:
-    """Exact rank of span{R^i(g x 1) : 0 <= i <= 4p-1} on 2p strands."""
-    _require_solve(2 * p, budget)
-    return rank_of_linops(_gens(p).ctx, _rotation_orbit(p, generator))
 
 
 def capping_pattern(p: int, budget: int = DEFAULT_BUDGET):
@@ -509,7 +494,8 @@ def _pt_composite(g, n, first, second):
 
 
 def _prop2_core(p, n, budget):
-    assert n < 2 * p - 1, "diagram basis is only free below the critical size"
+    if n >= 2 * p - 1:
+        raise ValueError("diagram basis is only free below the critical size")
     _require_solve(n, budget)
     ctx = _gens(p).ctx
     diags = [diagram_to_matrix(ctx, d) for d in all_diagrams(n, n)]
@@ -517,7 +503,7 @@ def _prop2_core(p, n, budget):
     if rank != catalan(n):
         return n, False, {"identity": "diagram matrices independent", "rank": rank, "expected": catalan(n)}
     if n >= 3:
-        b = next(x for x in all_indices(3) if x.word() == "011")
+        b = from_word("011")
         lhs = (e_op(ctx, 1, 3) * e_op(ctx, 2, 3)).column(b)
         rhs = (e_op(ctx, 2, 3) * e_op(ctx, 1, 3)).column(b)
         if lhs == rhs:
@@ -634,12 +620,6 @@ def _check_prop5(p, budget):
     }
 
 
-def basis_check_2p(p: int, budget: int = DEFAULT_BUDGET) -> RelationReport:
-    start = time.perf_counter()
-    strands, holds, wit = _check_prop5(p, budget)
-    return RelationReport("prop5", p, strands, holds, wit, (time.perf_counter() - start) * 1000.0)
-
-
 def prop2_injectivity(p: int, n: int, budget: int = DEFAULT_BUDGET) -> RelationReport:
     start = time.perf_counter()
     strands, holds, wit = _prop2_core(p, n, budget)
@@ -661,12 +641,12 @@ def _check_rot_rank(p, budget):
                               "rank": rank, "expected": expected}
         rows_by_pos: dict = defaultdict(dict)
         for i, op in enumerate(ops):
-            for pos, c in _flat(op).items():
+            for pos, c in op.flat().items():
                 rows_by_pos[pos][i] = c
-        null = nullspace(ctx, (row_from_cyclo(r) for r in rows_by_pos.values()), range(m))
+        null = nullspace(ctx, rows_by_pos.values(), range(m))
         seeds = [
-            {i: c for i, c in enumerate(CoefficientVector(ctx, 1, 0).k) if c},
-            {i: c for i, c in enumerate(CoefficientVector(ctx, 0, 1).k) if c},
+            {i: (c.nums, c.den) for i, c in enumerate(CoefficientVector(ctx, *seed).k) if c}
+            for seed in ((1, 0), (0, 1))
         ]
         if len(null) != 2 or rank_of_vectors(ctx, null + seeds) != 2:
             return n, False, {"identity": f"nullspace of {name} orbit matches seed span",

@@ -2,16 +2,18 @@
 
 Simple modules X(sign, s) of dimension s for 1 <= s <= p, and projective
 modules P(sign, s) of dimension 2p for 1 <= s <= p-1, with the K/E/F
-action in the standard bases.  Matrices are row-major tuples; column j is
-the image of basis vector j.  The intertwiner solver computes an exact
-nullspace basis of the commutation constraints and reproduces the
-hom-space dimension table.
+action in the standard bases.  Matrices are row-major tuples of CycloNum;
+column j is the image of basis vector j.  The intertwiner solver computes
+an exact nullspace basis of the commutation constraints and reproduces the
+hom-space dimension table; it hands ``uqsl2._elim`` kernel pairs and wraps
+the solved maps back into CycloNum matrices.
 """
 
 from __future__ import annotations
 
 from uqsl2 import _elim
-from uqsl2.cyclo_field import FieldCtx
+from uqsl2._kernel import kacc, kneg
+from uqsl2.cyclo_field import CycloNum, FieldCtx
 
 
 class ModuleData:
@@ -234,20 +236,15 @@ def intertwiner_space(src: ModuleData, tgt: ModuleData) -> HomBasis:
     ):
         for i in range(dt):
             for j in range(ds):
-                entries: dict[int, object] = {}
+                row: dict[int, tuple] = {}
                 for k in range(ds):
                     c = gs[k][j]
                     if c:
-                        key = i * ds + k
-                        prev = entries.get(key)
-                        entries[key] = c if prev is None else prev + c
+                        kacc(row, i * ds + k, c.nums, c.den)
                 for k in range(dt):
                     c = gt[i][k]
                     if c:
-                        key = k * ds + j
-                        prev = entries.get(key)
-                        entries[key] = -c if prev is None else prev - c
-                row = _elim.row_from_cyclo(entries)
+                        kacc(row, k * ds + j, *kneg(c.nums, c.den))
                 if row:
                     rows.append(row)
     vecs = _elim.nullspace(ctx, rows, range(dt * ds))
@@ -255,7 +252,7 @@ def intertwiner_space(src: ModuleData, tgt: ModuleData) -> HomBasis:
     for v in vecs:
         M = [[ctx.zero] * ds for _ in range(dt)]
         for key, c in v.items():
-            M[key // ds][key % ds] = c
+            M[key // ds][key % ds] = CycloNum(ctx, *c)
         maps.append(_freeze(M))
     return HomBasis(src.label, tgt.label, maps)
 
@@ -276,7 +273,7 @@ def _expected_hom_dim(p: int, src: ModuleData, tgt: ModuleData) -> int | None:
 
 def _in_span(ctx: FieldCtx, basis_maps, M) -> bool:
     vec = lambda A: {
-        (i, j): c for i, row in enumerate(A) for j, c in enumerate(row) if c
+        (i, j): (c.nums, c.den) for i, row in enumerate(A) for j, c in enumerate(row) if c
     }
     vs = [vec(B) for B in basis_maps]
     r0 = _elim.rank_of_vectors(ctx, vs)

@@ -6,6 +6,13 @@ weight-n space is spanned by the states with n occupied positions; the
 K-eigenvalue there is q^(z-2n).  On top of the basis sit sparse vectors
 (TensorVector), sparse column operators (LinOp), the coproduct-lifted
 K/E/F actions, and their closed-form k-th powers.
+
+There is one scalar representation below the API: a TensorVector holds
+{int mask: (nums, den)} kernel pairs and a LinOp {int mask: TensorVector},
+and all their arithmetic runs on ``uqsl2._kernel``.  CycloNum and
+BasisIndex appear only at the boundary: the constructors, ``unit``,
+``scale``, ``column``, ``coeff`` and ``str``.  ``LinOp.flat`` hands the
+entries to ``uqsl2._elim`` as one kernel row, without conversion.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, NamedTuple
 
+from uqsl2._kernel import kacc, kmul, kneg
 from uqsl2.cyclo_field import CycloNum, FieldCtx
 
 
@@ -69,20 +77,39 @@ def x_top(z: int) -> BasisIndex:
     return BasisIndex(z, (1 << z) - 1)
 
 
+def _kq(ctx: FieldCtx, e: int) -> tuple:
+    """Kernel pair of q^e."""
+    c = ctx.q_power(e)
+    return c.nums, c.den
+
+
+def _vec(ctx: FieldCtx, z: int, terms: dict) -> "TensorVector":
+    v = TensorVector(ctx, z)
+    v.terms = terms
+    return v
+
+
+def _op(ctx: FieldCtx, z_in: int, z_out: int, columns: dict) -> "LinOp":
+    out = LinOp(ctx, z_in, z_out)
+    out.columns = columns
+    return out
+
+
 class TensorVector:
-    """Sparse element of X^(tensor z): occupancy word -> coefficient."""
+    """Sparse element of X^(tensor z): occupancy mask -> kernel pair."""
 
     __slots__ = ("ctx", "z", "terms")
 
     def __init__(self, ctx: FieldCtx, z: int, terms: dict | None = None):
+        """``terms`` maps BasisIndex to CycloNum; zero coefficients are dropped."""
         self.ctx = ctx
         self.z = z
-        self.terms: dict[BasisIndex, CycloNum] = {}
+        self.terms: dict[int, tuple] = {}
         if terms:
             for b, c in terms.items():
                 if c:
                     assert b.z == z
-                    self.terms[b] = c
+                    self.terms[b.mask] = (c.nums, c.den)
 
     @classmethod
     def unit(cls, ctx: FieldCtx, b: BasisIndex) -> "TensorVector":
@@ -91,31 +118,23 @@ class TensorVector:
     def __add__(self, other: "TensorVector") -> "TensorVector":
         assert self.z == other.z
         out = dict(self.terms)
-        for b, c in other.terms.items():
-            s = out.get(b)
-            t = c if s is None else s + c
-            if t:
-                out[b] = t
-            else:
-                del out[b]
-        v = TensorVector(self.ctx, self.z)
-        v.terms = out
-        return v
+        for b, (cn, cd) in other.terms.items():
+            kacc(out, b, cn, cd)
+        return _vec(self.ctx, self.z, out)
 
     def __neg__(self) -> "TensorVector":
-        v = TensorVector(self.ctx, self.z)
-        v.terms = {b: -c for b, c in self.terms.items()}
-        return v
+        return _vec(self.ctx, self.z, {b: kneg(*c) for b, c in self.terms.items()})
 
     def __sub__(self, other: "TensorVector") -> "TensorVector":
         return self + (-other)
 
     def scale(self, c) -> "TensorVector":
-        if isinstance(c, int):
+        if not isinstance(c, CycloNum):
             c = self.ctx.scalar(c)
+        cn, cd, red = c.nums, c.den, self.ctx.red
         v = TensorVector(self.ctx, self.z)
         if c:
-            v.terms = {b: x * c for b, x in self.terms.items()}
+            v.terms = {b: kmul(xn, xd, cn, cd, red) for b, (xn, xd) in self.terms.items()}
         return v
 
     def __mul__(self, c):
@@ -124,19 +143,20 @@ class TensorVector:
     __rmul__ = __mul__
 
     def tensor(self, other: "TensorVector") -> "TensorVector":
-        out = TensorVector(self.ctx, self.z + other.z)
-        for b1, c1 in self.terms.items():
-            for b2, c2 in other.terms.items():
-                b = BasisIndex(out.z, b1.mask | b2.mask << self.z)
-                out.terms[b] = c1 * c2
-        return out
+        red, shift = self.ctx.red, self.z
+        out = {}
+        for b1, (an, ad) in self.terms.items():
+            for b2, (bn, bd) in other.terms.items():
+                out[b1 | b2 << shift] = kmul(an, ad, bn, bd, red)
+        return _vec(self.ctx, self.z + other.z, out)
 
     def coeff(self, b: BasisIndex) -> CycloNum:
-        return self.terms.get(b, self.ctx.zero)
+        c = self.terms.get(b.mask)
+        return self.ctx.zero if c is None else CycloNum(self.ctx, *c)
 
     def homogeneous_weight(self) -> int | None:
         """The common weight of all terms, or None if mixed or zero."""
-        ws = {b.weight for b in self.terms}
+        ws = {b.bit_count() for b in self.terms}
         return ws.pop() if len(ws) == 1 else None
 
     def __bool__(self):
@@ -154,9 +174,8 @@ class TensorVector:
         if not self.terms:
             return "0"
         parts = []
-        for b in sorted(self.terms, key=lambda b: b.word()):
-            c = self.terms[b]
-            cs = str(c)
+        for b in sorted((BasisIndex(self.z, m) for m in self.terms), key=BasisIndex.word):
+            cs = str(CycloNum(self.ctx, *self.terms[b.mask]))
             if cs == "1":
                 parts.append(str(b))
             elif cs == "-1":
@@ -179,21 +198,21 @@ class LinOp:
     __slots__ = ("ctx", "z_in", "z_out", "columns")
 
     def __init__(self, ctx: FieldCtx, z_in: int, z_out: int, columns=None):
+        """``columns`` maps BasisIndex to TensorVector; zero columns are dropped."""
         self.ctx = ctx
         self.z_in = z_in
         self.z_out = z_out
-        self.columns: dict[BasisIndex, TensorVector] = {}
+        self.columns: dict[int, TensorVector] = {}
         if columns:
             for b, v in columns.items():
                 if v:
                     assert b.z == z_in and v.z == z_out
-                    self.columns[b] = v
+                    self.columns[b.mask] = v
 
     @classmethod
     def identity(cls, ctx: FieldCtx, z: int) -> "LinOp":
-        return cls(
-            ctx, z, z, {b: TensorVector.unit(ctx, b) for b in all_indices(z)}
-        )
+        one = (ctx.one.nums, ctx.one.den)
+        return _op(ctx, z, z, {m: _vec(ctx, z, {m: one}) for m in range(1 << z)})
 
     @classmethod
     def zero(cls, ctx: FieldCtx, z_in: int, z_out: int) -> "LinOp":
@@ -204,26 +223,20 @@ class LinOp:
         return cls(ctx, z_in, z_out, {b: fn(b) for b in all_indices(z_in)})
 
     def column(self, b: BasisIndex) -> TensorVector:
-        col = self.columns.get(b)
+        col = self.columns.get(b.mask)
         return col if col is not None else TensorVector(self.ctx, self.z_out)
 
     def apply(self, vec: TensorVector) -> TensorVector:
         assert vec.z == self.z_in
-        acc: dict[BasisIndex, CycloNum] = {}
-        for b, c in vec.terms.items():
+        red = self.ctx.red
+        acc: dict[int, tuple] = {}
+        for b, (cn, cd) in vec.terms.items():
             col = self.columns.get(b)
             if col is None:
                 continue
-            for b2, c2 in col.terms.items():
-                s = acc.get(b2)
-                t = c * c2 if s is None else s + c * c2
-                if t:
-                    acc[b2] = t
-                else:
-                    del acc[b2]
-        out = TensorVector(self.ctx, self.z_out)
-        out.terms = acc
-        return out
+            for b2, (xn, xd) in col.terms.items():
+                kacc(acc, b2, *kmul(cn, cd, xn, xd, red))
+        return _vec(self.ctx, self.z_out, acc)
 
     def __mul__(self, other):
         """Composition self . other (apply other first)."""
@@ -234,17 +247,15 @@ class LinOp:
                 v = self.apply(col)
                 if v:
                     cols[b] = v
-            out = LinOp(self.ctx, other.z_in, self.z_out)
-            out.columns = cols
-            return out
+            return _op(self.ctx, other.z_in, self.z_out, cols)
         return self.scale(other)
 
     def scale(self, c) -> "LinOp":
-        if isinstance(c, int):
+        if not isinstance(c, CycloNum):
             c = self.ctx.scalar(c)
         out = LinOp(self.ctx, self.z_in, self.z_out)
         if c:
-            out.columns = {b: col * c for b, col in self.columns.items()}
+            out.columns = {b: col.scale(c) for b, col in self.columns.items()}
         return out
 
     def __rmul__(self, c):
@@ -260,14 +271,10 @@ class LinOp:
                 cols[b] = v
             else:
                 del cols[b]
-        out = LinOp(self.ctx, self.z_in, self.z_out)
-        out.columns = cols
-        return out
+        return _op(self.ctx, self.z_in, self.z_out, cols)
 
     def __neg__(self) -> "LinOp":
-        out = LinOp(self.ctx, self.z_in, self.z_out)
-        out.columns = {b: -col for b, col in self.columns.items()}
-        return out
+        return _op(self.ctx, self.z_in, self.z_out, {b: -col for b, col in self.columns.items()})
 
     def __sub__(self, other: "LinOp") -> "LinOp":
         return self + (-other)
@@ -281,20 +288,21 @@ class LinOp:
 
     def tensor(self, other: "LinOp") -> "LinOp":
         """Kronecker product: self on the left strands, other on the right."""
-        out = LinOp(self.ctx, self.z_in + other.z_in, self.z_out + other.z_out)
+        shift = self.z_in
+        cols = {}
         for b1, c1 in self.columns.items():
             for b2, c2 in other.columns.items():
-                b = BasisIndex(out.z_in, b1.mask | b2.mask << self.z_in)
-                out.columns[b] = c1.tensor(c2)
-        return out
+                cols[b1 | b2 << shift] = c1.tensor(c2)
+        return _op(self.ctx, self.z_in + other.z_in, self.z_out + other.z_out, cols)
 
-    def entries(self) -> dict:
-        """Sparse {(in BasisIndex, out BasisIndex): CycloNum} view."""
-        flat = {}
-        for b, col in self.columns.items():
-            for b2, c in col.terms.items():
-                flat[(b, b2)] = c
-        return flat
+    def flat(self) -> dict:
+        """All entries as one kernel row keyed by (in mask << z_out) | out mask."""
+        shift = self.z_out
+        return {
+            b << shift | b2: c
+            for b, col in self.columns.items()
+            for b2, c in col.terms.items()
+        }
 
     def __bool__(self):
         return bool(self.columns)
@@ -312,54 +320,51 @@ class LinOp:
         return f"LinOp({self.z_in}->{self.z_out}, {len(self.columns)} columns)"
 
 
-# --- lazy single-operator appliers (no materialization) -------------------
+# --- the lifted E/F rule and lazy single-operator appliers -------------------
+
+def e_terms(z: int, mask: int):
+    """Lifted E on one occupancy word: for each occupied position j,
+    (mask with j cleared, q exponent (z-j) - 2*#occupied right of j)."""
+    for j in range(1, z + 1):
+        bit = 1 << (j - 1)
+        if mask & bit:
+            yield mask & ~bit, (z - j) - 2 * (mask >> j).bit_count()
+
+
+def f_terms(z: int, mask: int):
+    """Lifted F on one occupancy word: for each empty position j,
+    (mask with j set, q exponent 2*#occupied left of j - (j-1))."""
+    for j in range(1, z + 1):
+        bit = 1 << (j - 1)
+        if not mask & bit:
+            yield mask | bit, 2 * (mask & (bit - 1)).bit_count() - (j - 1)
+
+
+def _lift(ctx: FieldCtx, vec: TensorVector, rule) -> TensorVector:
+    red = ctx.red
+    acc: dict[int, tuple] = {}
+    for b, (cn, cd) in vec.terms.items():
+        for nb, e in rule(vec.z, b):
+            kacc(acc, nb, *kmul(cn, cd, *_kq(ctx, e), red))
+    return _vec(ctx, vec.z, acc)
+
 
 def apply_k(ctx: FieldCtx, vec: TensorVector) -> TensorVector:
-    out = TensorVector(ctx, vec.z)
-    for b, c in vec.terms.items():
-        out.terms[b] = c * ctx.q_power(vec.z - 2 * b.weight)
-    return out
+    z, red = vec.z, ctx.red
+    return _vec(ctx, z, {
+        b: kmul(cn, cd, *_kq(ctx, z - 2 * b.bit_count()), red)
+        for b, (cn, cd) in vec.terms.items()
+    })
 
 
 def apply_e(ctx: FieldCtx, vec: TensorVector) -> TensorVector:
     """Coproduct-lifted E: clear one occupied position per term."""
-    z = vec.z
-    acc: dict[BasisIndex, CycloNum] = {}
-    for b, c in vec.terms.items():
-        for j in range(1, z + 1):
-            if b.mask >> (j - 1) & 1:
-                coeff = c * ctx.q_power((z - j) - 2 * (b.mask >> j).bit_count())
-                nb = BasisIndex(z, b.mask & ~(1 << (j - 1)))
-                s = acc.get(nb)
-                t = coeff if s is None else s + coeff
-                if t:
-                    acc[nb] = t
-                else:
-                    del acc[nb]
-    out = TensorVector(ctx, z)
-    out.terms = acc
-    return out
+    return _lift(ctx, vec, e_terms)
 
 
 def apply_f(ctx: FieldCtx, vec: TensorVector) -> TensorVector:
     """Coproduct-lifted F: fill one empty position per term."""
-    z = vec.z
-    acc: dict[BasisIndex, CycloNum] = {}
-    for b, c in vec.terms.items():
-        for j in range(1, z + 1):
-            if not b.mask >> (j - 1) & 1:
-                below = (b.mask & ((1 << (j - 1)) - 1)).bit_count()
-                coeff = c * ctx.q_power(2 * below - (j - 1))
-                nb = BasisIndex(z, b.mask | 1 << (j - 1))
-                s = acc.get(nb)
-                t = coeff if s is None else s + coeff
-                if t:
-                    acc[nb] = t
-                else:
-                    del acc[nb]
-    out = TensorVector(ctx, z)
-    out.terms = acc
-    return out
+    return _lift(ctx, vec, f_terms)
 
 
 # --- materialized operators -------------------------------------------------
@@ -416,8 +421,7 @@ def e_power(ctx: FieldCtx, k: int, z: int) -> LinOp:
             rm = 0
             for u in U:
                 rm |= 1 << (u - 1)
-            nb = BasisIndex(z, b.mask & ~rm)
-            col.terms[nb] = fact * ctx.q_power(e)
+            col.terms[b.mask & ~rm] = kmul(fact.nums, fact.den, *_kq(ctx, e), ctx.red)
         cols[b] = col
     return LinOp(ctx, z, z, cols)
 
@@ -446,8 +450,7 @@ def f_power(ctx: FieldCtx, k: int, z: int) -> LinOp:
             add = 0
             for v in V:
                 add |= 1 << (v - 1)
-            nb = BasisIndex(z, b.mask | add)
-            col.terms[nb] = fact * ctx.q_power(e)
+            col.terms[b.mask | add] = kmul(fact.nums, fact.den, *_kq(ctx, e), ctx.red)
         cols[b] = col
     return LinOp(ctx, z, z, cols)
 

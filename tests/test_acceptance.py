@@ -26,7 +26,6 @@ from uqsl2.diagram_algebra import e_op, jw_closed, jw_recursive, tl_to_matrix
 from uqsl2.fusion_dims import CONVENTIONS, catalan, dimension_formula
 from uqsl2.pa_generators import make_generators, partial_trace_right
 from uqsl2.relation_engine import (
-    basis_check_2p,
     commutant_dim,
     gamma_factorial_ratio,
     run_checks,
@@ -120,14 +119,14 @@ def test_criterion_04_rotation_nullspace():
 
 
 def test_criterion_05_basis_at_p3():
-    report = basis_check_2p(3)
+    report = verify("prop5", 3)
     assert report.holds
     assert commutant_dim(3, 6) == catalan(6) + 30 == 162
     print("PASS criterion 5 (p=3): 162 = C_6 + 30 independent elements, matched against the solver")
 
 
 def test_criterion_05_basis_at_p2():
-    report = basis_check_2p(2)
+    report = verify("prop5", 2)
     if not report.holds:
         wit = report.witness
         print(

@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import uqsl2
 from uqsl2.cyclo_field import QFactProduct, make_field
 from uqsl2.pa_generators import (
     embed,
@@ -219,3 +225,28 @@ def test_nested_pairing_closes_loops(gens):
     for z in (1, 2, 3):
         paired = nested_cup(ctx, z).apply(nested_cap(ctx, z))
         assert paired == unit * ctx.loop_value**z
+
+
+_DOUBLED_E = """
+import sys
+import uqsl2.pa_generators as g
+if not sys.flags.optimize:
+    sys.exit(4)
+apply_e = g.apply_e
+g.apply_e = lambda ctx, vec: apply_e(ctx, vec) * 2
+try:
+    g.make_generators(2)
+except ArithmeticError:
+    sys.exit(0)
+sys.exit(3)
+"""
+
+
+def test_generator_cross_check_survives_optimize():
+    # under python -O a faulted E must still be caught by the
+    # explicit-vs-iterated comparison in make_generators
+    env = dict(os.environ)
+    src = str(Path(uqsl2.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", _DOUBLED_E], env=env, timeout=120)
+    assert proc.returncode == 0
