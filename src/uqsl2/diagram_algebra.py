@@ -50,7 +50,8 @@ class TLDiagram:
     __slots__ = ("n_top", "n_bottom", "pairs", "loops_removed")
 
     def __init__(self, n_top: int, n_bottom: int, pairs, loops_removed: int = 0):
-        assert (n_top + n_bottom) % 2 == 0
+        if (n_top + n_bottom) % 2:
+            raise ValueError(f"{n_top} + {n_bottom} boundary points cannot be paired")
         self.n_top = n_top
         self.n_bottom = n_bottom
         self.loops_removed = loops_removed
@@ -58,7 +59,8 @@ class TLDiagram:
         norm = []
         seen = set()
         for a, b in pairs:
-            assert a != b
+            if a == b:
+                raise ValueError(f"boundary point {a} paired with itself")
             if lin(a) > lin(b):
                 a, b = b, a
             norm.append((a, b))
@@ -66,7 +68,8 @@ class TLDiagram:
         expected = {("t", i) for i in range(1, n_top + 1)} | {
             ("b", j) for j in range(1, n_bottom + 1)
         }
-        assert seen == expected, "pairing must cover every boundary point once"
+        if seen != expected:
+            raise ValueError("pairing must cover every boundary point once")
         norm.sort(key=lambda ab: lin(ab[0]))
         self.pairs = tuple(norm)
         # planarity: balanced-parenthesis check in the linear order
@@ -75,9 +78,8 @@ class TLDiagram:
         for pos in range(n_top + n_bottom):
             if pos in opens:
                 stack.append(opens[pos])
-            else:
-                assert stack and stack[-1] == pos, "crossing pairing"
-                stack.pop()
+            elif not stack or stack.pop() != pos:
+                raise ValueError("crossing pairing")
 
     def _partner(self) -> dict:
         out = {}
@@ -122,7 +124,8 @@ def identity_diagram(n: int) -> TLDiagram:
 
 
 def e_diagram(i: int, n: int) -> TLDiagram:
-    assert 1 <= i <= n - 1
+    if not 1 <= i <= n - 1:
+        raise ValueError(f"e_{i} out of range for {n} strands")
     pairs = [(("t", i), ("t", i + 1)), (("b", i), ("b", i + 1))]
     pairs += [(("t", j), ("b", j)) for j in range(1, n + 1) if j not in (i, i + 1)]
     return TLDiagram(n, n, pairs)
@@ -130,7 +133,8 @@ def e_diagram(i: int, n: int) -> TLDiagram:
 
 def all_diagrams(n_top: int, n_bottom: int) -> list[TLDiagram]:
     """Every planar pairing, enumerated deterministically."""
-    assert (n_top + n_bottom) % 2 == 0
+    if (n_top + n_bottom) % 2:
+        raise ValueError(f"{n_top} + {n_bottom} boundary points cannot be paired")
     seq = [("t", i) for i in range(1, n_top + 1)]
     seq += [("b", j) for j in range(n_bottom, 0, -1)]
 
@@ -324,7 +328,8 @@ class TLElement:
 
 def tl_compose(a: TLElement, b: TLElement) -> TLElement:
     """a after b, converting closed loops to powers of delta."""
-    assert a.n_bottom == b.n_top, "incompatible boundaries"
+    if a.n_bottom != b.n_top:
+        raise ValueError(f"cannot stack {a.n_bottom} bottom points on {b.n_top} top points")
     ctx = a.ctx
     delta = ctx.loop_value
     acc: dict[TLDiagram, CycloNum] = {}
@@ -509,7 +514,8 @@ def jw_closed(ctx: FieldCtx, n: int) -> LinOp:
 def rotation(ctx: FieldCtx, f: LinOp) -> LinOp:
     """One clockwise click of a square operator on n strands:
     (cup x id^n) (id x f x id) (id^n x cap)."""
-    assert f.z_in == f.z_out, "rotation needs a square operator"
+    if f.z_in != f.z_out:
+        raise ValueError("rotation needs a square operator")
     n = f.z_in
     one = LinOp.identity(ctx, 1)
     mid = one.tensor(f).tensor(one)

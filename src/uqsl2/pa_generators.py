@@ -103,7 +103,8 @@ def make_generators(p) -> GeneratorSet:
 def embed(op: LinOp, i: int, n: int) -> LinOp:
     """Place a square operator on strands i .. i+width-1 of n, identity
     elsewhere."""
-    assert op.z_in == op.z_out, "embed needs a square operator"
+    if op.z_in != op.z_out:
+        raise ValueError("embed needs a square operator")
     w = op.z_in
     if not 1 <= i <= n - w + 1:
         raise ValueError(f"cannot place a width-{w} operator at {i} of {n}")
@@ -115,7 +116,8 @@ def embed(op: LinOp, i: int, n: int) -> LinOp:
 def partial_trace_right(op: LinOp) -> LinOp:
     """Close the last strand: (id x cup) (op x id) (id x cap)."""
     n = op.z_in
-    assert op.z_out == n, "partial trace needs a square operator"
+    if op.z_out != n:
+        raise ValueError("partial trace needs a square operator")
     ctx = op.ctx
     wide = op.tensor(LinOp.identity(ctx, 1))
     return cup(ctx, n, n + 1) * wide * cap(ctx, n, n + 1)
@@ -124,7 +126,8 @@ def partial_trace_right(op: LinOp) -> LinOp:
 def partial_trace_left(op: LinOp) -> LinOp:
     """Close the first strand instead."""
     n = op.z_in
-    assert op.z_out == n, "partial trace needs a square operator"
+    if op.z_out != n:
+        raise ValueError("partial trace needs a square operator")
     ctx = op.ctx
     wide = LinOp.identity(ctx, 1).tensor(op)
     return cup(ctx, 1, n + 1) * wide * cap(ctx, 1, n + 1)

@@ -5,11 +5,12 @@ cyclotomic field, on the minimal strand count the identity needs, and
 compares them entrywise; there are no tolerances.  A failing check carries
 a witness: a basis vector where the sides differ, with both images.
 
-Oversized requests raise InfeasibleSize instead of running.  Relation
-checks refuse when the tensor space itself passes the budget
-(2^strands > budget); rank and commutant solves refuse when the
-matrix-entry lattice reaches it (4^n >= budget, which puts the 8-strand
-commutant exactly on the line and therefore off by default).  The
+Oversized requests raise InfeasibleSize instead of running.  Operator
+identities refuse when the tensor space itself passes the budget
+(2^strands > budget).  Rank and commutant solves, and the action-identity
+and Jones-Wenzl window checks, whose loops grow like the matrix-entry
+lattice, refuse when that lattice reaches it (4^n >= budget, which puts
+8 strands exactly on the line and therefore off by default).  The
 commutant End_U(X^n) is solved as Hom_U(1, X^2n), X being self-dual: the
 invariants of X^2n, one weight slice w = n (mod p) at a time, whose 4^n
 basis vectors are the same lattice the gate counts.
@@ -23,12 +24,13 @@ from __future__ import annotations
 
 import time
 from collections import defaultdict
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import combinations
 from math import comb
 from typing import Callable, NamedTuple
 
 from ._elim import SparseRref, nullspace, rank_of_vectors
-from .cyclo_field import CycloNum, FieldCtx, QFactProduct
+from .cyclo_field import CycloNum, FieldCtx, QFactProduct, SingularRatio
 from .diagram_algebra import (
     all_diagrams,
     cap,
@@ -36,18 +38,26 @@ from .diagram_algebra import (
     diagram_to_matrix,
     e_op,
     jw_closed,
+    jw_recursive,
     rotation,
+    tl_to_matrix,
 )
 from .fusion_dims import catalan
 from .pa_generators import (
     GeneratorSet,
     embed,
     make_generators,
+    nested_cap,
+    nested_cap_closed,
+    nested_cup,
     partial_trace_comparison,
     partial_trace_left,
     partial_trace_right,
 )
-from .tensor_space import BasisIndex, LinOp, e_terms, f_terms, from_word
+from .tensor_space import (
+    BasisIndex, LinOp, TensorVector, basis_index, e_power, e_terms, f_power, f_terms,
+    from_word, op_E, op_F, op_K, op_K_power, x_bottom, x_top,
+)
 
 DEFAULT_BUDGET = 2**16
 
@@ -340,17 +350,26 @@ class Identity(NamedTuple):
     def __call__(self, p, budget):
         n = _STRANDS[self.strands](p)
         _require_strands(n, budget)
-        pairs = self.sides(_gens(p), n, *self.args)
-        while True:
-            try:
-                tag, lhs, rhs = next(pairs)
-            except StopIteration as done:
-                return (n, *(done.value or (True, None)))
-            w = _witness(lhs, rhs)
-            if w:
-                head = tag if isinstance(tag, dict) else {"identity": tag}
-                return n, False, {**head, **w}
-            del lhs, rhs  # drop this pair before the builder makes the next
+        return (n, *_first_difference(self.sides(_gens(p), n, *self.args)))
+
+
+def _first_difference(pairs) -> tuple:
+    """(holds, witness) of an iterator of (tag, lhs, rhs) pairs.
+
+    The first pair whose sides differ fails with the tag-headed witness;
+    otherwise the verdict is what a builder returns, or (True, None).
+    """
+    pairs = iter(pairs)
+    while True:
+        try:
+            tag, lhs, rhs = next(pairs)
+        except StopIteration as done:
+            return done.value or (True, None)
+        w = _witness(lhs, rhs)
+        if w:
+            head = tag if isinstance(tag, dict) else {"identity": tag}
+            return False, {**head, **w}
+        del lhs, rhs  # drop this pair before the builder makes the next
 
 
 def _squares_vanish(g, n):
@@ -540,17 +559,15 @@ def _check_prop4(p, budget):
             return n, False, {"identity": "gamma factorial ratio", "k": k}
     inv = g.gamma.inv()
     u, v = ab.scale(inv), ba.scale(inv)
-    top = jw_closed(ctx, n)
-    for tag, lhs, rhs in (
+    holds, wit = _first_difference((
         ("first projection idempotent", u * u, u),
         ("second projection idempotent", v * v, v),
         ("projections orthogonal", u * v, LinOp.zero(ctx, n, n)),
         ("projections orthogonal (reversed)", v * u, LinOp.zero(ctx, n, n)),
-        ("projections sum to top projector", u + v, top),
-    ):
-        w = _witness(lhs, rhs)
-        if w:
-            return n, False, {"identity": tag, **w}
+        ("projections sum to top projector", u + v, jw_closed(ctx, n)),
+    ))
+    if not holds:
+        return n, False, wit
     diags = [diagram_to_matrix(ctx, d) for d in all_diagrams(n, n)]
     rank = rank_of_linops(ctx, diags + [a, b, ab])
     cd = commutant_dim(p, n, budget)
@@ -581,7 +598,8 @@ def prop5_words(p: int) -> list:
         for i in range(2, n - 1):
             w = e_op(ctx, i, n) * w
             words.append(w)
-    assert len(words) == 12 * p - 6
+    if len(words) != 12 * p - 6:
+        raise ArithmeticError(f"{len(words)} generator words, expected {12 * p - 6}")
     return words
 
 
@@ -593,7 +611,8 @@ def _check_prop5(p, budget):
     diags = [diagram_to_matrix(ctx, d) for d in all_diagrams(n, n)]
     words = prop5_words(p)
     expected = catalan(n) + 12 * p - 6
-    assert len(diags) + len(words) == expected
+    if len(diags) + len(words) != expected:
+        raise ArithmeticError(f"{len(diags) + len(words)} spanning candidates, expected {expected}")
     rank = rank_of_linops(ctx, diags + words)
     cd = commutant_dim(p, n, budget)
     if rank == expected == cd:
@@ -658,21 +677,8 @@ def _check_kp(p, budget):
     n = 2 * p
     _require_strands(n, budget)
     ctx = _gens(p).ctx
-    m = 4 * p
-    delta = ctx.loop_value
-    period_sign = ctx.scalar((-1) ** (p + 1))
-    # the two coefficient streams of the closed form, i.e. the law for
-    # arbitrary seeds
-    streams = (
-        [ctx.scalar((-1) ** i) * ctx.qint(i - 2) for i in range(m)],
-        [ctx.scalar((-1) ** i) * ctx.qint(i - 1) for i in range(m)],
-    )
-    for si, ks in enumerate(streams):
-        for i in range(m):
-            if ks[(i - 1) % m] + delta * ks[i] + ks[(i + 1) % m]:
-                return n, False, {"identity": "coefficient recurrence", "stream": si, "i": i}
-            if ks[(i + p) % m] != period_sign * ks[i]:
-                return n, False, {"identity": "coefficient quarter-period", "stream": si, "i": i}
+    # the seeds (1, 0) and (0, 1) give the two coefficient streams of the
+    # closed form, hence the law for arbitrary seeds
     for seed in ((1, 0), (0, 1)):
         kv = CoefficientVector(ctx, *seed)
         if not (kv.recurrence_holds() and kv.periodicity_holds()):
@@ -683,11 +689,158 @@ def _check_kp(p, budget):
     return n, True, None
 
 
+# --- action identities, the Jones-Wenzl window, the cap/cup duality ----------
+# Vectors are compared as one-column maps X^0 -> X^z and scalars as 0-strand
+# maps, so every side goes through the same first-difference witness.
+
+def _col(v: TensorVector) -> LinOp:
+    return LinOp(v.ctx, 0, v.z, {BasisIndex(0, 0): v})
+
+
+def _num(ctx: FieldCtx, c: CycloNum) -> LinOp:
+    return LinOp.identity(ctx, 0).scale(c)
+
+
+def _action_sides(ctx: FieldCtx, top: int):
+    """The action identities of K, E and F on X^z, z <= top."""
+    qp, qf, unit = ctx.q_power, ctx.qfact, lambda b: TensorVector.unit(ctx, b)
+    I1, K1, Ki1, E1, F1 = (LinOp.identity(ctx, 1), op_K(ctx, 1), op_K_power(ctx, 1, -1),
+                           op_E(ctx, 1), op_F(ctx, 1))
+    for z in range(1, top + 1):
+        E, F, K, Ki = op_E(ctx, z), op_F(ctx, z), op_K(ctx, z), op_K_power(ctx, z, -1)
+        zero = LinOp.zero(ctx, z, z)
+        # the lifted K, E, F are the coproduct sums of one-strand pieces
+        yield f"K on {z} strands = K x..x K", reduce(LinOp.tensor, [K1] * z), K
+        yield f"E on {z} strands = sum 1 x..x E x K x..x K", E, sum((reduce(
+            LinOp.tensor, [I1] * i + [E1] + [K1] * (z - 1 - i)) for i in range(z)), zero)
+        yield f"F on {z} strands = sum K^-1 x..x F x 1 x..x 1", F, sum((reduce(
+            LinOp.tensor, [Ki1] * i + [F1] + [I1] * (z - 1 - i)) for i in range(z)), zero)
+        # straightening E past F^k and F past E^k
+        for k in range(1, top + 1):
+            c = ctx.qint(k) / (ctx.q - qp(-1))
+            fk, fk1 = f_power(ctx, k, z), f_power(ctx, k - 1, z)
+            ek, ek1 = e_power(ctx, k, z), e_power(ctx, k - 1, z)
+            yield (f"E.F^{k} - F^{k}.E on {z} strands", E * fk - fk * E,
+                   (fk1 * K * qp(1 - k) - fk1 * Ki * qp(k - 1)) * c)
+            yield (f"F.E^{k} - E^{k}.F on {z} strands", F * ek - ek * F,
+                   (ek1 * Ki * qp(1 - k) - ek1 * K * qp(k - 1)) * c)
+        # iterated E (F) takes a state S of weight n to x_bottom (x_top),
+        # times q^(nz - (n^2-n)/2 - sum S) [n]! ([z-n]!)
+        Ek, Fk = [E ** n for n in range(z + 1)], [F ** n for n in range(z + 1)]
+
+        def ladder(b, m):
+            n = b.weight
+            return qp(n * z - (n * n - n) // 2 - sum(b.occupancy)) * qf(m)
+
+        yield (f"E^n lowers every state of {z} strands to x_bottom",
+               LinOp.from_applier(ctx, z, z, lambda b: Ek[b.weight].column(b)),
+               LinOp.from_applier(ctx, z, z, lambda b: unit(x_bottom(z)) * ladder(b, b.weight)))
+        yield (f"F^(z-n) raises every state of {z} strands to x_top",
+               LinOp.from_applier(ctx, z, z, lambda b: Fk[z - b.weight].column(b)),
+               LinOp.from_applier(ctx, z, z, lambda b: unit(x_top(z)) * ladder(b, z - b.weight)))
+        # F^k x_bottom and E^k x_top expanded over occupancy subsets
+        # as [k]! times the sum of q^(s(s+1)/2 - sum t) rho_t over s-subsets t
+        for k in range(z + 1):
+            for tag, op, v, s in ((f"F^{k} x_bottom", f_power, x_bottom(z), k),
+                                  (f"E^{k} x_top", e_power, x_top(z), z - k)):
+                want = {basis_index(z, t): qf(k) * qp(s * (s + 1) // 2 - sum(t))
+                        for t in combinations(range(1, z + 1), s)}
+                yield (f"{tag} expansion on {z} strands", _col(op(ctx, k, z).column(v)),
+                       _col(TensorVector(ctx, z, want)))
+    # coproducts of the powers on every split z1 + z2 <= top
+    for z1 in range(1, top):
+        for z2 in range(1, top - z1 + 1):
+            for k in range(top + 1):
+                rhs_e = rhs_f = LinOp.zero(ctx, z1 + z2, z1 + z2)
+                for i in range(k + 1):
+                    lam = ctx.lambda_coeff(i, k)
+                    if lam:
+                        rhs_e = rhs_e + e_power(ctx, i, z1).tensor(
+                            op_K_power(ctx, z2, i) * e_power(ctx, k - i, z2)) * lam
+                        rhs_f = rhs_f + (op_K_power(ctx, z1, -i) * f_power(ctx, k - i, z1)).tensor(
+                            f_power(ctx, i, z2)) * lam
+                yield f"E^{k} coproduct on {z1} + {z2} strands", e_power(ctx, k, z1 + z2), rhs_e
+                yield f"F^{k} coproduct on {z1} + {z2} strands", f_power(ctx, k, z1 + z2), rhs_f
+    # peeling the last or the first strand off E^k x_top and F^k x_bottom
+    nu0, nu1 = unit(BasisIndex(1, 0)), unit(BasisIndex(1, 1))
+    for z in range(1, top):
+        for k in range(z + 2):
+            e_up = _col(e_power(ctx, k, z + 1).column(x_top(z + 1)))
+            f_up = _col(f_power(ctx, k, z + 1).column(x_bottom(z + 1)))
+            ek, fk = e_power(ctx, k, z).column(x_top(z)), f_power(ctx, k, z).column(x_bottom(z))
+            ek1 = e_power(ctx, k - 1, z).column(x_top(z)) if k else TensorVector(ctx, z)
+            fk1 = f_power(ctx, k - 1, z).column(x_bottom(z)) if k else TensorVector(ctx, z)
+            qk, c = ctx.qint(k), ctx.qint(k) * qp(k - z - 1)
+            last, first = f"last of {z + 1} peeled", f"first of {z + 1} peeled"
+            yield f"E^{k} x_top, {last}", e_up, _col(ek1.tensor(nu0) * qk + ek.tensor(nu1) * qp(-k))
+            yield f"E^{k} x_top, {first}", e_up, _col(nu0.tensor(ek1) * c + nu1.tensor(ek))
+            yield f"F^{k} x_bottom, {last}", f_up, _col(fk.tensor(nu0) + fk1.tensor(nu1) * c)
+            yield (f"F^{k} x_bottom, {first}", f_up,
+                   _col(nu0.tensor(fk) * qp(-k) + nu1.tensor(fk1) * qk))
+    # the weight sums xi(n, z): subset sums and their recurrence
+    for z in range(top + 1):
+        for n in range(z + 1):
+            brute = sum((qp(-2 * sum(t)) for t in combinations(range(1, z + 1), n)), ctx.zero)
+            yield f"xi({n}, {z}) = sum over {n}-subsets", _num(ctx, ctx.xi(n, z)), _num(ctx, brute)
+            if 1 <= n < z:
+                yield (f"xi({n}, {z}) recurrence", _num(ctx, ctx.xi(n, z)),
+                       _num(ctx, qp(-2 * z) * ctx.xi(n - 1, z - 1) + ctx.xi(n, z - 1)))
+
+
+def _check_action(p, budget):
+    n = 2 * p
+    _require_solve(n, budget)
+    return (n, *_first_difference(_action_sides(FieldCtx(p), n)))
+
+
+def _jw_window_sides(ctx: FieldCtx, n: int):
+    """Below p the closed and recursive f_m agree; inside the window
+    p <= m <= 2p-2 the closed form is singular; f_(2p-1) is an idempotent
+    fixing x_bottom (so nonzero) and killed by every e_i on both sides."""
+    p = ctx.p
+    for m in range(1, p):
+        recursive = tl_to_matrix(ctx, jw_recursive(ctx, m))
+        yield f"f_{m} closed = recursive", jw_closed(ctx, m), recursive
+    for m in range(p, n):
+        try:
+            jw_closed(ctx, m)
+        except SingularRatio:
+            continue
+        return False, {"identity": f"f_{m} is singular inside the window"}
+    proj = jw_closed(ctx, n)
+    low = _col(TensorVector.unit(ctx, x_bottom(n)))
+    yield f"f_{n}.f_{n} = f_{n}", proj * proj, proj
+    yield f"f_{n} fixes x_bottom", proj * low, low
+    zero = LinOp.zero(ctx, n, n)
+    for i in range(1, n):
+        e = e_op(ctx, i, n)
+        yield f"e_{i}.f_{n} = 0", e * proj, zero
+        yield f"f_{n}.e_{i} = 0", proj * e, zero
+
+
+def _check_jw_window(p, budget):
+    n = 2 * p - 1
+    _require_solve(n, budget)
+    return (n, *_first_difference(_jw_window_sides(FieldCtx(p), n)))
+
+
+def _duality(g, n):
+    # the nested caps realise Hom_U(1, X^2z), which the end-space solver uses
+    ctx = g.ctx
+    for z in range(1, n // 2 + 1):
+        caps = _col(nested_cap(ctx, z))
+        yield f"nested cap on {2 * z} strands = closed form", caps, _col(nested_cap_closed(ctx, z))
+        yield (f"nested cup.nested cap on {2 * z} strands = delta^{z}",
+               nested_cup(ctx, z) * caps, _num(ctx, ctx.loop_value ** z))
+
+
 # Every check in report order, which is RELATION_IDS.  Each is called as
 # check(p, budget) and returns (strands, holds, witness-or-None).  The
 # propositions, the rotation-orbit rank and the coefficient law compare
 # ranks, dimensions or scalars rather than two operators, so they are
-# functions; the rest are operator identities.
+# functions; so are the action identities and the JW window, whose pairs
+# go through the same first difference but whose cost is gated on the
+# 4^n lattice.  The rest are operator identities.
 _CHECKS = {
     "eq1": Identity("2p-1", _squares_vanish),
     "eq2": Identity("2p-1", _sandwich, ("alpha", "beta")),
@@ -720,6 +873,9 @@ _CHECKS = {
     "pt_betaalpha": Identity("2p-1", _pt_composite, ("beta", "alpha")),
     "rot_rank": _check_rot_rank,
     "kp_periodicity": _check_kp,
+    "action": _check_action,
+    "jw_window": _check_jw_window,
+    "duality": Identity("2p", _duality),
 }
 
 RELATION_IDS = tuple(_CHECKS)

@@ -454,82 +454,3 @@ def f_power(ctx: FieldCtx, k: int, z: int) -> LinOp:
         cols[b] = col
     return LinOp(ctx, z, z, cols)
 
-
-# --- identity suites ---------------------------------------------------------
-
-def coproduct_power_check(ctx: FieldCtx, k: int, split: tuple[int, int]) -> dict:
-    """Check the k-th power coproduct expansions on X^(z1) tensor X^(z2).
-
-    E^k = sum_i lambda_{i,k} E^i tensor K^i E^(k-i) and the mirrored
-    F-version, compared as exact operators on the joint space.
-    """
-    z1, z2 = split
-    z = z1 + z2
-    lhs_e = e_power(ctx, k, z)
-    lhs_f = f_power(ctx, k, z)
-    rhs_e = LinOp.zero(ctx, z, z)
-    rhs_f = LinOp.zero(ctx, z, z)
-    for i in range(k + 1):
-        lam = ctx.lambda_coeff(i, k)
-        if not lam:
-            continue
-        left_e = e_power(ctx, i, z1)
-        right_e = op_K_power(ctx, z2, i) * e_power(ctx, k - i, z2)
-        rhs_e = rhs_e + left_e.tensor(right_e) * lam
-        left_f = op_K_power(ctx, z1, -i) * f_power(ctx, k - i, z1)
-        right_f = f_power(ctx, i, z2)
-        rhs_f = rhs_f + left_f.tensor(right_f) * lam
-    return {"E": lhs_e == rhs_e, "F": lhs_f == rhs_f}
-
-
-def commutation_check(ctx: FieldCtx, k: int, z: int) -> dict:
-    """The straightening identities for E against F^k and F against E^k.
-
-    E F^k - F^k E = ([k]/(q-q^-1)) (q^(1-k) F^(k-1) K - q^(k-1) F^(k-1) K^-1)
-    and the E/F-swapped, K-inverted mirror.
-    """
-    assert k >= 1
-    c = ctx.qint(k) / (ctx.q - ctx.q_power(-1))
-    E, F = op_E(ctx, z), op_F(ctx, z)
-    Kp, Km = op_K_power(ctx, z, 1), op_K_power(ctx, z, -1)
-    fk, fk1 = f_power(ctx, k, z), f_power(ctx, k - 1, z)
-    ek, ek1 = e_power(ctx, k, z), e_power(ctx, k - 1, z)
-    lhs_e = E * fk - fk * E
-    rhs_e = (fk1 * Kp * ctx.q_power(1 - k) - fk1 * Km * ctx.q_power(k - 1)) * c
-    lhs_f = F * ek - ek * F
-    rhs_f = (ek1 * Km * ctx.q_power(1 - k) - ek1 * Kp * ctx.q_power(k - 1)) * c
-    return {"EF^k": lhs_e == rhs_e, "FE^k": lhs_f == rhs_f}
-
-
-def recursion_checks(ctx: FieldCtx, z: int) -> dict:
-    """One-strand peel-off identities for E^k x_top and F^k x_bottom.
-
-    All four expansions (peeling the last or the first strand) are checked
-    for every 0 <= k <= z+1; returns a flag per identity.
-    """
-    assert z >= 1
-    nu0 = TensorVector.unit(ctx, BasisIndex(1, 0))
-    nu1 = TensorVector.unit(ctx, BasisIndex(1, 1))
-    top_small = TensorVector.unit(ctx, x_top(z))
-    bot_small = TensorVector.unit(ctx, x_bottom(z))
-    top_big = TensorVector.unit(ctx, x_top(z + 1))
-    bot_big = TensorVector.unit(ctx, x_bottom(z + 1))
-    ok = {"E_last": True, "E_first": True, "F_last": True, "F_first": True}
-    zero_small = TensorVector(ctx, z)
-    for k in range(0, z + 2):
-        ek_big = e_power(ctx, k, z + 1).apply(top_big)
-        fk_big = f_power(ctx, k, z + 1).apply(bot_big)
-        ek = e_power(ctx, k, z).apply(top_small)
-        fk = f_power(ctx, k, z).apply(bot_small)
-        ek1 = e_power(ctx, k - 1, z).apply(top_small) if k else zero_small
-        fk1 = f_power(ctx, k - 1, z).apply(bot_small) if k else zero_small
-        qk = ctx.qint(k)
-        if ek_big != ek1.tensor(nu0) * qk + ek.tensor(nu1) * ctx.q_power(-k):
-            ok["E_last"] = False
-        if ek_big != nu0.tensor(ek1) * (qk * ctx.q_power(k - z - 1)) + nu1.tensor(ek):
-            ok["E_first"] = False
-        if fk_big != fk.tensor(nu0) + fk1.tensor(nu1) * (qk * ctx.q_power(k - z - 1)):
-            ok["F_last"] = False
-        if fk_big != nu0.tensor(fk) * ctx.q_power(-k) + nu1.tensor(fk1) * qk:
-            ok["F_first"] = False
-    return ok

@@ -205,29 +205,6 @@ def test_lambda_coeff_1_2(p):
     assert ctx.lambda_coeff(1, 2) == ctx.q_power(-1) * ctx.qint(2)
 
 
-@pytest.mark.parametrize("p", [2, 3])
-def test_xi_brute_force(p):
-    # xi(n,z) literally sums q^(-2*sum(i_j)) over increasing index tuples
-    from itertools import combinations
-
-    ctx = CTX[p]
-    for z in range(0, 2 * p + 1):
-        for n in range(0, z + 1):
-            brute = ctx.zero
-            for tup in combinations(range(1, z + 1), n):
-                brute = brute + ctx.q_power(-2 * sum(tup))
-            assert ctx.xi(n, z) == brute
-
-
-@pytest.mark.parametrize("p", [2, 3])
-def test_xi_recurrence(p):
-    ctx = CTX[p]
-    for z in range(1, 2 * p + 1):
-        for n in range(1, z):
-            expect = ctx.q_power(-2 * z) * ctx.xi(n - 1, z - 1) + ctx.xi(n, z - 1)
-            assert ctx.xi(n, z) == expect
-
-
 def test_xi_edges():
     ctx = CTX[3]
     assert ctx.xi(0, 4) == ctx.one

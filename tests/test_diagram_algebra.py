@@ -52,12 +52,12 @@ def test_diagram_counts():
 
 def test_diagram_validation():
     # crossing pairing
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         TLDiagram(2, 2, [(("t", 1), ("b", 2)), (("t", 2), ("b", 1))])
     # incomplete cover
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         TLDiagram(2, 2, [(("t", 1), ("t", 2))])
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         e_diagram(3, 3)
 
 
@@ -101,7 +101,7 @@ def test_abstract_tl_relations(p):
 
 def test_compose_boundary_mismatch():
     ctx = make_field(3)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         tl_compose(TLElement.identity(ctx, 2), TLElement.identity(ctx, 3))
 
 
@@ -355,5 +355,5 @@ def test_rotation_full_turn_is_identity(p):
 
 def test_rotation_requires_square():
     ctx = make_field(2)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         rotation(ctx, cup(ctx, 1, 2))

@@ -227,26 +227,52 @@ def test_nested_pairing_closes_loops(gens):
         assert paired == unit * ctx.loop_value**z
 
 
-_DOUBLED_E = """
+# Each guard must raise under python -O, where an assert would vanish:
+# case -> (statements that trip it, the exception they must raise).
+_GUARDS = {
+    "make_generators": ("pg.apply_e = lambda ctx, v, e=pg.apply_e: e(ctx, v) * 2; "
+                        "pg.make_generators(2)", "ArithmeticError"),
+    "diagram_parity": ("da.TLDiagram(1, 2, [])", "ValueError"),
+    "diagram_self_pair": ('da.TLDiagram(1, 1, [(("t", 1), ("t", 1))])', "ValueError"),
+    "diagram_cover": ('da.TLDiagram(2, 2, [(("t", 1), ("t", 2))])', "ValueError"),
+    "diagram_crossing": ('da.TLDiagram(2, 2, [(("t", 1), ("b", 2)), (("t", 2), ("b", 1))])',
+                         "ValueError"),
+    "e_diagram": ("da.e_diagram(3, 3)", "ValueError"),
+    "all_diagrams": ("da.all_diagrams(1, 2)", "ValueError"),
+    "tl_compose": ("da.tl_compose(da.TLElement.identity(ctx, 2), da.TLElement.identity(ctx, 3))",
+                   "ValueError"),
+    "rotation": ("da.rotation(ctx, da.cup(ctx, 1, 2))", "ValueError"),
+    "embed": ("pg.embed(da.cup(ctx, 1, 2), 1, 3)", "ValueError"),
+    "partial_trace_right": ("pg.partial_trace_right(da.cup(ctx, 1, 2))", "ValueError"),
+    "partial_trace_left": ("pg.partial_trace_left(da.cup(ctx, 1, 2))", "ValueError"),
+    # range shadowed in relation_engine: every e-chain yields one word fewer
+    "prop5_words": ("rel.range = lambda a, b: range(a, b - 1); rel.prop5_words(2)",
+                    "ArithmeticError"),
+    "prop5_count": ("rel.catalan = lambda n: 0; rel._check_prop5(2, 2**16)", "ArithmeticError"),
+}
+
+_UNDER_O = """
 import sys
-import uqsl2.pa_generators as g
+from uqsl2 import diagram_algebra as da, pa_generators as pg, relation_engine as rel
+from uqsl2.cyclo_field import make_field
 if not sys.flags.optimize:
     sys.exit(4)
-apply_e = g.apply_e
-g.apply_e = lambda ctx, vec: apply_e(ctx, vec) * 2
+ctx = make_field(2)
 try:
-    g.make_generators(2)
-except ArithmeticError:
+    {call}
+except {exc}:
     sys.exit(0)
 sys.exit(3)
 """
 
 
-def test_generator_cross_check_survives_optimize():
-    # under python -O a faulted E must still be caught by the
-    # explicit-vs-iterated comparison in make_generators
+@pytest.mark.parametrize("case", sorted(_GUARDS))
+def test_guard_survives_optimize(case):
     env = dict(os.environ)
     src = str(Path(uqsl2.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-O", "-c", _DOUBLED_E], env=env, timeout=120)
-    assert proc.returncode == 0
+    call, exc = _GUARDS[case]
+    code = _UNDER_O.format(call=call, exc=exc)
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, timeout=120,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -16,8 +16,6 @@ from uqsl2.tensor_space import (
     apply_f,
     apply_k,
     basis_index,
-    commutation_check,
-    coproduct_power_check,
     e_power,
     f_power,
     from_word,
@@ -25,7 +23,6 @@ from uqsl2.tensor_space import (
     op_F,
     op_K,
     op_K_power,
-    recursion_checks,
     x_bottom,
     x_top,
 )
@@ -225,31 +222,6 @@ def test_lowering_from_top_expansion(p):
                 c = ctx.qfact(k) * ctx.q_power((m * (m + 1)) // 2 - sum(tup))
                 expect = expect + TensorVector.unit(ctx, basis_index(z, tup)) * c
             assert col == expect
-
-
-# --- coproduct, commutation, and peel-off suites ------------------------------
-
-@pytest.mark.parametrize("p", [2, 3])
-def test_coproduct_power_expansions(p):
-    ctx = CTX[p]
-    for split in ((1, 1), (2, 1), (2, 2)):
-        for k in range(0, 2 * p + 1):
-            assert coproduct_power_check(ctx, k, split) == {"E": True, "F": True}
-
-
-@pytest.mark.parametrize("p", [2, 3])
-def test_commutation_identities(p):
-    ctx = CTX[p]
-    for z in range(1, 2 * p + 1):
-        for k in range(1, 2 * p + 1):
-            assert commutation_check(ctx, k, z) == {"EF^k": True, "FE^k": True}
-
-
-@pytest.mark.parametrize("p", [2, 3])
-def test_recursion_identities(p):
-    ctx = CTX[p]
-    for z in range(1, 2 * p):
-        assert all(recursion_checks(ctx, z).values())
 
 
 # --- operator plumbing ---------------------------------------------------------

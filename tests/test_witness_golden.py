@@ -1,11 +1,12 @@
-"""Witness text of every identity check, pinned on deliberately faulted generators.
+"""Witness text of every identity check, pinned on deliberately faulted inputs.
 
 All identity checks hold on the real generators, so their failure paths
 never run in the other tests.  Here ``_gens`` is replaced by a faulted
 set (alpha and beta each plus the identity, gamma doubled) and the full
 verdict and witness of each check is compared with literal values, so a
 change to how a check builds its sides or reports its first difference
-shows up as a diff of witness text.
+shows up as a diff of witness text.  The checks that do not use the
+generators get a faulted building block of their own instead.
 """
 
 from __future__ import annotations
@@ -15,13 +16,18 @@ from functools import lru_cache
 import pytest
 
 from uqsl2 import relation_engine
-from uqsl2.pa_generators import GeneratorSet, make_generators
+from uqsl2.cyclo_field import SingularRatio
+from uqsl2.diagram_algebra import jw_closed
+from uqsl2.pa_generators import GeneratorSet, make_generators, nested_cap_closed
 from uqsl2.relation_engine import RELATION_IDS, verify
-from uqsl2.tensor_space import LinOp
+from uqsl2.tensor_space import LinOp, f_power
 
 # prop2..prop5 and rot_rank compare ranks and solver dimensions, not
-# operator identities; they are covered by their own tests.
-IDS = [r for r in RELATION_IDS if r not in ("prop2", "prop3", "prop4", "prop5", "rot_rank")]
+# operator identities; they are covered by their own tests.  action,
+# jw_window and duality do not depend on alpha or beta, so faulted
+# generators cannot break them; FAULTS below pins them instead.
+IDS = [r for r in RELATION_IDS if r not in (
+    "prop2", "prop3", "prop4", "prop5", "rot_rank", "action", "jw_window", "duality")]
 
 
 @lru_cache(maxsize=None)
@@ -48,6 +54,42 @@ def faulted(monkeypatch):
 def test_faulted_witnesses(faulted, p):
     got = {(rid, p): (r.holds, r.witness) for rid in IDS for r in [verify(rid, p)]}
     assert got == {k: v for k, v in EXPECTED.items() if k[1] == p}
+
+
+def _jw_without_window(ctx, n):
+    try:
+        return jw_closed(ctx, n)
+    except SingularRatio:
+        return LinOp.zero(ctx, n, n)
+
+
+# fault -> (relation id, engine name replaced, stand-in, witness at p = 2)
+FAULTS = {
+    # straightening is linear in F^k, so a doubled F^k first shows in its expansion
+    "action": ("action", "f_power", lambda ctx, k, z: f_power(ctx, k, z).scale(2), {
+        "identity": "F^0 x_bottom expansion on 1 strands", "basis": "", "lhs": "2*v0", "rhs": "v0",
+    }),
+    "jw_window": ("jw_window", "jw_closed", lambda ctx, n: jw_closed(ctx, n).scale(2), {
+        "identity": "f_1 closed = recursive", "basis": "0", "lhs": "2*v0", "rhs": "v0",
+    }),
+    "jw_window_finite": ("jw_window", "jw_closed", _jw_without_window, {
+        "identity": "f_2 is singular inside the window",
+    }),
+    "duality": ("duality", "nested_cap_closed", lambda ctx, z: nested_cap_closed(ctx, z).scale(2), {
+        "identity": "nested cap on 2 strands = closed form",
+        "basis": "",
+        "lhs": "-v01 - q*v10",
+        "rhs": "-2*v01 - 2*q*v10",
+    }),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+def test_faulted_building_blocks(monkeypatch, fault):
+    rid, name, stand_in, witness = FAULTS[fault]
+    monkeypatch.setattr(relation_engine, name, stand_in)
+    r = verify(rid, 2)
+    assert (r.holds, r.witness) == (False, witness)
 
 
 EXPECTED = {
