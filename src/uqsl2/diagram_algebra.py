@@ -8,25 +8,34 @@ realization sends cups and caps to the standard intertwiners
 
     cup: v01 -> -q, v10 -> 1;   cap: 1 -> q^-1 v10 - v01
 
-on adjacent strands.  Note both zig-zag composites of a plain cup over a
-plain cap equal minus the identity, so realizing a diagram by an
-arbitrary cup/cap factorization is not well defined; ``diagram_to_matrix``
-therefore uses internal alternating-sign variants (an implementation
-device only) under which the factorization is move-invariant, and which
-leave every e_i, hence the image of the algebra, unchanged.
+on adjacent strands.  ``cup_outputs`` and ``cap_inputs`` apply them to
+an operator's outputs or inputs as index maps, without building either
+matrix; ``cup`` and ``cap`` are those maps applied to the identity.
+
+Both zig-zag composites of a plain cup over a plain cap equal minus the
+identity, so realizing a diagram by an arbitrary cup/cap factorization
+is not well defined; ``diagram_to_matrix`` therefore uses internal
+alternating-sign variants (an implementation device only) under which
+the factorization is move-invariant, and which leave every e_i, hence
+the image of the algebra, unchanged.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
+from uqsl2._kernel import kacc, kmul, kneg
 from uqsl2.cyclo_field import CycloNum, FieldCtx, QFactProduct
 from uqsl2.tensor_space import (
     BasisIndex,
     LinOp,
     TensorVector,
+    _kq,
+    _op,
+    _vec,
     all_indices,
     f_power,
+    widen,
     x_bottom,
 )
 
@@ -68,7 +77,7 @@ class TLDiagram:
         expected = {("t", i) for i in range(1, n_top + 1)} | {
             ("b", j) for j in range(1, n_bottom + 1)
         }
-        if seen != expected:
+        if seen != expected or len(seen) != 2 * len(norm):
             raise ValueError("pairing must cover every boundary point once")
         norm.sort(key=lambda ab: lin(ab[0]))
         self.pairs = tuple(norm)
@@ -357,48 +366,63 @@ def tl_compose(a: TLElement, b: TLElement) -> TLElement:
 
 def cup(ctx: FieldCtx, i: int, n: int) -> LinOp:
     """Evaluation on strands i, i+1: v01 -> -q, v10 -> 1, else 0."""
-    if not 1 <= i <= n - 1:
-        raise ValueError(f"cup position {i} out of range for {n} strands")
-    cols = {}
-    keep_low = (1 << (i - 1)) - 1
-    for b in all_indices(n):
-        lo = b.mask >> (i - 1) & 1
-        hi = b.mask >> i & 1
-        if lo == hi:
-            continue
-        coeff = -ctx.q if (lo, hi) == (0, 1) else ctx.one
-        rest = (b.mask & keep_low) | (b.mask >> 2) & ~keep_low
-        cols[b] = TensorVector(ctx, n - 2, {BasisIndex(n - 2, rest): coeff})
-    return LinOp(ctx, n, n - 2, cols)
+    return cup_outputs(LinOp.identity(ctx, n), i)
 
 
 def cap(ctx: FieldCtx, i: int, n: int) -> LinOp:
     """Coevaluation into strands i, i+1 of n: 1 -> q^-1 v10 - v01."""
+    return cap_inputs(LinOp.identity(ctx, n), i)
+
+
+def _closed(mask: int, i: int):
+    """(mask without strands i, i+1, whether strand i is the occupied one)
+    when exactly one of the two is occupied, else None."""
+    lo = mask >> (i - 1) & 1
+    if lo == mask >> i & 1:
+        return None
+    keep_low = (1 << (i - 1)) - 1
+    return (mask & keep_low) | (mask >> 2) & ~keep_low, lo
+
+
+def cup_outputs(op: LinOp, i: int) -> LinOp:
+    """cup_i . op: close output strands i, i+1 of op.  An index map: each
+    entry is written once, times 1 where the strands read 10, -q where 01."""
+    ctx, n = op.ctx, op.z_out
+    if not 1 <= i <= n - 1:
+        raise ValueError(f"cup position {i} out of range for {n} strands")
+    mq, red = kneg(*_kq(ctx, 1)), ctx.red
+    cols = {}
+    for m, col in op.columns.items():
+        acc = {}
+        for t, (xn, xd) in col.terms.items():
+            hit = _closed(t, i)
+            if hit:
+                kacc(acc, hit[0], *((xn, xd) if hit[1] else kmul(xn, xd, *mq, red)))
+        if acc:
+            cols[m] = _vec(ctx, n - 2, acc)
+    return _op(ctx, op.z_in, n - 2, cols)
+
+
+def cap_inputs(op: LinOp, i: int) -> LinOp:
+    """op . cap_i: close input strands i, i+1 of op.  An index map: each
+    entry is written once, times q^-1 where the strands read 10, -1 where 01."""
+    ctx, n = op.ctx, op.z_in
     if not 1 <= i <= n - 1:
         raise ValueError(f"cap position {i} out of range for {n} strands")
-    cols = {}
-    keep_low = (1 << (i - 1)) - 1
-    qinv = ctx.q_power(-1)
-    for b in all_indices(n - 2):
-        base = (b.mask & keep_low) | (b.mask & ~keep_low) << 2
-        with10 = base | 1 << (i - 1)
-        with01 = base | 1 << i
-        cols[b] = TensorVector(
-            ctx,
-            n,
-            {BasisIndex(n, with10): qinv, BasisIndex(n, with01): -ctx.one},
-        )
-    return LinOp(ctx, n - 2, n, cols)
+    qinv, red = _kq(ctx, -1), ctx.red
+    accs: dict = {}
+    for m, col in op.columns.items():
+        hit = _closed(m, i)
+        if hit:
+            acc = accs.setdefault(hit[0], {})
+            for t, (xn, xd) in col.terms.items():
+                kacc(acc, t, *(kmul(xn, xd, *qinv, red) if hit[1] else kneg(xn, xd)))
+    return _op(ctx, n - 2, op.z_out, {b: _vec(ctx, op.z_out, a) for b, a in accs.items() if a})
 
 
 def e_op(ctx: FieldCtx, i: int, n: int) -> LinOp:
     """The TL generator on strands i, i+1: cap after cup."""
     return cap(ctx, i, n) * cup(ctx, i, n)
-
-
-def _cup_signed(ctx, i, n):
-    c = cup(ctx, i, n)
-    return c if i % 2 else -c
 
 
 def _cap_signed(ctx, i, n):
@@ -427,7 +451,7 @@ def diagram_to_matrix(ctx: FieldCtx, d: TLDiagram) -> LinOp:
                 break
         if hit is None:
             break
-        op = _cup_signed(ctx, hit + 1, len(remaining)) * op
+        op = cup_outputs(op, hit + 1) if hit % 2 == 0 else -cup_outputs(op, hit + 1)
         del remaining[hit : hit + 2]
     # peel nested caps off the top row, recording insertion positions
     rem_top = list(range(1, d.n_top + 1))
@@ -516,7 +540,4 @@ def rotation(ctx: FieldCtx, f: LinOp) -> LinOp:
     (cup x id^n) (id x f x id) (id^n x cap)."""
     if f.z_in != f.z_out:
         raise ValueError("rotation needs a square operator")
-    n = f.z_in
-    one = LinOp.identity(ctx, 1)
-    mid = one.tensor(f).tensor(one)
-    return cup(ctx, 1, n + 2) * mid * cap(ctx, n + 1, n + 2)
+    return cup_outputs(cap_inputs(widen(f, 1, 1), f.z_in + 1), 1)

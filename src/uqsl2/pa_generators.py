@@ -16,7 +16,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from uqsl2.cyclo_field import FieldCtx, make_field
-from uqsl2.diagram_algebra import cap, cup
+from uqsl2.diagram_algebra import cap, cap_inputs, cup_outputs
 from uqsl2.tensor_space import (
     BasisIndex,
     LinOp,
@@ -26,6 +26,7 @@ from uqsl2.tensor_space import (
     apply_f,
     basis_index,
     f_power,
+    widen,
     x_bottom,
     x_top,
 )
@@ -108,9 +109,7 @@ def embed(op: LinOp, i: int, n: int) -> LinOp:
     w = op.z_in
     if not 1 <= i <= n - w + 1:
         raise ValueError(f"cannot place a width-{w} operator at {i} of {n}")
-    ctx = op.ctx
-    out = LinOp.identity(ctx, i - 1).tensor(op)
-    return out.tensor(LinOp.identity(ctx, n - w - i + 1))
+    return widen(op, i - 1, n - w - i + 1)
 
 
 def partial_trace_right(op: LinOp) -> LinOp:
@@ -118,9 +117,7 @@ def partial_trace_right(op: LinOp) -> LinOp:
     n = op.z_in
     if op.z_out != n:
         raise ValueError("partial trace needs a square operator")
-    ctx = op.ctx
-    wide = op.tensor(LinOp.identity(ctx, 1))
-    return cup(ctx, n, n + 1) * wide * cap(ctx, n, n + 1)
+    return cup_outputs(cap_inputs(widen(op, 0, 1), n), n)
 
 
 def partial_trace_left(op: LinOp) -> LinOp:
@@ -128,9 +125,7 @@ def partial_trace_left(op: LinOp) -> LinOp:
     n = op.z_in
     if op.z_out != n:
         raise ValueError("partial trace needs a square operator")
-    ctx = op.ctx
-    wide = LinOp.identity(ctx, 1).tensor(op)
-    return cup(ctx, 1, n + 1) * wide * cap(ctx, 1, n + 1)
+    return cup_outputs(cap_inputs(widen(op, 1, 0), 1), 1)
 
 
 def partial_trace_comparison(ctx: FieldCtx) -> LinOp:
@@ -177,8 +172,7 @@ def nested_cap_closed(ctx: FieldCtx, z: int) -> TensorVector:
 def nested_cup(ctx: FieldCtx, z: int) -> LinOp:
     """z nested cups as a functional X^(tensor 2z) -> X^(tensor 0)."""
     assert z >= 1
-    op = None
+    op = LinOp.identity(ctx, 2 * z)
     for j in range(z, 0, -1):
-        c = cup(ctx, j, 2 * j)
-        op = c if op is None else c * op
+        op = cup_outputs(op, j)
     return op

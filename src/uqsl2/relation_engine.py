@@ -33,8 +33,8 @@ from ._elim import SparseRref, nullspace, rank_of_vectors
 from .cyclo_field import CycloNum, FieldCtx, QFactProduct, SingularRatio
 from .diagram_algebra import (
     all_diagrams,
-    cap,
-    cup,
+    cap_inputs,
+    cup_outputs,
     diagram_to_matrix,
     e_op,
     jw_closed,
@@ -56,17 +56,18 @@ from .pa_generators import (
 )
 from .tensor_space import (
     BasisIndex, LinOp, TensorVector, basis_index, e_power, e_terms, f_power, f_terms,
-    from_word, op_E, op_F, op_K, op_K_power, x_bottom, x_top,
+    from_word, op_E, op_F, op_K, op_K_power, widen, x_bottom, x_top,
 )
 
 DEFAULT_BUDGET = 2**16
 
 
 class InfeasibleSize(RuntimeError):
-    """A check whose state space exceeds the configured budget."""
+    """A check whose state space reaches or exceeds the configured budget."""
 
     def __init__(self, strands: int, states: int, budget: int):
-        super().__init__(f"{states} states on {strands} strands exceeds budget {budget}")
+        verb = "reaches" if states == budget else "exceeds"
+        super().__init__(f"{states} states on {strands} strands {verb} budget {budget}")
         self.strands = strands
         self.states = states
         self.budget = budget
@@ -115,8 +116,14 @@ def rank_of_linops(ctx: FieldCtx, ops) -> int:
 
 
 def _witness(lhs: LinOp, rhs: LinOp) -> dict | None:
-    diff = lhs - rhs
-    bad = [m for m, col in diff.columns.items() if col]
+    """Both images of the least basis vector whose columns differ, or None.
+
+    Kernel pairs are canonical, so columns differ exactly when their terms
+    do; a missing column is zero.
+    """
+    lc, rc = lhs.columns, rhs.columns
+    terms = lambda cols, m: cols[m].terms if m in cols else {}
+    bad = [m for m in lc.keys() | rc.keys() if terms(lc, m) != terms(rc, m)]
     if not bad:
         return None
     b = BasisIndex(lhs.z_in, min(bad))
@@ -167,7 +174,7 @@ class CoefficientVector:
 def _rotation_orbit(p: int, generator: str) -> tuple:
     """R^i(g x 1) for i = 0..4p-1 on 2p strands, one click at a time."""
     g = _gens(p)
-    base = (g.alpha if generator == "alpha" else g.beta).tensor(LinOp.identity(g.ctx, 1))
+    base = widen(g.alpha if generator == "alpha" else g.beta, 0, 1)
     ops = [base]
     for _ in range(4 * p - 1):
         ops.append(rotation(g.ctx, ops[-1]))
@@ -293,11 +300,9 @@ def capping_pattern(p: int, budget: int = DEFAULT_BUDGET):
         ops = _rotation_orbit(p, name)
         centers = set()
         for from_top in (False, True):
+            close = cup_outputs if from_top else cap_inputs
             for c in range(1, n):
-                if from_top:
-                    pieces = [cup(ctx, c, n) * op for op in ops]
-                else:
-                    pieces = [op * cap(ctx, c, n) for op in ops]
+                pieces = [close(op, c) for op in ops]
                 center = None
                 for s in range(m):
                     lo, hi = pieces[(s - 1) % m], pieces[(s + 1) % m]
@@ -420,16 +425,16 @@ def _cap_kill(g, n):
     for name in ("alpha", "beta"):
         gen = getattr(g, name)
         for i in range(1, n):
-            yield f"{name}.cap_{i} = 0", gen * cap(ctx, i, n), LinOp.zero(ctx, n - 2, n)
-            yield f"cup_{i}.{name} = 0", cup(ctx, i, n) * gen, LinOp.zero(ctx, n, n - 2)
+            yield f"{name}.cap_{i} = 0", cap_inputs(gen, i), LinOp.zero(ctx, n - 2, n)
+            yield f"cup_{i}.{name} = 0", cup_outputs(gen, i), LinOp.zero(ctx, n, n - 2)
 
 
 def _cap_slide(g, n, name):
     gen = getattr(g, name)
     yield (
         f"{name}_2.cap_1 = {name}_1.cap_{n - 1}",
-        embed(gen, 2, n) * cap(g.ctx, 1, n),
-        embed(gen, 1, n) * cap(g.ctx, n - 1, n),
+        cap_inputs(embed(gen, 2, n), 1),
+        cap_inputs(embed(gen, 1, n), n - 1),
     )
 
 
@@ -437,8 +442,8 @@ def _cup_slide(g, n, name):
     gen = getattr(g, name)
     yield (
         f"cup_1.{name}_2 = cup_{n - 1}.{name}_1",
-        cup(g.ctx, 1, n) * embed(gen, 2, n),
-        cup(g.ctx, n - 1, n) * embed(gen, 1, n),
+        cup_outputs(embed(gen, 2, n), 1),
+        cup_outputs(embed(gen, 1, n), n - 1),
     )
 
 

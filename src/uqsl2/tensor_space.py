@@ -320,6 +320,20 @@ class LinOp:
         return f"LinOp({self.z_in}->{self.z_out}, {len(self.columns)} columns)"
 
 
+def widen(op: LinOp, left: int, right: int) -> LinOp:
+    """I^left x op x I^right by relabelling masks; coefficients are copied."""
+    zi, zo, w = op.z_in, op.z_out, left + right
+    cols = {}
+    for a in range(1 << left):
+        for b, col in op.columns.items():
+            terms = [(a | t << left, c) for t, c in col.terms.items()]
+            for r in range(1 << right):
+                ro = r << (left + zo)
+                cols[a | b << left | r << (left + zi)] = _vec(
+                    op.ctx, zo + w, {t | ro: c for t, c in terms})
+    return _op(op.ctx, zi + w, zo + w, cols)
+
+
 # --- the lifted E/F rule and lazy single-operator appliers -------------------
 
 def e_terms(z: int, mask: int):

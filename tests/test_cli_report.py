@@ -209,6 +209,15 @@ def test_hom_budget_skip_exits_3():
     assert section["skipped"] == [{"p": 4, "skipped": "64 unknowns in a Hom solve reach budget 1"}]
 
 
+def test_lattice_gate_skip_says_reaches_budget():
+    # 4^8 equals the default budget: the lattice gate refuses on the line
+    code, text = invoke(["verify", "--p", "4", "--relations", "action", "--format", "json"])
+    assert code == EXIT_ALL_SKIPPED
+    section = json.loads(text)["sections"][0]
+    assert section["skipped"] == [{"p": 4, "relation_id": "action", "strands": 8,
+                                   "skipped": "65536 states on 8 strands reaches budget 65536"}]
+
+
 def test_csv_layout():
     _, text = invoke(["verify", "--p", "2", "--relations", "eq7", "--format", "csv"])
     lines = text.splitlines()

@@ -15,7 +15,9 @@ from uqsl2.diagram_algebra import (
     TLElement,
     all_diagrams,
     cap,
+    cap_inputs,
     cup,
+    cup_outputs,
     diagram_to_matrix,
     e_diagram,
     e_op,
@@ -27,7 +29,9 @@ from uqsl2.diagram_algebra import (
     tl_to_matrix,
 )
 from uqsl2._elim import rank_of_vectors
+from uqsl2.relation_engine import _gens, _rotation_orbit
 from uqsl2.tensor_space import (
+    BasisIndex,
     LinOp,
     TensorVector,
     all_indices,
@@ -57,6 +61,9 @@ def test_diagram_validation():
     # incomplete cover
     with pytest.raises(ValueError):
         TLDiagram(2, 2, [(("t", 1), ("t", 2))])
+    # one point in two pairs, though the points together cover the boundary
+    with pytest.raises(ValueError):
+        TLDiagram(2, 0, [(("t", 1), ("t", 2)), (("t", 2), ("t", 1))])
     with pytest.raises(ValueError):
         e_diagram(3, 3)
 
@@ -149,6 +156,54 @@ def test_cup_cap_frozen_values(p):
     assert col.coeff(from_word("10")) == ctx.q_power(-1)
     assert col.coeff(from_word("01")) == -ctx.one
     assert len(col.terms) == 2
+
+
+# Reference cup and cap matrices built entry by entry from the module's
+# formulas, independently of the index maps behind cup, cap and rotation.
+
+def cup_matrix(ctx, i, n):
+    cols = {}
+    for b in all_indices(n):
+        lo, hi = b.mask >> (i - 1) & 1, b.mask >> i & 1
+        if lo != hi:
+            keep_low = (1 << (i - 1)) - 1
+            rest = BasisIndex(n - 2, (b.mask & keep_low) | (b.mask >> 2) & ~keep_low)
+            cols[b] = TensorVector(ctx, n - 2, {rest: -ctx.q if hi else ctx.one})
+    return LinOp(ctx, n, n - 2, cols)
+
+
+def cap_matrix(ctx, i, n):
+    cols = {}
+    for b in all_indices(n - 2):
+        keep_low = (1 << (i - 1)) - 1
+        base = (b.mask & keep_low) | (b.mask & ~keep_low) << 2
+        cols[b] = TensorVector(ctx, n, {BasisIndex(n, base | 1 << (i - 1)): ctx.q_power(-1),
+                                        BasisIndex(n, base | 1 << i): -ctx.one})
+    return LinOp(ctx, n - 2, n, cols)
+
+
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_cup_cap_match_reference_matrices(p):
+    ctx = make_field(p)
+    for n in range(2, 7):
+        for i in range(1, n):
+            assert cup(ctx, i, n) == cup_matrix(ctx, i, n), (n, i)
+            assert cap(ctx, i, n) == cap_matrix(ctx, i, n), (n, i)
+
+
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_contraction_maps_match_composition(p):
+    # cup_outputs(X, i) = cup_i . X and cap_inputs(X, i) = X . cap_i at every
+    # position, on the rotation orbits and on alpha, beta, alpha.beta
+    g = _gens(p)
+    ctx = g.ctx
+    ops = [g.alpha, g.beta, g.alpha * g.beta]
+    ops += _rotation_orbit(p, "alpha") + _rotation_orbit(p, "beta")
+    for x in ops:
+        n = x.z_in
+        for i in range(1, n):
+            assert cup_outputs(x, i) == cup_matrix(ctx, i, n) * x, (n, i)
+            assert cap_inputs(x, i) == x * cap_matrix(ctx, i, n), (n, i)
 
 
 def test_cup_cap_range_errors():
@@ -351,6 +406,18 @@ def test_rotation_full_turn_is_identity(p):
         for _ in range(2 * f.z_in):
             g = rotation(ctx, g)
         assert g == f
+
+
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_rotation_matches_composition(p):
+    # reference: cup_1 . (1 x f x 1) . cap_{n+1} on n + 2 strands
+    g = _gens(p)
+    ctx = g.ctx
+    one = LinOp.identity(ctx, 1)
+    for f in (LinOp.identity(ctx, 2), e_op(ctx, 2, 3), op_K(ctx, 3), g.alpha, g.beta):
+        n = f.z_in
+        ref = cup_matrix(ctx, 1, n + 2) * one.tensor(f).tensor(one) * cap_matrix(ctx, n + 1, n + 2)
+        assert rotation(ctx, f) == ref
 
 
 def test_rotation_requires_square():

@@ -11,6 +11,7 @@ import pytest
 
 import uqsl2
 from uqsl2.cyclo_field import QFactProduct, make_field
+from uqsl2.diagram_algebra import cap, cup
 from uqsl2.pa_generators import (
     embed,
     make_generators,
@@ -163,12 +164,38 @@ def test_embed_second_slot_acts_under_vacancy(gens):
         assert wide.column(from_word("0" + b.word())) == want
 
 
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_embed_matches_identity_kronecker(p):
+    # reference: identities tensored on either side, at every placement
+    g = make_generators(p)
+    ctx, z = g.ctx, 2 * p - 1
+    for op in (g.alpha, g.beta):
+        for n in (z, z + 1, z + 2):
+            for i in range(1, n - z + 2):
+                ref = LinOp.identity(ctx, i - 1).tensor(op).tensor(LinOp.identity(ctx, n - z - i + 1))
+                assert embed(op, i, n) == ref, (n, i)
+
+
 def test_embed_rejects_out_of_range(gens):
     z = 2 * gens.p - 1
     with pytest.raises(ValueError):
         embed(gens.alpha, 0, z)
     with pytest.raises(ValueError):
         embed(gens.alpha, 3, z + 1)
+
+
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_partial_traces_match_composition(p):
+    # reference: (id x cup)(op x id)(id x cap) and its mirror on the first strand
+    g = make_generators(p)
+    ctx = g.ctx
+    one = LinOp.identity(ctx, 1)
+    for op in (g.alpha, g.beta, g.alpha * g.beta, g.beta * g.alpha, op_K(ctx, 3)):
+        n = op.z_in
+        right = cup(ctx, n, n + 1) * op.tensor(one) * cap(ctx, n, n + 1)
+        left = cup(ctx, 1, n + 1) * one.tensor(op) * cap(ctx, 1, n + 1)
+        assert partial_trace_right(op) == right
+        assert partial_trace_left(op) == left
 
 
 def test_partial_trace_of_identity_is_delta(gens):
@@ -235,6 +262,8 @@ _GUARDS = {
     "diagram_parity": ("da.TLDiagram(1, 2, [])", "ValueError"),
     "diagram_self_pair": ('da.TLDiagram(1, 1, [(("t", 1), ("t", 1))])', "ValueError"),
     "diagram_cover": ('da.TLDiagram(2, 2, [(("t", 1), ("t", 2))])', "ValueError"),
+    "diagram_duplicate": ('da.TLDiagram(2, 0, [(("t", 1), ("t", 2)), (("t", 2), ("t", 1))])',
+                          "ValueError"),
     "diagram_crossing": ('da.TLDiagram(2, 2, [(("t", 1), ("b", 2)), (("t", 2), ("b", 1))])',
                          "ValueError"),
     "e_diagram": ("da.e_diagram(3, 3)", "ValueError"),

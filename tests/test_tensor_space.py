@@ -23,11 +23,12 @@ from uqsl2.tensor_space import (
     op_F,
     op_K,
     op_K_power,
+    widen,
     x_bottom,
     x_top,
 )
 
-CTX = {p: make_field(p) for p in (2, 3)}
+CTX = {p: make_field(p) for p in (2, 3, 4)}
 
 
 def unit(ctx, word):
@@ -240,6 +241,19 @@ def test_linop_tensor_embedding():
     I1 = LinOp.identity(ctx, 1)
     lifted = E1.tensor(op_K_power(ctx, 1, 1)) + I1.tensor(E1)
     assert lifted == op_E(ctx, 2)
+
+
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_widen_matches_identity_kronecker(p):
+    # reference: I^left x op x I^right as Kronecker products with identities
+    ctx = CTX[p]
+    rect = LinOp(ctx, 2, 1, {from_word("01"): unit(ctx, "1") * ctx.q,
+                             from_word("10"): unit(ctx, "0") - unit(ctx, "1")})
+    for op in (op_E(ctx, 2), op_F(ctx, 3) * op_K_power(ctx, 3, -1), e_power(ctx, 2, 3), rect):
+        for left in range(4):
+            for right in range(4 - left):
+                ref = LinOp.identity(ctx, left).tensor(op).tensor(LinOp.identity(ctx, right))
+                assert widen(op, left, right) == ref, (p, op, left, right)
 
 
 def test_linop_apply_matches_columns():
