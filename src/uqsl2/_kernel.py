@@ -6,6 +6,9 @@ positive integer, with gcd(*nums, den) == 1.  ``red`` holds the reduction
 rows of the field: red[k][j] is the integer coefficient of q^j in
 q^(deg+k) reduced modulo the minimal polynomial.  Integers stay Python
 ints throughout; exactness requires arbitrary precision.
+
+Products are memoised per field on the exact operands, one field (one
+``red``) at a time; a hit returns the pair a fresh convolution would.
 """
 
 from __future__ import annotations
@@ -46,8 +49,23 @@ def kneg(an, ad):
     return tuple(-x for x in an), ad
 
 
+# (red, {(an, ad, bn, bd): product}) of the field multiplied in last.  A new
+# field starts an empty memo, so memory holds one field's products at a time.
+_last = (None, {})
+
+
 def kmul(an, ad, bn, bd, red):
     """Multiply: integer convolution, reduce by red rows, normalize."""
+    global _last
+    last, memo = _last
+    if red is not last:
+        if red != last:
+            memo = {}
+        _last = red, memo
+    key = (an, ad, bn, bd)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
     deg = len(an)
     conv = [0] * (2 * deg - 1)
     for i in range(deg):
@@ -66,7 +84,7 @@ def kmul(an, ad, bn, bd, red):
                 r = row[j]
                 if r:
                     nums[j] += c * r
-    return knorm(tuple(nums), ad * bd)
+    return memo.setdefault(key, knorm(tuple(nums), ad * bd))
 
 
 def kacc(acc, key, nums, den):

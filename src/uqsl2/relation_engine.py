@@ -473,12 +473,13 @@ def _rotation_sum(g, n, name):
 def _e_kill(g, n):
     ctx = g.ctx
     zero = LinOp.zero(ctx, n, n)
+    es = {i: e_op(ctx, i, n) for i in range(1, n)}
     for name in ("alpha", "beta"):
         gen = getattr(g, name)
         for j in (1, 2):
             gj = embed(gen, j, n)
             for i in range(j, j + 2 * g.p - 2):  # 0 <= i - j <= 2p - 3
-                e = e_op(ctx, i, n)
+                e = es[i]
                 yield f"e_{i}.{name}_{j} = 0", e * gj, zero
                 yield f"{name}_{j}.e_{i} = 0", gj * e, zero
 
@@ -486,21 +487,17 @@ def _e_kill(g, n):
 def _e_chain_left(g, n, name):
     ctx = g.ctx
     gen = getattr(g, name)
-    lhs = e_op(ctx, 1, n) * embed(gen, 2, n)
-    rhs = e_op(ctx, 1, n)
-    for t in range(2, n):
-        rhs = rhs * e_op(ctx, t, n)
-    yield f"e_1.{name}_2 = e_1..e_{n - 1}.{name}_1", lhs, rhs * embed(gen, 1, n)
+    es = [e_op(ctx, t, n) for t in range(1, n)]
+    rhs = reduce(LinOp.__mul__, es) * embed(gen, 1, n)
+    yield f"e_1.{name}_2 = e_1..e_{n - 1}.{name}_1", es[0] * embed(gen, 2, n), rhs
 
 
 def _e_chain_right(g, n, name):
     ctx = g.ctx
     gen = getattr(g, name)
-    lhs = embed(gen, 2, n) * e_op(ctx, 1, n)
-    rhs = embed(gen, 1, n)
-    for t in range(n - 1, 0, -1):
-        rhs = rhs * e_op(ctx, t, n)
-    yield f"{name}_2.e_1 = {name}_1.e_{n - 1}..e_1", lhs, rhs
+    es = [e_op(ctx, t, n) for t in range(n - 1, 0, -1)]
+    rhs = reduce(LinOp.__mul__, es, embed(gen, 1, n))
+    yield f"{name}_2.e_1 = {name}_1.e_{n - 1}..e_1", embed(gen, 2, n) * es[-1], rhs
 
 
 def _pt_vanishes(g, n, name):
@@ -590,18 +587,19 @@ def prop5_words(p: int) -> list:
     n = 2 * p
     a1, a2 = embed(g.alpha, 1, n), embed(g.alpha, 2, n)
     b1, b2 = embed(g.beta, 1, n), embed(g.beta, 2, n)
+    es = {i: e_op(ctx, i, n) for i in range(1, n - 1)}
     words = []
     for g1, g2 in ((a1, a2), (b1, b2), (a1 * b1, a2 * b2)):
         words.append(g1)
         words.append(g2)
         w = g2
         for i in range(1, n - 1):
-            w = w * e_op(ctx, i, n)
+            w = w * es[i]
             words.append(w)
-        w = e_op(ctx, 1, n) * g2
+        w = es[1] * g2
         words.append(w)
         for i in range(2, n - 1):
-            w = e_op(ctx, i, n) * w
+            w = es[i] * w
             words.append(w)
     if len(words) != 12 * p - 6:
         raise ArithmeticError(f"{len(words)} generator words, expected {12 * p - 6}")

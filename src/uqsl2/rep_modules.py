@@ -234,17 +234,16 @@ def intertwiner_space(src: ModuleData, tgt: ModuleData) -> HomBasis:
         (src.E_matrix, tgt.E_matrix),
         (src.F_matrix, tgt.F_matrix),
     ):
+        # Nonzero entries of each source column and (negated) target row, k ascending.
+        scols = [[(k, c.nums, c.den) for k in range(ds) if (c := gs[k][j])] for j in range(ds)]
+        trows = [[(k, *kneg(c.nums, c.den)) for k, c in enumerate(gt[i]) if c] for i in range(dt)]
         for i in range(dt):
             for j in range(ds):
                 row: dict[int, tuple] = {}
-                for k in range(ds):
-                    c = gs[k][j]
-                    if c:
-                        kacc(row, i * ds + k, c.nums, c.den)
-                for k in range(dt):
-                    c = gt[i][k]
-                    if c:
-                        kacc(row, k * ds + j, *kneg(c.nums, c.den))
+                for k, n, d in scols[j]:
+                    kacc(row, i * ds + k, n, d)
+                for k, n, d in trows[i]:
+                    kacc(row, k * ds + j, n, d)
                 if row:
                     rows.append(row)
     vecs = _elim.nullspace(ctx, rows, range(dt * ds))

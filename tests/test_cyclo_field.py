@@ -319,3 +319,56 @@ def test_krow_axpy_drops_zeros():
     dst = {5: one}
     krow_axpy(dst, {5: one}, (1, 0), 1, ctx.red)
     assert dst == {}
+
+
+# --- product memo ----------------------------------------------------------
+
+def _reference_product(p, an, ad, bn, bd):
+    """a*b in Q(q) by schoolbook multiplication and division by Phi_2p."""
+    from uqsl2._kernel import knorm
+
+    mod = cyclotomic_polynomial(2 * p)
+    deg = len(mod) - 1
+    prod = [0] * (2 * deg - 1)
+    for i, x in enumerate(an):
+        for j, y in enumerate(bn):
+            prod[i + j] += x * y
+    for k in range(len(prod) - 1, deg - 1, -1):
+        c = prod[k]
+        for j in range(deg + 1):
+            prod[k - deg + j] -= c * mod[j]
+    return knorm(tuple(prod[:deg]), ad * bd)
+
+
+def _operand(data, deg):
+    from uqsl2._kernel import knorm
+
+    return knorm(data.draw(st.tuples(*([st.integers(-40, 40)] * deg))), data.draw(st.integers(1, 30)))
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 5, 6])
+@given(data=st.data())
+@settings(max_examples=60)
+def test_kmul_memo_matches_fresh_product(p, data):
+    from uqsl2._kernel import kmul
+
+    ctx = make_field(p)
+    a, b = _operand(data, ctx.degree), _operand(data, ctx.degree)
+    first = kmul(*a, *b, ctx.red)
+    assert first == _reference_product(p, *a, *b)
+    assert kmul(*a, *b, ctx.red) == first
+
+
+@given(data=st.data())
+@settings(max_examples=60)
+def test_kmul_memo_is_per_field(data):
+    """p = 5 and p = 6 both have degree 4; the same operands must give each
+    field its own product whichever field multiplies them first."""
+    from uqsl2._kernel import kmul
+
+    fields = {p: make_field(p) for p in (5, 6)}
+    a, b = _operand(data, 4), _operand(data, 4)
+    assume(_reference_product(5, *a, *b) != _reference_product(6, *a, *b))
+    for x, y, order in ((a, b, (5, 6)), (b, a, (6, 5))):
+        for p in order:
+            assert kmul(*x, *y, fields[p].red) == _reference_product(p, *x, *y)

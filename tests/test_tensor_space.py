@@ -1,7 +1,5 @@
 """Occupancy basis, lifted operators, closed-form powers, peel-off identities."""
 
-from itertools import combinations
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +10,6 @@ from uqsl2.tensor_space import (
     LinOp,
     TensorVector,
     all_indices,
-    apply_e,
     apply_f,
     apply_k,
     basis_index,
@@ -168,61 +165,6 @@ def test_e_squared_fully_lowers():
     ctx = CTX[3]
     got = e_power(ctx, 2, 2).apply(unit(ctx, "11"))
     assert got == unit(ctx, "00") * ctx.qfact(2)
-
-
-@pytest.mark.parametrize("p", [2, 3])
-def test_full_raising_coefficient(p):
-    # F^z x_bottom = [z]! x_top, exponent 0
-    ctx = CTX[p]
-    for z in range(1, 2 * p + 1):
-        got = f_power(ctx, z, z).apply(TensorVector.unit(ctx, x_bottom(z)))
-        assert got == TensorVector.unit(ctx, x_top(z)) * ctx.qfact(z)
-
-
-@pytest.mark.parametrize("p", [2, 3])
-def test_full_lowering_coefficient(p):
-    # iterated E on rho_S reaches x_bottom with q^(nz - (n^2-n)/2 - sum S) [n]!
-    ctx = CTX[p]
-    for z in range(1, 2 * p + 1):
-        E = op_E(ctx, z)
-        for b in all_indices(z):
-            n = b.weight
-            vec = TensorVector.unit(ctx, b)
-            for _ in range(n):
-                vec = E.apply(vec)
-            coeff = ctx.q_power(
-                n * z - (n * n - n) // 2 - sum(b.occupancy)
-            ) * ctx.qfact(n)
-            assert vec == TensorVector.unit(ctx, x_bottom(z)) * coeff
-
-
-@pytest.mark.parametrize("p", [2, 3])
-def test_raising_from_bottom_expansion(p):
-    # F^k x_bottom = sum q^((k^2+k)/2 - sum) [k]! rho over k-subsets
-    ctx = CTX[p]
-    for z in range(1, 2 * p + 1):
-        for k in range(0, z + 1):
-            col = f_power(ctx, k, z).column(x_bottom(z))
-            expect = TensorVector(ctx, z)
-            for tup in combinations(range(1, z + 1), k):
-                c = ctx.qfact(k) * ctx.q_power((k * k + k) // 2 - sum(tup))
-                expect = expect + TensorVector.unit(ctx, basis_index(z, tup)) * c
-            assert col == expect
-
-
-@pytest.mark.parametrize("p", [2, 3])
-def test_lowering_from_top_expansion(p):
-    # E^k x_top = sum q^((z-k)(z-k+1)/2 - sum) [k]! rho over (z-k)-subsets
-    ctx = CTX[p]
-    for z in range(1, 2 * p + 1):
-        for k in range(0, z + 1):
-            col = e_power(ctx, k, z).column(x_top(z))
-            expect = TensorVector(ctx, z)
-            m = z - k
-            for tup in combinations(range(1, z + 1), m):
-                c = ctx.qfact(k) * ctx.q_power((m * (m + 1)) // 2 - sum(tup))
-                expect = expect + TensorVector.unit(ctx, basis_index(z, tup)) * c
-            assert col == expect
 
 
 # --- operator plumbing ---------------------------------------------------------
