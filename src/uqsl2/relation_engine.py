@@ -479,9 +479,8 @@ def _e_kill(g, n):
         for j in (1, 2):
             gj = embed(gen, j, n)
             for i in range(j, j + 2 * g.p - 2):  # 0 <= i - j <= 2p - 3
-                e = es[i]
-                yield f"e_{i}.{name}_{j} = 0", e * gj, zero
-                yield f"{name}_{j}.e_{i} = 0", gj * e, zero
+                yield f"e_{i}.{name}_{j} = 0", es[i] * gj, zero
+                yield f"{name}_{j}.e_{i} = 0", gj * es[i], zero
 
 
 def _e_chain_left(g, n, name):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from uqsl2._kernel import kmul, knorm
 from uqsl2.cyclo_field import (
     QFactProduct,
     SingularRatio,
@@ -325,8 +326,6 @@ def test_krow_axpy_drops_zeros():
 
 def _reference_product(p, an, ad, bn, bd):
     """a*b in Q(q) by schoolbook multiplication and division by Phi_2p."""
-    from uqsl2._kernel import knorm
-
     mod = cyclotomic_polynomial(2 * p)
     deg = len(mod) - 1
     prod = [0] * (2 * deg - 1)
@@ -341,17 +340,14 @@ def _reference_product(p, an, ad, bn, bd):
 
 
 def _operand(data, deg):
-    from uqsl2._kernel import knorm
-
-    return knorm(data.draw(st.tuples(*([st.integers(-40, 40)] * deg))), data.draw(st.integers(1, 30)))
+    nums = data.draw(st.tuples(*([st.integers(-40, 40)] * deg)))
+    return knorm(nums, data.draw(st.integers(1, 30)))
 
 
 @pytest.mark.parametrize("p", [2, 3, 4, 5, 6])
 @given(data=st.data())
 @settings(max_examples=60)
 def test_kmul_memo_matches_fresh_product(p, data):
-    from uqsl2._kernel import kmul
-
     ctx = make_field(p)
     a, b = _operand(data, ctx.degree), _operand(data, ctx.degree)
     first = kmul(*a, *b, ctx.red)
@@ -364,8 +360,6 @@ def test_kmul_memo_matches_fresh_product(p, data):
 def test_kmul_memo_is_per_field(data):
     """p = 5 and p = 6 both have degree 4; the same operands must give each
     field its own product whichever field multiplies them first."""
-    from uqsl2._kernel import kmul
-
     fields = {p: make_field(p) for p in (5, 6)}
     a, b = _operand(data, 4), _operand(data, 4)
     assume(_reference_product(5, *a, *b) != _reference_product(6, *a, *b))
