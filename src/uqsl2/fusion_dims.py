@@ -22,11 +22,6 @@ def catalan(n: int) -> int:
     return math.comb(2 * n, n) // (n + 1)
 
 
-def label_dim(label: Label, p: int) -> int:
-    kind, _, s = label
-    return s if kind == "X" else 2 * p
-
-
 def _step_one(label: Label, p: int) -> dict[Label, int]:
     """X tensor (one indecomposable), as a multiset of labels."""
     kind, sg, s = label
@@ -64,10 +59,6 @@ def multiplicities(n: int, p: int) -> dict[Label, int]:
     return counts
 
 
-def total_dimension(counts: dict[Label, int], p: int) -> int:
-    return sum(m * label_dim(label, p) for label, m in counts.items())
-
-
 def dimension_formula(n: int, p: int) -> int:
     """The quadratic form over multiplicities: squares of the simple and
     negative-big-simple counts, plus the projective cross terms."""
@@ -85,16 +76,6 @@ def dimension_formula(n: int, p: int) -> int:
         total += 2 * m(("X", 1, p - j)) * pp
         total += 4 * pp * m(("P", -1, j))
     return total
-
-
-def first_appearances(p: int, up_to: int) -> dict[Label, int]:
-    seen: dict[Label, int] = {}
-    counts = {("X", 1, 1): 1}
-    for n in range(up_to + 1):
-        for label in counts:
-            seen.setdefault(label, n)
-        counts = tensor_step(counts, p)
-    return seen
 
 
 # --- the dimension conjecture --------------------------------------------------

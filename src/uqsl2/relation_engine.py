@@ -13,7 +13,11 @@ lattice, refuse when that lattice reaches it (4^n >= budget, which puts
 8 strands exactly on the line and therefore off by default).  The
 commutant End_U(X^n) is solved as Hom_U(1, X^2n), X being self-dual: the
 invariants of X^2n, one weight slice w = n (mod p) at a time, whose 4^n
-basis vectors are the same lattice the gate counts.
+basis vectors are the same lattice the gate counts.  The reversal of the
+complement, sigma, swaps E and F, so only the slices below the middle are
+eliminated (each counted twice) and the middle one splits into two E-only
+halves; an integer check of sigma E = F sigma on every mask used comes
+first and raises ArithmeticError if it fails.
 
 Checks are pure and independent of each other; ``run_checks`` executes
 them in a fixed order (relation id, then p) so sweep reports come out
@@ -29,7 +33,8 @@ from itertools import combinations
 from math import comb
 from typing import Callable, NamedTuple
 
-from ._elim import SparseRref, nullspace, rank_of_vectors
+from ._elim import nullspace, rank_of_vectors
+from ._kernel import kacc, kneg
 from .cyclo_field import CycloNum, FieldCtx, QFactProduct, SingularRatio
 from .diagram_algebra import (
     all_diagrams,
@@ -245,7 +250,18 @@ def commutant_dim(p: int, n: int, budget: int = DEFAULT_BUDGET) -> int:
     of X^2n, killed by E and F and fixed by K.  K fixes exactly the
     weights w = n (mod p), and E, F move weight by one, so each such
     weight slice is an independent block solved by exact elimination.
-    The gate is 4^n >= budget, 4^n being both dim End(X^n) and dim X^2n.
+
+    sigma(b), the complement of mask b read from the other end, maps
+    weight w to 2n - w and satisfies sigma E = F sigma (the involution of
+    U_q(sl2) that swaps E and F).  So slice 2n - w has the nullity of
+    slice w, and only the slices w < n are eliminated, E and F rows
+    together.  On the middle slice v = v+ + v- with sigma v+- = +-v+-,
+    and v is invariant exactly when E v+ = E v- = 0: two E-only systems
+    on the columns b + sigma b (and each sigma-fixed b) and b - sigma b.
+    Before solving, e_terms through sigma are compared with f_terms of
+    sigma b on every mask used, in integers; a mismatch raises
+    ArithmeticError.  The gate is 4^n >= budget, 4^n being both
+    dim End(X^n) and dim X^2n.
     """
     _require_solve(n, budget)
     return _commutant_dim(p, n)
@@ -256,24 +272,54 @@ def _commutant_dim(p: int, n: int) -> int:
     ctx = FieldCtx(p)
     qp = [(c.nums, c.den) for c in map(ctx.q_power, range(2 * p))]
     z = 2 * n
+    full = (1 << z) - 1
+    key = lambda b: int(f"{b:0{z}b}"[::-1], 2)  # leftmost strand pivots first
+    sigma = lambda b: key(full ^ b)
+    low = range(n % p, n, p)
+    slices: dict = defaultdict(list)
+    for b in range(1 << z):
+        slices[b.bit_count()].append(b)
+    # The split below is exact only if sigma E = F sigma on every mask it uses.
+    for w in (*low, n, *(z - w for w in low)):
+        for b in slices[w]:
+            if sorted((sigma(t), e) for t, e in e_terms(z, b)) != sorted(f_terms(z, sigma(b))):
+                raise ArithmeticError(f"sigma E != F sigma on mask {b:0{z}b}")
+
+    def rank(rows):
+        # Rows by ascending target, E and F merged: keeps fill-in low.
+        return rank_of_vectors(ctx, (rows[t] for t in sorted(rows)))
+
     dim = 0
-    for w in range(n % p, z + 1, p):
-        # E rows (weight w-1) and F rows (weight w+1), keyed by target mask.
+    for w in low:
+        # E rows (weight w-1) and F rows (weight w+1), keyed by target mask;
+        # slice z - w has the same nullity.
         rows: dict = defaultdict(dict)
-        for b in range(1 << z):
-            if b.bit_count() != w:
-                continue
-            col = int(f"{b:0{z}b}"[::-1], 2)
+        for b in slices[w]:
+            col = key(b)
             for rule in (e_terms, f_terms):
                 for t, e in rule(z, b):
                     rows[t][col] = qp[e % (2 * p)]
-        # Pivot on the leftmost strand first (bit-reversed column key) and
-        # feed rows by ascending target, E and F merged: both keep fill-in low.
-        rr = SparseRref(ctx)
-        for t in sorted(rows):
-            rr.add_row(rows[t])
-        dim += comb(z, w) - rr.rank
-    return dim
+        dim += 2 * (comb(z, w) - rank(rows))
+    # Middle slice: E rows only, on the columns b + sigma b (even, with the
+    # sigma-fixed b) and b - sigma b (odd), each pair keyed by its lesser mask.
+    even: dict = defaultdict(dict)
+    odd: dict = defaultdict(dict)
+    for b in slices[n]:
+        s = sigma(b)
+        if s < b:
+            continue
+        col = key(b)
+        for t, e in e_terms(z, b):
+            even[t][col] = qp[e % (2 * p)]
+        if s == b:
+            continue
+        for t, e in e_terms(z, b):
+            odd[t][col] = qp[e % (2 * p)]
+        for t, e in e_terms(z, s):
+            c = qp[e % (2 * p)]
+            kacc(even[t], col, *c)
+            kacc(odd[t], col, *kneg(*c))
+    return dim + comb(z, n) - rank(even) - rank(odd)
 
 
 # The budget only gates a solve, so the cache is keyed on (p, n) alone.
@@ -560,7 +606,11 @@ def _check_prop4(p, budget):
             return n, False, {"identity": "gamma factorial ratio", "k": k}
     inv = g.gamma.inv()
     u, v = ab.scale(inv), ba.scale(inv)
+    # alpha and beta must be module maps for their span to lie in End_U
+    acts = (("K", op_K(ctx, n)), ("E", op_E(ctx, n)), ("F", op_F(ctx, n)))
     holds, wit = _first_difference((
+        *((f"{x}.{name} = {name}.{x}", op * gen, gen * op)
+          for name, gen in (("alpha", a), ("beta", b)) for x, op in acts),
         ("first projection idempotent", u * u, u),
         ("second projection idempotent", v * v, v),
         ("projections orthogonal", u * v, LinOp.zero(ctx, n, n)),

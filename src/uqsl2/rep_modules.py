@@ -166,50 +166,6 @@ def mat_mul(ctx: FieldCtx, A, B):
     return _freeze(out)
 
 
-def module_check(mod: ModuleData) -> dict:
-    """Exact verification of the defining relations on one module."""
-    ctx = mod.ctx
-    p = ctx.p
-    K, E, F = mod.K_matrix, mod.E_matrix, mod.F_matrix
-    d = mod.dimension
-    kd = [K[i][i] for i in range(d)]
-    kek = _freeze(
-        [[kd[i] * E[i][j] / kd[j] for j in range(d)] for i in range(d)]
-    )
-    kfk = _freeze(
-        [[kd[i] * F[i][j] / kd[j] for j in range(d)] for i in range(d)]
-    )
-    q2E = _freeze([[E[i][j] * ctx.q_power(2) for j in range(d)] for i in range(d)])
-    q2F = _freeze([[F[i][j] * ctx.q_power(-2) for j in range(d)] for i in range(d)])
-    comm = mat_mul(ctx, E, F)
-    fe = mat_mul(ctx, F, E)
-    scale = (ctx.q - ctx.q_power(-1)).inv()
-    comm_rhs = _freeze(
-        [
-            [
-                (kd[i] - kd[i].inv()) * scale if i == j else ctx.zero
-                for j in range(d)
-            ]
-            for i in range(d)
-        ]
-    )
-    comm_lhs = _freeze(
-        [[comm[i][j] - fe[i][j] for j in range(d)] for i in range(d)]
-    )
-    Ep, Fp = E, F
-    for _ in range(p - 1):
-        Ep, Fp = mat_mul(ctx, E, Ep), mat_mul(ctx, F, Fp)
-    zero = _freeze([[ctx.zero] * d for _ in range(d)])
-    return {
-        "KEK^-1=q^2E": kek == q2E,
-        "KFK^-1=q^-2F": kfk == q2F,
-        "EF-FE=(K-K^-1)/(q-q^-1)": comm_lhs == comm_rhs,
-        "E^p=0": Ep == zero,
-        "F^p=0": Fp == zero,
-        "K^2p=1": all(kd[i] ** (2 * p) == ctx.one for i in range(d)),
-    }
-
-
 def is_intertwiner(M, src: ModuleData, tgt: ModuleData) -> bool:
     """Does M satisfy M g_src = g_tgt M for g in {K, E, F}?"""
     ctx = src.ctx

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+from collections import defaultdict
+from math import comb
+
 import pytest
 
+from uqsl2._elim import rank_of_vectors
 from uqsl2.cyclo_field import FieldCtx
 from uqsl2.diagram_algebra import all_diagrams, diagram_to_matrix, e_op, rotation
 from uqsl2.fusion_dims import catalan, dimension_formula
@@ -15,6 +19,7 @@ from uqsl2.relation_engine import (
     InfeasibleSize,
     capping_pattern,
     coefficient_identity_failures,
+    _commutant_dim,
     commutant_dim,
     gamma_factorial_ratio,
     prop2_injectivity,
@@ -22,6 +27,7 @@ from uqsl2.relation_engine import (
     run_checks,
     verify,
 )
+from uqsl2.tensor_space import e_terms, f_terms
 
 
 def test_report_shape():
@@ -118,6 +124,31 @@ def test_commutant_matches_fusion_small():
     for p in (2, 3):
         for n in range(1, 5):
             assert commutant_dim(p, n) == dimension_formula(n, p)
+
+
+def _unsplit_commutant_dim(p, n):
+    """Reference solve without sigma: every weight slice w = n (mod p) of
+    X^2n eliminated whole, its E and F rows together."""
+    ctx = FieldCtx(p)
+    qp = [(c.nums, c.den) for c in map(ctx.q_power, range(2 * p))]
+    z = 2 * n
+    dim = 0
+    for w in range(n % p, z + 1, p):
+        rows = defaultdict(dict)
+        for b in range(1 << z):
+            if b.bit_count() == w:
+                col = int(f"{b:0{z}b}"[::-1], 2)
+                for rule in (e_terms, f_terms):
+                    for t, e in rule(z, b):
+                        rows[t][col] = qp[e % (2 * p)]
+        dim += comb(z, w) - rank_of_vectors(ctx, (rows[t] for t in sorted(rows)))
+    return dim
+
+
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_sigma_split_matches_unsplit_solve(p):
+    for n in range(6):
+        assert _commutant_dim(p, n) == _unsplit_commutant_dim(p, n), (p, n)
 
 
 def test_commutant_reaches_seven_strands():

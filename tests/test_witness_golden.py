@@ -6,7 +6,9 @@ set (alpha and beta each plus the identity, gamma doubled) and the full
 verdict and witness of each check is compared with literal values, so a
 change to how a check builds its sides or reports its first difference
 shows up as a diff of witness text.  The checks that do not use the
-generators get a faulted building block of their own instead.
+generators get a faulted building block of their own instead, and prop4,
+whose first pairs ask alpha and beta to be module maps, gets a generator
+set that is not one.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from uqsl2.cyclo_field import SingularRatio
 from uqsl2.diagram_algebra import jw_closed
 from uqsl2.pa_generators import GeneratorSet, make_generators, nested_cap_closed
 from uqsl2.relation_engine import RELATION_IDS, verify
-from uqsl2.tensor_space import LinOp, f_power
+from uqsl2.tensor_space import BasisIndex, LinOp, TensorVector, f_power
 
 # prop2..prop5 and rot_rank compare ranks and solver dimensions, not
 # operator identities; they are covered by their own tests.  action,
@@ -63,6 +65,16 @@ def _jw_without_window(ctx, n):
         return LinOp.zero(ctx, n, n)
 
 
+@lru_cache(maxsize=None)
+def _alpha_off_by_one(p: int) -> GeneratorSet:
+    # alpha plus 1 at the weight-preserving entry v0..0 -> v0..0: K still
+    # commutes with it, E does not, so it is no module map
+    g = make_generators(p)
+    n, low = 2 * p - 1, BasisIndex(2 * p - 1, 0)
+    bump = LinOp(g.ctx, n, n, {low: TensorVector.unit(g.ctx, low)})
+    return GeneratorSet(g.ctx, g.alpha + bump, g.beta, g.gamma, g.e_scalars, g.f_scalars)
+
+
 # fault -> (relation id, engine name replaced, stand-in, witness at p = 2)
 FAULTS = {
     # straightening is linear in F^k, so a doubled F^k first shows in its expansion
@@ -80,6 +92,12 @@ FAULTS = {
         "basis": "",
         "lhs": "-v01 - q*v10",
         "rhs": "-2*v01 - 2*q*v10",
+    }),
+    "prop4_membership": ("prop4", "_gens", _alpha_off_by_one, {
+        "identity": "E.alpha = alpha.E",
+        "basis": "100",
+        "lhs": "v011 + q*v101 - v110",
+        "rhs": "-v000 + v011 + q*v101 - v110",
     }),
 }
 
