@@ -691,12 +691,6 @@ def _check_prop5(p, budget):
     }
 
 
-def prop2_injectivity(p: int, n: int, budget: int = DEFAULT_BUDGET) -> RelationReport:
-    start = time.perf_counter()
-    strands, holds, wit = _prop2_core(p, n, budget)
-    return RelationReport("prop2", p, strands, holds, wit, (time.perf_counter() - start) * 1000.0)
-
-
 def _check_rot_rank(p, budget):
     n = 2 * p
     _require_solve(n, budget)

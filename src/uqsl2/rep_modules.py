@@ -5,8 +5,10 @@ modules P(sign, s) of dimension 2p for 1 <= s <= p-1, with the K/E/F
 action in the standard bases.  Matrices are row-major tuples of CycloNum;
 column j is the image of basis vector j.  The intertwiner solver computes
 an exact nullspace basis of the commutation constraints and reproduces the
-hom-space dimension table; it hands ``uqsl2._elim`` kernel pairs and wraps
-the solved maps back into CycloNum matrices.
+hom-space dimension table.  K is diagonal, so it solves only for the
+entries between equal K eigenvalues, under the E and F constraints; it
+hands ``uqsl2._elim`` kernel pairs and wraps the solved maps back into
+CycloNum matrices.
 """
 
 from __future__ import annotations
@@ -90,7 +92,8 @@ def _freeze(rows):
 
 def simple_module(ctx: FieldCtx, sign: int, s: int) -> ModuleData:
     """The s-dimensional simple module X(sign, s), 1 <= s <= p."""
-    assert sign in (1, -1)
+    if sign not in (1, -1):
+        raise ValueError(f"sign must be 1 or -1, got {sign}")
     if not 1 <= s <= ctx.p:
         raise ValueError(f"simple modules need 1 <= s <= p, got s={s}")
     K, E, F = _zeros(ctx, s), _zeros(ctx, s), _zeros(ctx, s)
@@ -106,7 +109,8 @@ def simple_module(ctx: FieldCtx, sign: int, s: int) -> ModuleData:
 
 def projective_module(ctx: FieldCtx, sign: int, s: int) -> ModuleData:
     """The 2p-dimensional projective module P(sign, s), 1 <= s <= p-1."""
-    assert sign in (1, -1)
+    if sign not in (1, -1):
+        raise ValueError(f"sign must be 1 or -1, got {sign}")
     p = ctx.p
     if not 1 <= s <= p - 1:
         raise ValueError(f"projective modules need 1 <= s <= p-1, got s={s}")
@@ -179,17 +183,30 @@ def is_intertwiner(M, src: ModuleData, tgt: ModuleData) -> bool:
     return True
 
 
+def _k_diagonal(mod: ModuleData) -> list:
+    """The K eigenvalues of ``mod``, one per basis vector."""
+    K = mod.K_matrix
+    if any(c for i, row in enumerate(K) for j, c in enumerate(row) if i != j):
+        raise ArithmeticError(f"K of {mod.label} is not diagonal")
+    return [K[i][i] for i in range(mod.dimension)]
+
+
 def intertwiner_space(src: ModuleData, tgt: ModuleData) -> HomBasis:
-    """Exact basis of Hom(src, tgt) over Q(q)."""
+    """Exact basis of Hom(src, tgt) over Q(q).
+
+    Both K matrices are diagonal, so the K constraint at entry (i, j) is
+    M[i][j] (K_tgt[i] - K_src[j]) = 0: only the entries between equal K
+    eigenvalues are unknowns, and the E and F constraints are solved on
+    them alone.
+    """
     ctx = src.ctx
-    assert ctx == tgt.ctx
+    if ctx != tgt.ctx:
+        raise ValueError(f"modules over different fields: {ctx} and {tgt.ctx}")
     ds, dt = src.dimension, tgt.dimension
+    ks, kt = _k_diagonal(src), _k_diagonal(tgt)
+    live = {i * ds + j for i in range(dt) for j in range(ds) if kt[i] == ks[j]}
     rows = []
-    for gs, gt in (
-        (src.K_matrix, tgt.K_matrix),
-        (src.E_matrix, tgt.E_matrix),
-        (src.F_matrix, tgt.F_matrix),
-    ):
+    for gs, gt in ((src.E_matrix, tgt.E_matrix), (src.F_matrix, tgt.F_matrix)):
         # Nonzero entries of each source column and (negated) target row, k ascending.
         scols = [[(k, c.nums, c.den) for k in range(ds) if (c := gs[k][j])] for j in range(ds)]
         trows = [[(k, *kneg(c.nums, c.den)) for k, c in enumerate(gt[i]) if c] for i in range(dt)]
@@ -197,12 +214,14 @@ def intertwiner_space(src: ModuleData, tgt: ModuleData) -> HomBasis:
             for j in range(ds):
                 row: dict[int, tuple] = {}
                 for k, n, d in scols[j]:
-                    kacc(row, i * ds + k, n, d)
+                    if (key := i * ds + k) in live:
+                        kacc(row, key, n, d)
                 for k, n, d in trows[i]:
-                    kacc(row, k * ds + j, n, d)
+                    if (key := k * ds + j) in live:
+                        kacc(row, key, n, d)
                 if row:
                     rows.append(row)
-    vecs = _elim.nullspace(ctx, rows, range(dt * ds))
+    vecs = _elim.nullspace(ctx, rows, sorted(live))
     maps = []
     for v in vecs:
         M = [[ctx.zero] * ds for _ in range(dt)]
@@ -230,9 +249,10 @@ def _in_span(ctx: FieldCtx, basis_maps, M) -> bool:
     vec = lambda A: {
         (i, j): (c.nums, c.den) for i, row in enumerate(A) for j, c in enumerate(row) if c
     }
-    vs = [vec(B) for B in basis_maps]
-    r0 = _elim.rank_of_vectors(ctx, vs)
-    return _elim.rank_of_vectors(ctx, vs + [vec(M)]) == r0
+    rr = _elim.SparseRref(ctx)
+    for B in basis_maps:
+        rr.add_row(vec(B))
+    return not rr.add_row(vec(M))
 
 
 def all_modules(ctx: FieldCtx) -> list[ModuleData]:

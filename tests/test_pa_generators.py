@@ -283,11 +283,22 @@ _GUARDS = {
                         "[(t, e + (i == 0)) for i, (t, e) in enumerate(f(z, b))]; "
                         "rel._commutant_dim.cache_clear(); rel._commutant_dim(2, 3)",
                         "ArithmeticError"),
+    "simple_module_sign": ("rm.simple_module(ctx, 0, 1)", "ValueError"),
+    "projective_module_sign": ("rm.projective_module(ctx, 2, 1)", "ValueError"),
+    "intertwiner_field": ("rm.intertwiner_space(rm.simple_module(ctx, 1, 1), "
+                          "rm.simple_module(make_field(3), 1, 1))", "ValueError"),
+    # K of X+_2 with one off-diagonal entry
+    "intertwiner_k_diagonal": ("x = rm.simple_module(ctx, 1, 2); "
+                               "k = ((x.K_matrix[0][0], ctx.one), x.K_matrix[1]); "
+                               "rm.intertwiner_space(rm.ModuleData(ctx, 'X', 1, 2, 2, "
+                               "x.basis_names, k, x.E_matrix, x.F_matrix), x)",
+                               "ArithmeticError"),
 }
 
 _UNDER_O = """
 import sys
 from uqsl2 import diagram_algebra as da, pa_generators as pg, relation_engine as rel
+from uqsl2 import rep_modules as rm
 from uqsl2.cyclo_field import make_field
 if not sys.flags.optimize:
     sys.exit(4)

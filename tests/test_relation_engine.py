@@ -20,9 +20,9 @@ from uqsl2.relation_engine import (
     capping_pattern,
     coefficient_identity_failures,
     _commutant_dim,
+    _prop2_core,
     commutant_dim,
     gamma_factorial_ratio,
-    prop2_injectivity,
     prop5_words,
     run_checks,
     verify,
@@ -211,12 +211,11 @@ def test_capping_pattern_centers():
 
 
 def test_prop2_injectivity_sizes():
-    r = prop2_injectivity(3, 4)
-    assert r.holds and r.strands == 4
-    assert prop2_injectivity(3, 3).holds
-    assert prop2_injectivity(2, 1).holds
+    assert _prop2_core(3, 4, DEFAULT_BUDGET) == (4, True, None)
+    assert _prop2_core(3, 3, DEFAULT_BUDGET)[1:] == (True, None)
+    assert _prop2_core(2, 1, DEFAULT_BUDGET)[1:] == (True, None)
     with pytest.raises(ValueError):
-        prop2_injectivity(3, 5)
+        _prop2_core(3, 5, DEFAULT_BUDGET)
 
 
 def test_default_budget():

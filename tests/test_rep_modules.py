@@ -2,8 +2,11 @@
 
 import pytest
 
-from uqsl2.cyclo_field import make_field
+from uqsl2 import _elim
+from uqsl2._kernel import kacc, kneg
+from uqsl2.cyclo_field import CycloNum, make_field
 from uqsl2.rep_modules import (
+    ModuleData,
     all_modules,
     intertwiner_space,
     is_intertwiner,
@@ -13,7 +16,7 @@ from uqsl2.rep_modules import (
     verify_hom_forms,
 )
 
-CTX = {p: make_field(p) for p in (2, 3)}
+CTX = {p: make_field(p) for p in (2, 3, 4)}
 
 
 def _module_relations(mod) -> dict:
@@ -105,6 +108,12 @@ def test_range_rejection():
         projective_module(ctx, 1, 3)
     with pytest.raises(ValueError):
         projective_module(ctx, 1, 0)
+    with pytest.raises(ValueError):
+        simple_module(ctx, 0, 1)
+    with pytest.raises(ValueError):
+        projective_module(ctx, 2, 1)
+    with pytest.raises(ValueError):
+        intertwiner_space(simple_module(ctx, 1, 1), simple_module(CTX[2], 1, 1))
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -145,6 +154,56 @@ def test_explicit_hom_forms(p):
     for entry in rep["explicit_maps"]:
         assert entry["intertwiner"], entry
         assert entry["in_span"], entry
+
+
+def _full_system_basis(src, tgt):
+    """Hom(src, tgt) from every K, E and F constraint on all dt*ds entries."""
+    ctx = src.ctx
+    ds, dt = src.dimension, tgt.dimension
+    rows = []
+    for gs, gt in (
+        (src.K_matrix, tgt.K_matrix),
+        (src.E_matrix, tgt.E_matrix),
+        (src.F_matrix, tgt.F_matrix),
+    ):
+        scols = [[(k, c.nums, c.den) for k in range(ds) if (c := gs[k][j])] for j in range(ds)]
+        trows = [[(k, *kneg(c.nums, c.den)) for k, c in enumerate(gt[i]) if c] for i in range(dt)]
+        for i in range(dt):
+            for j in range(ds):
+                row: dict[int, tuple] = {}
+                for k, n, d in scols[j]:
+                    kacc(row, i * ds + k, n, d)
+                for k, n, d in trows[i]:
+                    kacc(row, k * ds + j, n, d)
+                if row:
+                    rows.append(row)
+    maps = []
+    for v in _elim.nullspace(ctx, rows, range(dt * ds)):
+        M = [[ctx.zero] * ds for _ in range(dt)]
+        for key, c in v.items():
+            M[key // ds][key % ds] = CycloNum(ctx, *c)
+        maps.append(tuple(map(tuple, M)))
+    return maps
+
+
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_weight_matched_solve_matches_full_system(p):
+    mods = all_modules(CTX[p])
+    for src in mods:
+        for tgt in mods:
+            got = intertwiner_space(src, tgt).maps
+            assert list(got) == _full_system_basis(src, tgt), (src.label, tgt.label)
+
+
+def test_off_diagonal_k_is_rejected():
+    ctx = CTX[2]
+    X = simple_module(ctx, 1, 2)
+    K = ((X.K_matrix[0][0], ctx.one), X.K_matrix[1])
+    bad = ModuleData(ctx, "X", 1, 2, 2, X.basis_names, K, X.E_matrix, X.F_matrix)
+    with pytest.raises(ArithmeticError):
+        intertwiner_space(bad, X)
+    with pytest.raises(ArithmeticError):
+        intertwiner_space(X, bad)
 
 
 def test_hom_forms_solve_each_pair_once(monkeypatch):

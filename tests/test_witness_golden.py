@@ -8,7 +8,9 @@ change to how a check builds its sides or reports its first difference
 shows up as a diff of witness text.  The checks that do not use the
 generators get a faulted building block of their own instead, and prop4,
 whose first pairs ask alpha and beta to be module maps, gets a generator
-set that is not one.
+set that is not one.  Adding the identity cannot break eq5 or eq6, so a
+sweep of single-entry faults at p = 2 checks that every identity check
+catches some fault and that no fault passes them all.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from uqsl2.cyclo_field import SingularRatio
 from uqsl2.diagram_algebra import jw_closed
 from uqsl2.pa_generators import GeneratorSet, make_generators, nested_cap_closed
 from uqsl2.relation_engine import RELATION_IDS, verify
-from uqsl2.tensor_space import BasisIndex, LinOp, TensorVector, f_power
+from uqsl2.tensor_space import BasisIndex, LinOp, TensorVector, f_power, op_K
 
 # prop2..prop5 and rot_rank compare ranks and solver dimensions, not
 # operator identities; they are covered by their own tests.  action,
@@ -65,14 +67,27 @@ def _jw_without_window(ctx, n):
         return LinOp.zero(ctx, n, n)
 
 
+def _bumped(g: GeneratorSet, name: str, row: int, col: int) -> GeneratorSet:
+    """``g`` with 1 added to generator ``name`` at the entry v_col -> v_row."""
+    n = 2 * g.p - 1
+    bump = LinOp(g.ctx, n, n, {BasisIndex(n, col): TensorVector.unit(g.ctx, BasisIndex(n, row))})
+    ops = {"alpha": g.alpha, "beta": g.beta}
+    ops[name] = ops[name] + bump
+    return GeneratorSet(g.ctx, ops["alpha"], ops["beta"], g.gamma, g.e_scalars, g.f_scalars)
+
+
 @lru_cache(maxsize=None)
 def _alpha_off_by_one(p: int) -> GeneratorSet:
     # alpha plus 1 at the weight-preserving entry v0..0 -> v0..0: K still
     # commutes with it, E does not, so it is no module map
-    g = make_generators(p)
-    n, low = 2 * p - 1, BasisIndex(2 * p - 1, 0)
-    bump = LinOp(g.ctx, n, n, {low: TensorVector.unit(g.ctx, low)})
-    return GeneratorSet(g.ctx, g.alpha + bump, g.beta, g.gamma, g.e_scalars, g.f_scalars)
+    return _bumped(make_generators(p), "alpha", 0, 0)
+
+
+@lru_cache(maxsize=None)
+def _beta_off_by_one(p: int) -> GeneratorSet:
+    # beta plus 1 at v0..0 -> v0..0; unlike adding the identity, this
+    # breaks the far commutation of eq6
+    return _bumped(make_generators(p), "beta", 0, 0)
 
 
 # fault -> (relation id, engine name replaced, stand-in, witness at p = 2)
@@ -99,6 +114,12 @@ FAULTS = {
         "lhs": "v011 + q*v101 - v110",
         "rhs": "-v000 + v011 + q*v101 - v110",
     }),
+    "eq6_single_entry": ("eq6", "_gens", _beta_off_by_one, {
+        "identity": "beta_1.beta_3 commute",
+        "basis": "10100",
+        "lhs": "0",
+        "rhs": "q*v00000",
+    }),
 }
 
 
@@ -108,6 +129,34 @@ def test_faulted_building_blocks(monkeypatch, fault):
     monkeypatch.setattr(relation_engine, name, stand_in)
     r = verify(rid, 2)
     assert (r.holds, r.witness) == (False, witness)
+
+
+def test_single_entry_fault_sweep(monkeypatch):
+    # Mutation sweep at p = 2: 1 added to alpha or beta at each entry
+    # v_col -> v_row that K commutes with (equal K eigenvalues on the two
+    # masks).  Every identity check must catch some fault, and every
+    # fault must be caught by some check.
+    g = make_generators(2)
+    n = 3
+    k = op_K(g.ctx, n)
+    kval = [k.column(BasisIndex(n, b)).terms[b] for b in range(1 << n)]
+    entries = [(r, c) for r in range(1 << n) for c in range(1 << n) if kval[r] == kval[c]]
+    caught = dict.fromkeys(IDS, 0)
+    escaped = []
+    for name in ("alpha", "beta"):
+        for r, c in entries:
+            fg = _bumped(g, name, r, c)
+            monkeypatch.setattr(relation_engine, "_gens", lambda p, fg=fg: fg)
+            relation_engine._rotation_orbit.cache_clear()
+            failing = [rid for rid in IDS if not verify(rid, 2).holds]
+            for rid in failing:
+                caught[rid] += 1
+            if not failing:
+                escaped.append((name, r, c))
+    relation_engine._rotation_orbit.cache_clear()
+    assert 2 * len(entries) == 64
+    assert not escaped
+    assert min(caught.values()) > 0, caught
 
 
 EXPECTED = {
