@@ -8,9 +8,14 @@ realization sends cups and caps to the standard intertwiners
 
     cup: v01 -> -q, v10 -> 1;   cap: 1 -> q^-1 v10 - v01
 
-on adjacent strands.  ``cup_outputs`` and ``cap_inputs`` apply them to
-an operator's outputs or inputs as index maps, without building either
-matrix; ``cup`` and ``cap`` are those maps applied to the identity.
+on adjacent strands.  Every tangle the checks apply is an index map on
+the entries of an operator, without building a cup or cap matrix:
+``cup_outputs`` (cup_i . X) and ``cap_inputs`` (X . cap_i) close two
+strands, ``cap_outputs`` (cap_i . X) and ``cup_inputs`` (X . cup_i) open
+two, e_i . X and X . e_i are a close then an open (``e_left``,
+``e_right``), and ``rotation`` moves each entry to one new place times a
+unit.  ``cup``, ``cap`` and ``e_op`` are these maps applied to the
+identity.
 
 Both zig-zag composites of a plain cup over a plain cap equal minus the
 identity, so realizing a diagram by an arbitrary cup/cap factorization
@@ -35,7 +40,6 @@ from uqsl2.tensor_space import (
     _vec,
     all_indices,
     f_power,
-    widen,
     x_bottom,
 )
 
@@ -374,30 +378,28 @@ def cap(ctx: FieldCtx, i: int, n: int) -> LinOp:
     return cap_inputs(LinOp.identity(ctx, n), i)
 
 
-def _closed(mask: int, i: int):
-    """(mask without strands i, i+1, whether strand i is the occupied one)
-    when exactly one of the two is occupied, else None."""
-    lo = mask >> (i - 1) & 1
-    if lo == mask >> i & 1:
-        return None
-    keep_low = (1 << (i - 1)) - 1
-    return (mask & keep_low) | (mask >> 2) & ~keep_low, lo
+def _strand_gap(kind: str, i: int, n: int) -> int:
+    """Mask of the strands below i; raises unless strands i, i+1 exist among n."""
+    if not 1 <= i <= n - 1:
+        raise ValueError(f"{kind} position {i} out of range for {n} strands")
+    return (1 << (i - 1)) - 1
 
 
 def cup_outputs(op: LinOp, i: int) -> LinOp:
     """cup_i . op: close output strands i, i+1 of op.  An index map: each
     entry is written once, times 1 where the strands read 10, -q where 01."""
     ctx, n = op.ctx, op.z_out
-    if not 1 <= i <= n - 1:
-        raise ValueError(f"cup position {i} out of range for {n} strands")
+    low = _strand_gap("cup", i, n)
+    lo, hi = 1 << (i - 1), 1 << i
     mq, red = kneg(*_kq(ctx, 1)), ctx.red
     cols = {}
     for m, col in op.columns.items():
         acc = {}
         for t, (xn, xd) in col.terms.items():
-            hit = _closed(t, i)
-            if hit:
-                kacc(acc, hit[0], *((xn, xd) if hit[1] else kmul(xn, xd, *mq, red)))
+            s = t & (lo | hi)
+            if s == lo or s == hi:
+                kacc(acc, (t & low) | (t >> 2) & ~low,
+                     *((xn, xd) if s == lo else kmul(xn, xd, *mq, red)))
         if acc:
             cols[m] = _vec(ctx, n - 2, acc)
     return _op(ctx, op.z_in, n - 2, cols)
@@ -407,27 +409,68 @@ def cap_inputs(op: LinOp, i: int) -> LinOp:
     """op . cap_i: close input strands i, i+1 of op.  An index map: each
     entry is written once, times q^-1 where the strands read 10, -1 where 01."""
     ctx, n = op.ctx, op.z_in
-    if not 1 <= i <= n - 1:
-        raise ValueError(f"cap position {i} out of range for {n} strands")
+    low = _strand_gap("cap", i, n)
+    lo, hi = 1 << (i - 1), 1 << i
     qinv, red = _kq(ctx, -1), ctx.red
     accs: dict = {}
     for m, col in op.columns.items():
-        hit = _closed(m, i)
-        if hit:
-            acc = accs.setdefault(hit[0], {})
+        s = m & (lo | hi)
+        if s == lo or s == hi:
+            acc = accs.setdefault((m & low) | (m >> 2) & ~low, {})
             for t, (xn, xd) in col.terms.items():
-                kacc(acc, t, *(kmul(xn, xd, *qinv, red) if hit[1] else kneg(xn, xd)))
+                kacc(acc, t, *(kmul(xn, xd, *qinv, red) if s == lo else kneg(xn, xd)))
     return _op(ctx, n - 2, op.z_out, {b: _vec(ctx, op.z_out, a) for b, a in accs.items() if a})
+
+
+def cap_outputs(op: LinOp, i: int) -> LinOp:
+    """cap_i . op: open output strands i, i+1 of op with a cap.  An index
+    map: each entry is written twice, times q^-1 with the new strands
+    reading 10 and times -1 with them reading 01, and never summed."""
+    ctx, n = op.ctx, op.z_out + 2
+    low = _strand_gap("cap", i, n)
+    lo, hi = 1 << (i - 1), 1 << i
+    qinv, red = _kq(ctx, -1), ctx.red
+    cols = {}
+    for m, col in op.columns.items():
+        terms = {}
+        for t, (xn, xd) in col.terms.items():
+            base = (t & low) | (t & ~low) << 2
+            terms[base | lo] = kmul(xn, xd, *qinv, red)
+            terms[base | hi] = kneg(xn, xd)
+        cols[m] = _vec(ctx, n, terms)
+    return _op(ctx, op.z_in, n, cols)
+
+
+def cup_inputs(op: LinOp, i: int) -> LinOp:
+    """op . cup_i: open input strands i, i+1 of op with a cup.  An index
+    map: each column is written twice, times 1 under the input strands
+    reading 10 and times -q under 01, and never summed."""
+    ctx, n = op.ctx, op.z_in + 2
+    low = _strand_gap("cup", i, n)
+    lo, hi = 1 << (i - 1), 1 << i
+    mq, red = kneg(*_kq(ctx, 1)), ctx.red
+    cols = {}
+    for m, col in op.columns.items():
+        base = (m & low) | (m & ~low) << 2
+        cols[base | lo] = col
+        cols[base | hi] = _vec(ctx, op.z_out, {
+            t: kmul(xn, xd, *mq, red) for t, (xn, xd) in col.terms.items()})
+    return _op(ctx, n, op.z_out, cols)
+
+
+def e_left(op: LinOp, i: int) -> LinOp:
+    """e_i . op, as a cup then a cap on the outputs of op."""
+    return cap_outputs(cup_outputs(op, i), i)
+
+
+def e_right(op: LinOp, i: int) -> LinOp:
+    """op . e_i, as a cap then a cup on the inputs of op."""
+    return cup_inputs(cap_inputs(op, i), i)
 
 
 def e_op(ctx: FieldCtx, i: int, n: int) -> LinOp:
     """The TL generator on strands i, i+1: cap after cup."""
-    return cap(ctx, i, n) * cup(ctx, i, n)
-
-
-def _cap_signed(ctx, i, n):
-    c = cap(ctx, i, n)
-    return c if i % 2 else -c
+    return e_left(LinOp.identity(ctx, n), i)
 
 
 def diagram_to_matrix(ctx: FieldCtx, d: TLDiagram) -> LinOp:
@@ -465,10 +508,10 @@ def diagram_to_matrix(ctx: FieldCtx, d: TLDiagram) -> LinOp:
                 break
         if hit is None:
             break
-        inserts.append((hit + 1, len(rem_top)))
+        inserts.append(hit + 1)
         del rem_top[hit : hit + 2]
-    for pos, size in reversed(inserts):
-        op = _cap_signed(ctx, pos, size) * op
+    for pos in reversed(inserts):
+        op = cap_outputs(op, pos) if pos % 2 else -cap_outputs(op, pos)
     if d.loops_removed:
         scale = ctx.loop_value ** d.loops_removed
     return op * scale if scale != ctx.one else op
@@ -537,7 +580,26 @@ def jw_closed(ctx: FieldCtx, n: int) -> LinOp:
 
 def rotation(ctx: FieldCtx, f: LinOp) -> LinOp:
     """One clockwise click of a square operator on n strands:
-    (cup x id^n) (id x f x id) (id^n x cap)."""
-    if f.z_in != f.z_out:
+    (cup x id^n) (id x f x id) (id^n x cap).
+
+    An index map: the entry of f at (out t, in m) moves to out
+    t >> 1 with strand n set to 1 - m_n, and in m << 1 (strand n dropped)
+    with strand 1 set to 1 - t_1, times the cup factor (1 where t_1 = 0,
+    -q where t_1 = 1) and the cap factor (q^-1 where m_n = 1, -1 where
+    m_n = 0).  Distinct entries land on distinct places, so nothing is
+    summed.
+    """
+    n = f.z_in
+    if f.z_out != n:
         raise ValueError("rotation needs a square operator")
-    return cup_outputs(cap_inputs(widen(f, 1, 1), f.z_in + 1), 1)
+    top, low = 1 << (n - 1), (1 << (n - 1)) - 1
+    q, qinv, red = _kq(ctx, 1), _kq(ctx, -1), ctx.red
+    cols: dict = {}
+    for m, col in f.columns.items():
+        m_n, shifted = m >> (n - 1), (m & low) << 1
+        gap, unit = (0, qinv) if m_n else (top, q)
+        for t, (xn, xd) in col.terms.items():
+            t_1 = t & 1
+            entry = kneg(xn, xd) if t_1 == m_n else kmul(xn, xd, *unit, red)
+            cols.setdefault(shifted | (1 - t_1), {})[t >> 1 | gap] = entry
+    return _op(ctx, n, n, {b: _vec(ctx, n, terms) for b, terms in cols.items()})

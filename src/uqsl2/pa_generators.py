@@ -16,11 +16,15 @@ from __future__ import annotations
 from itertools import combinations
 
 from uqsl2.cyclo_field import FieldCtx, make_field
-from uqsl2.diagram_algebra import cap, cap_inputs, cup_outputs
+from uqsl2._kernel import kacc, kmul
+from uqsl2.diagram_algebra import cap_outputs, cup_outputs
 from uqsl2.tensor_space import (
     BasisIndex,
     LinOp,
     TensorVector,
+    _kq,
+    _op,
+    _vec,
     all_indices,
     apply_e,
     apply_f,
@@ -112,20 +116,36 @@ def embed(op: LinOp, i: int, n: int) -> LinOp:
     return widen(op, i - 1, n - w - i + 1)
 
 
-def partial_trace_right(op: LinOp) -> LinOp:
-    """Close the last strand: (id x cup) (op x id) (id x cap)."""
+def _trace_strand(op: LinOp, j: int, full: int) -> LinOp:
+    """Close strand j of a square op with a cup over a cap: the block of op
+    where strand j is occupied on both sides times q^full, plus the block
+    where it is empty on both sides times q^-full, strand j removed."""
     n = op.z_in
     if op.z_out != n:
         raise ValueError("partial trace needs a square operator")
-    return cup_outputs(cap_inputs(widen(op, 0, 1), n), n)
+    ctx, bit, low = op.ctx, 1 << (j - 1), (1 << (j - 1)) - 1
+    empty, occupied, red = _kq(ctx, -full), _kq(ctx, full), ctx.red
+    cols = {}
+    for m, col in op.columns.items():
+        side = m & bit
+        unit = occupied if side else empty
+        acc = cols.setdefault((m & low) | (m >> 1) & ~low, {})
+        for t, (xn, xd) in col.terms.items():
+            if t & bit == side:
+                kacc(acc, (t & low) | (t >> 1) & ~low, *kmul(xn, xd, *unit, red))
+    return _op(ctx, n - 1, n - 1, {b: _vec(ctx, n - 1, a) for b, a in cols.items() if a})
+
+
+def partial_trace_right(op: LinOp) -> LinOp:
+    """Close the last strand: (id x cup) (op x id) (id x cap), which is
+    q^-1 times the block where it is occupied plus q times the empty one."""
+    return _trace_strand(op, op.z_in, -1)
 
 
 def partial_trace_left(op: LinOp) -> LinOp:
-    """Close the first strand instead."""
-    n = op.z_in
-    if op.z_out != n:
-        raise ValueError("partial trace needs a square operator")
-    return cup_outputs(cap_inputs(widen(op, 1, 0), 1), 1)
+    """Close the first strand instead: q times the block where it is
+    occupied plus q^-1 times the empty one."""
+    return _trace_strand(op, 1, 1)
 
 
 def partial_trace_comparison(ctx: FieldCtx) -> LinOp:
@@ -148,10 +168,10 @@ def partial_trace_comparison(ctx: FieldCtx) -> LinOp:
 def nested_cap(ctx: FieldCtx, z: int) -> TensorVector:
     """z nested caps, built by actually inserting one cap at a time."""
     assert z >= 1
-    vec = cap(ctx, 1, 2).column(BasisIndex(0, 0))
-    for j in range(1, z):
-        vec = cap(ctx, j + 1, 2 * j + 2).apply(vec)
-    return vec
+    op = LinOp.identity(ctx, 0)
+    for j in range(1, z + 1):
+        op = cap_outputs(op, j)
+    return op.column(BasisIndex(0, 0))
 
 
 def nested_cap_closed(ctx: FieldCtx, z: int) -> TensorVector:

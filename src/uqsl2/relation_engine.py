@@ -41,7 +41,9 @@ from .diagram_algebra import (
     cap_inputs,
     cup_outputs,
     diagram_to_matrix,
+    e_left,
     e_op,
+    e_right,
     jw_closed,
     jw_recursive,
     rotation,
@@ -517,32 +519,30 @@ def _rotation_sum(g, n, name):
 
 
 def _e_kill(g, n):
-    ctx = g.ctx
-    zero = LinOp.zero(ctx, n, n)
-    es = {i: e_op(ctx, i, n) for i in range(1, n)}
+    zero = LinOp.zero(g.ctx, n, n)
     for name in ("alpha", "beta"):
         gen = getattr(g, name)
         for j in (1, 2):
             gj = embed(gen, j, n)
             for i in range(j, j + 2 * g.p - 2):  # 0 <= i - j <= 2p - 3
-                yield f"e_{i}.{name}_{j} = 0", es[i] * gj, zero
-                yield f"{name}_{j}.e_{i} = 0", gj * es[i], zero
+                yield f"e_{i}.{name}_{j} = 0", e_left(gj, i), zero
+                yield f"{name}_{j}.e_{i} = 0", e_right(gj, i), zero
 
 
 def _e_chain_left(g, n, name):
-    ctx = g.ctx
     gen = getattr(g, name)
-    es = [e_op(ctx, t, n) for t in range(1, n)]
-    rhs = reduce(LinOp.__mul__, es) * embed(gen, 1, n)
-    yield f"e_1.{name}_2 = e_1..e_{n - 1}.{name}_1", es[0] * embed(gen, 2, n), rhs
+    rhs = embed(gen, 1, n)
+    for t in range(n - 1, 0, -1):
+        rhs = e_left(rhs, t)
+    yield f"e_1.{name}_2 = e_1..e_{n - 1}.{name}_1", e_left(embed(gen, 2, n), 1), rhs
 
 
 def _e_chain_right(g, n, name):
-    ctx = g.ctx
     gen = getattr(g, name)
-    es = [e_op(ctx, t, n) for t in range(n - 1, 0, -1)]
-    rhs = reduce(LinOp.__mul__, es, embed(gen, 1, n))
-    yield f"{name}_2.e_1 = {name}_1.e_{n - 1}..e_1", embed(gen, 2, n) * es[-1], rhs
+    rhs = embed(gen, 1, n)
+    for t in range(n - 1, 0, -1):
+        rhs = e_right(rhs, t)
+    yield f"{name}_2.e_1 = {name}_1.e_{n - 1}..e_1", e_right(embed(gen, 2, n), 1), rhs
 
 
 def _pt_vanishes(g, n, name):
@@ -570,8 +570,8 @@ def _prop2_core(p, n, budget):
         return n, False, {"identity": "diagram matrices independent", "rank": rank, "expected": catalan(n)}
     if n >= 3:
         b = from_word("011")
-        lhs = (e_op(ctx, 1, 3) * e_op(ctx, 2, 3)).column(b)
-        rhs = (e_op(ctx, 2, 3) * e_op(ctx, 1, 3)).column(b)
+        lhs = e_left(e_op(ctx, 2, 3), 1).column(b)
+        rhs = e_left(e_op(ctx, 1, 3), 2).column(b)
         if lhs == rhs:
             return n, False, {"identity": "e_1e_2 and e_2e_1 separate on 011", "value": str(lhs)}
     return n, True, None
@@ -632,23 +632,21 @@ def prop5_words(p: int) -> list:
     """The 12p-6 generator words on 2p strands: per family (alpha, beta,
     alpha.beta), both placements plus all one-sided e-chains."""
     g = _gens(p)
-    ctx = g.ctx
     n = 2 * p
     a1, a2 = embed(g.alpha, 1, n), embed(g.alpha, 2, n)
     b1, b2 = embed(g.beta, 1, n), embed(g.beta, 2, n)
-    es = {i: e_op(ctx, i, n) for i in range(1, n - 1)}
     words = []
     for g1, g2 in ((a1, a2), (b1, b2), (a1 * b1, a2 * b2)):
         words.append(g1)
         words.append(g2)
         w = g2
         for i in range(1, n - 1):
-            w = w * es[i]
+            w = e_right(w, i)
             words.append(w)
-        w = es[1] * g2
+        w = e_left(g2, 1)
         words.append(w)
         for i in range(2, n - 1):
-            w = es[i] * w
+            w = e_left(w, i)
             words.append(w)
     if len(words) != 12 * p - 6:
         raise ArithmeticError(f"{len(words)} generator words, expected {12 * p - 6}")
@@ -675,9 +673,9 @@ def _check_prop5(p, budget):
     # Swapping in g_1 e_{2p-1} per family restores a spanning set of the
     # same size; report both ranks so the defect is explicit.
     extra = [
-        embed(g.alpha, 1, n) * e_op(ctx, n - 1, n),
-        embed(g.beta, 1, n) * e_op(ctx, n - 1, n),
-        embed(g.alpha, 1, n) * embed(g.beta, 1, n) * e_op(ctx, n - 1, n),
+        e_right(embed(g.alpha, 1, n), n - 1),
+        e_right(embed(g.beta, 1, n), n - 1),
+        e_right(embed(g.alpha, 1, n) * embed(g.beta, 1, n), n - 1),
     ]
     completed = rank_of_linops(ctx, diags + words + extra)
     return n, False, {
@@ -859,9 +857,8 @@ def _jw_window_sides(ctx: FieldCtx, n: int):
     yield f"f_{n} fixes x_bottom", proj * low, low
     zero = LinOp.zero(ctx, n, n)
     for i in range(1, n):
-        e = e_op(ctx, i, n)
-        yield f"e_{i}.f_{n} = 0", e * proj, zero
-        yield f"f_{n}.e_{i} = 0", proj * e, zero
+        yield f"e_{i}.f_{n} = 0", e_left(proj, i), zero
+        yield f"f_{n}.e_{i} = 0", e_right(proj, i), zero
 
 
 def _check_jw_window(p, budget):

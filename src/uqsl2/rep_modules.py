@@ -8,7 +8,8 @@ an exact nullspace basis of the commutation constraints and reproduces the
 hom-space dimension table.  K is diagonal, so it solves only for the
 entries between equal K eigenvalues, under the E and F constraints; it
 hands ``uqsl2._elim`` kernel pairs and wraps the solved maps back into
-CycloNum matrices.
+CycloNum matrices.  Each module's K eigenvalues and E/F nonzero entries
+are read from its matrices once, on first use, and reused by every pair.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ class ModuleData:
         "K_matrix",
         "E_matrix",
         "F_matrix",
+        "_sparse",
     )
 
     def __init__(self, ctx, kind, sign, s, dimension, basis_names, K, E, F):
@@ -43,6 +45,27 @@ class ModuleData:
         self.K_matrix = K
         self.E_matrix = E
         self.F_matrix = F
+        self._sparse = None
+
+    def sparse(self) -> tuple:
+        """(K eigenvalues, E entries, F entries) as kernel pairs, read once.
+
+        The eigenvalues come one per basis vector; each of E and F comes as
+        (the nonzero (row, nums, den) of every column, the negated nonzero
+        (column, nums, den) of every row), indices ascending.  Raises
+        ArithmeticError, on every call, if K is not diagonal.
+        """
+        if self._sparse is None:
+            K, d = self.K_matrix, self.dimension
+            if any(c for i, row in enumerate(K) for j, c in enumerate(row) if i != j):
+                raise ArithmeticError(f"K of {self.label} is not diagonal")
+            ef = tuple(
+                ([[(k, c.nums, c.den) for k in range(d) if (c := M[k][j])] for j in range(d)],
+                 [[(k, *kneg(c.nums, c.den)) for k, c in enumerate(M[i]) if c] for i in range(d)])
+                for M in (self.E_matrix, self.F_matrix)
+            )
+            self._sparse = (tuple((K[i][i].nums, K[i][i].den) for i in range(d)), *ef)
+        return self._sparse
 
     @property
     def label(self) -> str:
@@ -183,14 +206,6 @@ def is_intertwiner(M, src: ModuleData, tgt: ModuleData) -> bool:
     return True
 
 
-def _k_diagonal(mod: ModuleData) -> list:
-    """The K eigenvalues of ``mod``, one per basis vector."""
-    K = mod.K_matrix
-    if any(c for i, row in enumerate(K) for j, c in enumerate(row) if i != j):
-        raise ArithmeticError(f"K of {mod.label} is not diagonal")
-    return [K[i][i] for i in range(mod.dimension)]
-
-
 def intertwiner_space(src: ModuleData, tgt: ModuleData) -> HomBasis:
     """Exact basis of Hom(src, tgt) over Q(q).
 
@@ -203,13 +218,13 @@ def intertwiner_space(src: ModuleData, tgt: ModuleData) -> HomBasis:
     if ctx != tgt.ctx:
         raise ValueError(f"modules over different fields: {ctx} and {tgt.ctx}")
     ds, dt = src.dimension, tgt.dimension
-    ks, kt = _k_diagonal(src), _k_diagonal(tgt)
-    live = {i * ds + j for i in range(dt) for j in range(ds) if kt[i] == ks[j]}
+    (ks, *src_ef), (kt, *tgt_ef) = src.sparse(), tgt.sparse()
+    by_value: dict = {}
+    for j, k in enumerate(ks):
+        by_value.setdefault(k, []).append(j)
+    live = {i * ds + j for i, k in enumerate(kt) for j in by_value.get(k, ())}
     rows = []
-    for gs, gt in ((src.E_matrix, tgt.E_matrix), (src.F_matrix, tgt.F_matrix)):
-        # Nonzero entries of each source column and (negated) target row, k ascending.
-        scols = [[(k, c.nums, c.den) for k in range(ds) if (c := gs[k][j])] for j in range(ds)]
-        trows = [[(k, *kneg(c.nums, c.den)) for k, c in enumerate(gt[i]) if c] for i in range(dt)]
+    for (scols, _), (_, trows) in zip(src_ef, tgt_ef):
         for i in range(dt):
             for j in range(ds):
                 row: dict[int, tuple] = {}

@@ -298,7 +298,7 @@ def test_parse_roundtrip_small_p(p, data):
 # --- scalar kernel ---------------------------------------------------------
 
 def test_kernel_known_values():
-    from uqsl2._kernel import kadd, kmul, krow_axpy, ksub
+    from uqsl2._kernel import kacc, kadd, kmul, kneg, krow_axpy, ksub
 
     ctx = CTX[5]
     red = ctx.red
@@ -310,6 +310,23 @@ def test_kernel_known_values():
     src = {0: (b, 3), 1: (a, 2)}
     krow_axpy(dst, src, (2, 0, 1, 0), 3, red)
     assert dst == {0: ((1, -18, 6, 11), 18), 1: ((1, 4, -3, -12), 6), 2: (b, 5)}
+    # integral pairs (both denominators 1) take the fast path, which must give
+    # knorm of the general formula (x*bd +- y*ad over ad*bd), zero sums included
+    general = lambda x, s, y: knorm(tuple(u + s * v for u, v in zip(x, y)), 1)
+    ints = [a, b, (-3, 2, 0, -7), (0, 0, 0, 0), (6, -4, 0, 14), (-1, -5, 4, -2)]
+    for x in ints:
+        for y in ints:
+            assert kadd(x, 1, y, 1) == general(x, 1, y)
+            assert ksub(x, 1, y, 1) == general(x, -1, y)
+            assert kneg(x, 1) == general((0,) * 4, -1, x)
+            acc = {0: (x, 1)}
+            kacc(acc, 0, y, 1)
+            s = general(x, 1, y)
+            assert acc == ({0: s} if any(s[0]) else {})
+            dst = {0: (x, 1)}
+            krow_axpy(dst, {0: (y, 1)}, (1, 0, 0, 0), 1, red)
+            s = general(x, -1, y)
+            assert dst == ({0: s} if any(s[0]) else {})
 
 
 def test_krow_axpy_drops_zeros():

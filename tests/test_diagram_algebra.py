@@ -16,11 +16,15 @@ from uqsl2.diagram_algebra import (
     all_diagrams,
     cap,
     cap_inputs,
+    cap_outputs,
     cup,
+    cup_inputs,
     cup_outputs,
     diagram_to_matrix,
     e_diagram,
+    e_left,
     e_op,
+    e_right,
     identity_diagram,
     jw_closed,
     jw_recursive,
@@ -193,8 +197,10 @@ def test_cup_cap_match_reference_matrices(p):
 
 @pytest.mark.parametrize("p", [2, 3, 4])
 def test_contraction_maps_match_composition(p):
-    # cup_outputs(X, i) = cup_i . X and cap_inputs(X, i) = X . cap_i at every
-    # position, on the rotation orbits and on alpha, beta, alpha.beta
+    # cup_outputs(X, i) = cup_i . X, cap_inputs(X, i) = X . cap_i,
+    # cap_outputs(X, i) = cap_i . X and cup_inputs(X, i) = X . cup_i at every
+    # position, and e_i . X, X . e_i through them, on the rotation orbits
+    # and on alpha, beta, alpha.beta
     g = _gens(p)
     ctx = g.ctx
     ops = [g.alpha, g.beta, g.alpha * g.beta]
@@ -204,6 +210,12 @@ def test_contraction_maps_match_composition(p):
         for i in range(1, n):
             assert cup_outputs(x, i) == cup_matrix(ctx, i, n) * x, (n, i)
             assert cap_inputs(x, i) == x * cap_matrix(ctx, i, n), (n, i)
+            e = e_op(ctx, i, n)
+            assert e_left(x, i) == e * x, (n, i)
+            assert e_right(x, i) == x * e, (n, i)
+        for i in range(1, n + 2):
+            assert cap_outputs(x, i) == cap_matrix(ctx, i, n + 2) * x, (n, i)
+            assert cup_inputs(x, i) == x * cup_matrix(ctx, i, n + 2), (n, i)
 
 
 def test_cup_cap_range_errors():
@@ -214,6 +226,12 @@ def test_cup_cap_range_errors():
         cup(ctx, 2, 2)
     with pytest.raises(ValueError):
         cap(ctx, 3, 3)
+    one = LinOp.identity(ctx, 1)
+    for bad in (0, 3):
+        with pytest.raises(ValueError):
+            cap_outputs(one, bad)
+        with pytest.raises(ValueError):
+            cup_inputs(one, bad)
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -410,11 +428,14 @@ def test_rotation_full_turn_is_identity(p):
 
 @pytest.mark.parametrize("p", [2, 3, 4])
 def test_rotation_matches_composition(p):
-    # reference: cup_1 . (1 x f x 1) . cap_{n+1} on n + 2 strands
+    # reference: cup_1 . (1 x f x 1) . cap_{n+1} on n + 2 strands, on every
+    # click of the alpha x 1 and beta x 1 orbits (the last one closes the turn)
     g = _gens(p)
     ctx = g.ctx
     one = LinOp.identity(ctx, 1)
-    for f in (LinOp.identity(ctx, 2), e_op(ctx, 2, 3), op_K(ctx, 3), g.alpha, g.beta):
+    samples = [LinOp.identity(ctx, 2), e_op(ctx, 2, 3), op_K(ctx, 3), g.alpha, g.beta]
+    samples += _rotation_orbit(p, "alpha") + _rotation_orbit(p, "beta")
+    for f in samples:
         n = f.z_in
         ref = cup_matrix(ctx, 1, n + 2) * one.tensor(f).tensor(one) * cap_matrix(ctx, n + 1, n + 2)
         assert rotation(ctx, f) == ref

@@ -271,6 +271,9 @@ _GUARDS = {
     "tl_compose": ("da.tl_compose(da.TLElement.identity(ctx, 2), da.TLElement.identity(ctx, 3))",
                    "ValueError"),
     "rotation": ("da.rotation(ctx, da.cup(ctx, 1, 2))", "ValueError"),
+    # a cap opened at 2 on 0 + 2 strands, a cup opened at 3 on 0 + 2 strands
+    "cap_outputs": ("da.cap_outputs(da.cup(ctx, 1, 2), 2)", "ValueError"),
+    "cup_inputs": ("da.cup_inputs(da.cap(ctx, 1, 2), 3)", "ValueError"),
     "embed": ("pg.embed(da.cup(ctx, 1, 2), 1, 3)", "ValueError"),
     "partial_trace_right": ("pg.partial_trace_right(da.cup(ctx, 1, 2))", "ValueError"),
     "partial_trace_left": ("pg.partial_trace_left(da.cup(ctx, 1, 2))", "ValueError"),
