@@ -2,41 +2,32 @@
 
 Rows and returned vectors map column keys (any comparable, hashable
 values) to nonzero kernel pairs (nums, den) as used by ``uqsl2._kernel``;
-that is the only scalar form here, so callers holding CycloNum values wrap
-and unwrap at their own boundary.  The one CycloNum in this module is the
-field inverse behind each pivot.  Everything here is exact; there is no
-pivoting heuristic beyond smallest column key, which keeps results
-deterministic.
+that is the only scalar form callers see, so callers holding CycloNum
+values wrap and unwrap at their own boundary.  Inside, each pair is
+interned as an id of the field's ``Scalars`` table and the elimination
+runs on id rows with memoised arithmetic; every id stands for the exact
+pair the kernel would compute, so ranks and nullspaces are unchanged.
+The one CycloNum in this module is the field inverse behind each new
+pivot value.  Everything here is exact; there is no pivoting heuristic
+beyond smallest column key, which keeps results deterministic.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-
-from uqsl2._kernel import kmul, kneg, krow_axpy
+from uqsl2._kernel import kneg, knorm, krow_axpy, scalars
 from uqsl2.cyclo_field import CycloNum, FieldCtx
-
-
-@lru_cache(maxsize=None)
-def _pivot_inv(ctx: FieldCtx, nums: tuple, den: int) -> tuple:
-    """Kernel-form inverse of a pivot value.
-
-    FieldCtx hashes and compares by p, so the key is exactly (p, nums, den)
-    and a hit returns the same inverse a fresh computation would.
-    """
-    inv = CycloNum(ctx, nums, den).inv()
-    return inv.nums, inv.den
 
 
 class SparseRref:
     """Incremental row-echelon accumulator.
 
-    Pivot rows are normalized to pivot value 1, so eliminating a column
-    from an incoming row is a single fused multiply-subtract pass.
+    Pivot rows are id rows normalized to pivot value 1, so eliminating a
+    column from an incoming row is a single fused multiply-subtract pass.
     """
 
     def __init__(self, ctx: FieldCtx):
         self.ctx = ctx
+        self.table = scalars(ctx.red)
         self.pivots: dict = {}
 
     @property
@@ -44,27 +35,43 @@ class SparseRref:
         return len(self.pivots)
 
     def add_row(self, row: dict) -> bool:
-        """Reduce ``row`` in place against the accumulated pivots.
+        """Reduce ``row`` against the accumulated pivots.
 
-        Absorbs the remainder as a new pivot row when it is nonzero.
-        Returns True iff the rank grew.
+        Absorbs the remainder as a new pivot row when it is nonzero and
+        leaves that pivot row, as pairs with pivot value 1, in ``row``;
+        otherwise leaves ``row`` empty.  Returns True iff the rank grew.
         """
-        red = self.ctx.red
-        while row:
-            c = min(row)
-            cn, cd = row[c]
-            if not any(cn):
-                del row[c]
-                continue
+        table = self.table
+        ids, intern = table.ids, table.intern
+        r = {}
+        # Only canonical pairs are interned, so a hit needs no knorm; zero
+        # (id 0, or all numerators zero) is dropped.
+        for k, pair in row.items():
+            i = ids.get(pair)
+            if i is None and any(pair[0]):
+                i = intern(*knorm(*pair))
+            if i:
+                r[k] = i
+        row.clear()
+        while r:
+            c = min(r)
+            a = r[c]
             piv = self.pivots.get(c)
             if piv is None:
-                inn, ind = _pivot_inv(self.ctx, cn, cd)
-                for k in list(row):
-                    vn, vd = row[k]
-                    row[k] = kmul(vn, vd, inn, ind, red)
-                self.pivots[c] = row
+                inv = table.inv.get(a)
+                if inv is None:
+                    x = CycloNum(self.ctx, *table.vals[a]).inv()
+                    inv = table.inv[a] = intern(x.nums, x.den)
+                mul, vals = table.mul, table.vals
+                for k, v in r.items():
+                    w = mul.get((v, inv))
+                    if w is None:
+                        w = table.product(v, inv)
+                    r[k] = w
+                    row[k] = vals[w]
+                self.pivots[c] = r
                 return True
-            krow_axpy(row, piv, cn, cd, red)
+            krow_axpy(r, piv, a, table)
         return False
 
 
@@ -86,16 +93,17 @@ def nullspace(ctx: FieldCtx, rows, columns) -> list[dict]:
     rr = SparseRref(ctx)
     for row in rows:
         rr.add_row(dict(row))
-    red = ctx.red
+    table = rr.table
     pivs = rr.pivots
     for pc in sorted(pivs, reverse=True):
         row = pivs[pc]
         for c in sorted(k for k in row if k != pc and k in pivs):
             e = row.get(c)
             if e is not None:
-                krow_axpy(row, pivs[c], e[0], e[1], red)
+                krow_axpy(row, pivs[c], e, table)
     basis = []
     one = (ctx.one.nums, ctx.one.den)
+    vals = table.vals
     for f in columns:
         if f in pivs:
             continue
@@ -103,6 +111,6 @@ def nullspace(ctx: FieldCtx, rows, columns) -> list[dict]:
         for pc, row in pivs.items():
             e = row.get(f)
             if e is not None:
-                vec[pc] = kneg(*e)
+                vec[pc] = kneg(*vals[e])
         basis.append(vec)
     return basis

@@ -15,7 +15,7 @@ are read from its matrices once, on first use, and reused by every pair.
 from __future__ import annotations
 
 from uqsl2 import _elim
-from uqsl2._kernel import kacc, kneg
+from uqsl2._kernel import kacc, kmul, kneg
 from uqsl2.cyclo_field import CycloNum, FieldCtx
 
 
@@ -194,14 +194,25 @@ def mat_mul(ctx: FieldCtx, A, B):
 
 
 def is_intertwiner(M, src: ModuleData, tgt: ModuleData) -> bool:
-    """Does M satisfy M g_src = g_tgt M for g in {K, E, F}?"""
-    ctx = src.ctx
-    for gs, gt in (
-        (src.K_matrix, tgt.K_matrix),
-        (src.E_matrix, tgt.E_matrix),
-        (src.F_matrix, tgt.F_matrix),
-    ):
-        if mat_mul(ctx, M, gs) != mat_mul(ctx, gt, M):
+    """Does M satisfy M g_src = g_tgt M for g in {K, E, F}?
+
+    Both K are diagonal, so K commutes iff every nonzero M[i][j] joins equal
+    eigenvalues.  For E and F, g_tgt M - M g_src is summed over the nonzeros
+    of M into a sparse dict of kernel pairs, which must come out empty.
+    """
+    red = src.ctx.red
+    (ks, *src_ef), (kt, *tgt_ef) = src.sparse(), tgt.sparse()
+    nonzeros = [(i, j, c.nums, c.den) for i, row in enumerate(M) for j, c in enumerate(row) if c]
+    if any(kt[i] != ks[j] for i, j, _, _ in nonzeros):
+        return False
+    for (_, srows), (tcols, _) in zip(src_ef, tgt_ef):
+        acc: dict = {}
+        for i, j, n, d in nonzeros:
+            for k, cn, cd in srows[j]:  # negated g_src[j][k]
+                kacc(acc, (i, k), *kmul(n, d, cn, cd, red))
+            for k, cn, cd in tcols[i]:  # g_tgt[k][i]
+                kacc(acc, (k, j), *kmul(cn, cd, n, d, red))
+        if acc:
             return False
     return True
 

@@ -298,18 +298,21 @@ def test_parse_roundtrip_small_p(p, data):
 # --- scalar kernel ---------------------------------------------------------
 
 def test_kernel_known_values():
-    from uqsl2._kernel import kacc, kadd, kmul, kneg, krow_axpy, ksub
+    from uqsl2._kernel import Scalars, kacc, kadd, kmul, kneg, krow_axpy, ksub
 
     ctx = CTX[5]
     red = ctx.red
+    table = Scalars(red)
+    ids = lambda row: {k: table.intern(*v) for k, v in row.items()}
+    pairs = lambda row: {k: table.vals[i] for k, i in row.items()}
     a, b = (3, -2, 0, 7), (1, 5, -4, 2)
     assert kmul(a, 6, b, 5, red) == ((0, 30, -53, 52), 30)
     assert kadd(a, 6, b, 5) == ((21, 20, -24, 47), 30)
     assert ksub(a, 6, b, 5) == ((9, -40, 24, 23), 30)
-    dst = {0: (a, 6), 2: (b, 5)}
-    src = {0: (b, 3), 1: (a, 2)}
-    krow_axpy(dst, src, (2, 0, 1, 0), 3, red)
-    assert dst == {0: ((1, -18, 6, 11), 18), 1: ((1, 4, -3, -12), 6), 2: (b, 5)}
+    dst = ids({0: (a, 6), 2: (b, 5)})
+    src = ids({0: (b, 3), 1: (a, 2)})
+    krow_axpy(dst, src, table.intern((2, 0, 1, 0), 3), table)
+    assert pairs(dst) == {0: ((1, -18, 6, 11), 18), 1: ((1, 4, -3, -12), 6), 2: (b, 5)}
     # integral pairs (both denominators 1) take the fast path, which must give
     # knorm of the general formula (x*bd +- y*ad over ad*bd), zero sums included
     general = lambda x, s, y: knorm(tuple(u + s * v for u, v in zip(x, y)), 1)
@@ -323,19 +326,20 @@ def test_kernel_known_values():
             kacc(acc, 0, y, 1)
             s = general(x, 1, y)
             assert acc == ({0: s} if any(s[0]) else {})
-            dst = {0: (x, 1)}
-            krow_axpy(dst, {0: (y, 1)}, (1, 0, 0, 0), 1, red)
+            dst = ids({0: (x, 1)})
+            krow_axpy(dst, ids({0: (y, 1)}), table.intern((1, 0, 0, 0), 1), table)
             s = general(x, -1, y)
-            assert dst == ({0: s} if any(s[0]) else {})
+            assert pairs(dst) == ({0: s} if any(s[0]) else {})
 
 
 def test_krow_axpy_drops_zeros():
-    from uqsl2._kernel import krow_axpy
+    from uqsl2._kernel import Scalars, krow_axpy
 
     ctx = CTX[2]
-    one = ((1, 0), 1)
+    table = Scalars(ctx.red)
+    one = table.intern((1, 0), 1)
     dst = {5: one}
-    krow_axpy(dst, {5: one}, (1, 0), 1, ctx.red)
+    krow_axpy(dst, {5: one}, one, table)
     assert dst == {}
 
 

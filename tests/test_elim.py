@@ -1,4 +1,5 @@
-"""Exact sparse elimination: nullspace bases of random kernel-form systems."""
+"""Exact sparse elimination: nullspace bases of random kernel-form systems,
+checked against a reference elimination on kernel pairs."""
 
 from __future__ import annotations
 
@@ -8,17 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uqsl2._elim import SparseRref, nullspace, rank_of_vectors
-from uqsl2._kernel import kacc, kadd, kmul, knorm
-from uqsl2.cyclo_field import make_field
+from uqsl2._kernel import kacc, kadd, kmul, kneg, knorm, ksub
+from uqsl2.cyclo_field import CycloNum, make_field
 
 CTX = {p: make_field(p) for p in (2, 3)}
 
 
 @st.composite
-def systems(draw):
+def systems(draw, p=None):
     """(ctx, column count, rows): a few sparse rows of small kernel pairs,
     sometimes with a sum of two rows appended so the rank drops."""
-    ctx = CTX[draw(st.sampled_from(sorted(CTX)))]
+    ctx = CTX[p or draw(st.sampled_from(sorted(CTX)))]
     ncols = draw(st.integers(1, 6))
     scalar = st.builds(
         knorm, st.tuples(*[st.integers(-3, 3)] * ctx.degree), st.integers(1, 3)
@@ -31,6 +32,85 @@ def systems(draw):
             kacc(total, col, n, d)
         rows.append(total)
     return ctx, ncols, rows
+
+
+# --- reference: the elimination on kernel pairs, before scalars were interned
+
+def _ref_axpy(dst, src, cn, cd, red):
+    for col, (sn, sd) in src.items():
+        tn, td = kmul(sn, sd, cn, cd, red)
+        e = dst.get(col)
+        if e is None:
+            if any(tn):
+                dst[col] = kneg(tn, td)
+        else:
+            rn, rd = ksub(*e, tn, td)
+            if any(rn):
+                dst[col] = (rn, rd)
+            else:
+                del dst[col]
+
+
+class _RefRref:
+    def __init__(self, ctx):
+        self.ctx = ctx
+        self.pivots: dict = {}
+
+    def add_row(self, row: dict) -> bool:
+        red = self.ctx.red
+        while row:
+            c = min(row)
+            cn, cd = row[c]
+            if not any(cn):
+                del row[c]
+                continue
+            piv = self.pivots.get(c)
+            if piv is None:
+                inv = CycloNum(self.ctx, cn, cd).inv()
+                for k in list(row):
+                    row[k] = kmul(*row[k], inv.nums, inv.den, red)
+                self.pivots[c] = row
+                return True
+            _ref_axpy(row, piv, cn, cd, red)
+        return False
+
+
+def _ref_nullspace(ctx, rows, columns):
+    rr = _RefRref(ctx)
+    for row in rows:
+        rr.add_row(dict(row))
+    pivs = rr.pivots
+    for pc in sorted(pivs, reverse=True):
+        row = pivs[pc]
+        for c in sorted(k for k in row if k != pc and k in pivs):
+            if c in row:
+                _ref_axpy(row, pivs[c], *row[c], ctx.red)
+    one = (ctx.one.nums, ctx.one.den)
+    basis = []
+    for f in columns:
+        if f not in pivs:
+            basis.append({f: one, **{pc: kneg(*r[f]) for pc, r in pivs.items() if f in r}})
+    return basis
+
+
+def _pivot_pairs(rr):
+    return {c: {k: rr.table.vals[i] for k, i in row.items()} for c, row in rr.pivots.items()}
+
+
+def _add_both(rr, ref, row):
+    """add_row on the interned and the reference accumulator; both must
+    agree, and the caller's dict must hold the new pivot row (pivot value
+    one) when the rank grew and be empty otherwise."""
+    mine, theirs = dict(row), dict(row)
+    grew = rr.add_row(mine)
+    assert grew == ref.add_row(theirs)
+    assert mine == theirs
+    if grew:
+        c = min(mine)
+        assert mine[c] == (rr.ctx.one.nums, rr.ctx.one.den)
+        assert mine == _pivot_pairs(rr)[c]
+    else:
+        assert mine == {}
 
 
 def _dot(ctx, row, vec):
@@ -48,6 +128,7 @@ def test_nullspace_basis(system):
     before = copy.deepcopy(rows)
     basis = nullspace(ctx, rows, range(ncols))
     assert rows == before
+    assert basis == _ref_nullspace(ctx, rows, range(ncols))
     one = (ctx.one.nums, ctx.one.den)
     # every vector annihilates every row, in kernel arithmetic
     for vec in basis:
@@ -55,12 +136,64 @@ def test_nullspace_basis(system):
             assert not any(_dot(ctx, row, vec)[0])
     # one vector per free column: columns - rank of them
     assert len(basis) == ncols - rank_of_vectors(ctx, rows)
-    # each vector is 1 at its own free column and 0 at the others
-    rr = SparseRref(ctx)
+    # each vector is 1 at its own free column and 0 at the others; rank and
+    # pivot rows are the reference's
+    rr, ref = SparseRref(ctx), _RefRref(ctx)
     for row in rows:
-        rr.add_row(dict(row))
+        _add_both(rr, ref, row)
+    assert _pivot_pairs(rr) == ref.pivots
     free = [c for c in range(ncols) if c not in rr.pivots]
     assert len(free) == len(basis)
     for f, vec in zip(free, basis):
         assert vec[f] == one
         assert not set(vec) & (set(free) - {f})
+
+
+@given(systems(p=2), systems(p=3))
+@settings(max_examples=60, deadline=None)
+def test_interleaved_fields(sys2, sys3):
+    """Accumulators over p = 2 and p = 3, fed in turn, each match the
+    reference although every new accumulator replaces the shared table."""
+    accs = [(SparseRref(ctx), _RefRref(ctx), rows) for ctx, _, rows in (sys2, sys3)]
+    for k in range(max(len(sys2[2]), len(sys3[2]))):
+        for rr, ref, rows in accs:
+            if k < len(rows):
+                _add_both(rr, ref, rows[k])
+        nullspace(CTX[2 + k % 2], [], range(1))
+    for rr, ref, _ in accs:
+        assert _pivot_pairs(rr) == ref.pivots
+
+
+@given(systems())
+@settings(max_examples=60, deadline=None)
+def test_zero_and_unreduced_entries(system):
+    """An explicit all-zero entry changes no rank or pivot, and neither does
+    writing an entry with numerators and denominator both doubled."""
+    ctx, ncols, rows = system
+    zero = ((0,) * ctx.degree, 1)
+    padded = [{**row, ncols: zero} for row in rows]
+    doubled = [{k: (tuple(2 * a for a in n), 2 * d) for k, (n, d) in row.items()}
+               for row in rows]
+    plain = SparseRref(ctx)
+    for row in rows:
+        plain.add_row(dict(row))
+    for variant in (padded, doubled):
+        rr = SparseRref(ctx)
+        for row in variant:
+            rr.add_row(dict(row))
+        assert rr.rank == plain.rank
+        assert _pivot_pairs(rr) == _pivot_pairs(plain)
+        # equal values share one id: only canonical pairs are interned
+        assert all(knorm(*v) == v for v in rr.table.vals)
+
+
+def test_full_memos_are_emptied(monkeypatch):
+    """A memo at its cap is emptied before the next entry; the ids stay, so
+    the answers do not change (dim End_U(X^5) at p = 3 is 45)."""
+    from uqsl2 import _kernel
+    from uqsl2.relation_engine import _commutant_dim
+
+    monkeypatch.setattr(_kernel, "MEMO_CAP", 4)
+    assert _commutant_dim.__wrapped__(3, 5) == 45
+    table = _kernel.scalars(CTX[3].red)
+    assert 0 < len(table.mul) <= 4 and 0 < len(table.sub) <= 4

@@ -144,6 +144,27 @@ def test_hom_basis_maps_are_intertwiners(p):
     assert hom.dimension == 2
     for M in hom.maps:
         assert is_intertwiner(M, src, tgt)
+    # The sparse check agrees with the dense definition on every basis map
+    # and on each of those (and zero) with one entry raised by 1.
+    dense = lambda M, src, tgt: all(
+        mat_mul(ctx, M, getattr(src, g)) == mat_mul(ctx, getattr(tgt, g), M)
+        for g in ("K_matrix", "E_matrix", "F_matrix"))
+    verdicts = set()
+    mods = all_modules(ctx)
+    for src in mods:
+        for tgt in mods:
+            ds, dt = src.dimension, tgt.dimension
+            zero = tuple((ctx.zero,) * ds for _ in range(dt))
+            for M in (zero, *intertwiner_space(src, tgt).maps):
+                for i in range(dt):
+                    for j in range(ds):
+                        N = [list(r) for r in M]
+                        N[i][j] += 1
+                        N = tuple(map(tuple, N))
+                        verdict = is_intertwiner(N, src, tgt)
+                        assert verdict == dense(N, src, tgt), (src.label, tgt.label, i, j)
+                        verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 @pytest.mark.parametrize("p", [2, 3])
