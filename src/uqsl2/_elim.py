@@ -14,7 +14,7 @@ beyond smallest column key, which keeps results deterministic.
 
 from __future__ import annotations
 
-from uqsl2._kernel import kneg, knorm, krow_axpy, scalars
+from uqsl2._kernel import kneg, krow_axpy, scalars
 from uqsl2.cyclo_field import CycloNum, FieldCtx
 
 
@@ -42,14 +42,12 @@ class SparseRref:
         otherwise leaves ``row`` empty.  Returns True iff the rank grew.
         """
         table = self.table
-        ids, intern = table.ids, table.intern
+        ids, id_of, intern = table.ids, table.id_of, table.intern
         r = {}
         # Only canonical pairs are interned, so a hit needs no knorm; zero
         # (id 0, or all numerators zero) is dropped.
         for k, pair in row.items():
-            i = ids.get(pair)
-            if i is None and any(pair[0]):
-                i = intern(*knorm(*pair))
+            i = ids.get(pair) or id_of(*pair)
             if i:
                 r[k] = i
         row.clear()

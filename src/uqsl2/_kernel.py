@@ -7,19 +7,22 @@ rows of the field: red[k][j] is the integer coefficient of q^j in
 q^(deg+k) reduced modulo the minimal polynomial.  Integers stay Python
 ints throughout; exactness requires arbitrary precision.
 
-``kmul`` memoises products (``kprod``) per field on the exact operands,
-one field (one ``red``) at a time; a hit returns the pair a fresh
-convolution would.
-Sums of two integral pairs (both denominators 1, most sums in practice)
-add the numerators and skip ``knorm``: the gcd with 1 is 1, so the pair
-is the one the general formula gives.
+Above the pair functions there is one representation: a scalar is a
+small int id of its field's ``Scalars`` table, which interns canonical
+pairs (0 is zero, 1 is one) and memoises sums, products, differences and
+negations on id operands, computing each miss once on the pairs.  Every
+value is interned in canonical form, so equal values have equal ids.
+``scalars(red)`` holds one table per field, found by its reduction rows,
+for the whole process: operators and pivot rows keep ids, and caches keep
+operators.  Only the field asked for last keeps its memos, so memory
+holds one field's memos at a time; a new field's table empties the
+previous one's.  Operators (``uqsl2.tensor_space``) and the elimination
+(``krow_axpy``) both run on these ids.
 
-Elimination runs on ids instead of pairs: ``Scalars`` interns one field's
-canonical pairs as small ints (0 is zero) and memoises products,
-differences and negations on id operands, computing each miss once with
-``kprod`` or ``ksub``.  The end-space and Hom solves
-of the benchmark see at most a thousand distinct values per field, so the
-row update ``krow_axpy`` is mostly dict lookups on int-pair keys.
+``kmul`` is the pair product for ``CycloNum``, memoised one field at a
+time.  Sums of two integral pairs (both denominators 1, most sums in
+practice) add the numerators and skip ``knorm``: the gcd with 1 is 1, so
+the pair is the one the general formula gives.
 """
 
 from __future__ import annotations
@@ -122,31 +125,36 @@ def kacc(acc, key, nums, den):
         del acc[key]
 
 
-# Entries a product or difference memo holds before it is emptied.  Without
-# a bound, commutant_dim(5, 7) keeps 1.05 M differences of 73 k values and
-# peaks at 158 MB; with it, at 83 MB and no slower.  The benchmark's solves
-# stay far below it (under 6 k differences per field).
+# Entries a sum, product or difference memo holds before it is emptied.
+# Without a bound, commutant_dim(5, 7) keeps 1.05 M differences of 73 k
+# values and peaks at 158 MB; with it, at 83 MB and no slower.  The
+# benchmark's solves stay far below it (under 6 k differences per field).
 MEMO_CAP = 1 << 18
+
+# Id of the field's one in every table.
+ONE = 1
 
 
 class Scalars:
     """One field's scalars interned as small int ids, with memoised arithmetic.
 
     ``vals[i]`` is the canonical pair of id ``i`` and ``ids`` maps each pair
-    back; id 0 is zero.  ``mul``, ``sub`` and ``neg`` map id operands to the
-    id of the exact result, and ``inv`` holds the inverses its owner has
-    computed.  Every value is interned in canonical form, so equal values
-    have equal ids and a memo hit is the id of the pair a fresh computation
-    would give.
+    back; id 0 is zero and id 1 is one.  ``add``, ``mul``, ``sub`` and
+    ``neg`` map id operands to the id of the exact result (a sum or
+    difference that is zero gives 0), and ``inv`` holds the inverses its
+    users have computed.  Every value is interned in canonical form, so
+    equal values have equal ids and a memo hit is the id of the pair a
+    fresh computation would give.
     """
 
-    __slots__ = ("red", "ids", "vals", "mul", "sub", "neg", "inv")
+    __slots__ = ("red", "ids", "vals", "add", "mul", "sub", "neg", "inv")
 
     def __init__(self, red):
         self.red = red
-        zero = ((0,) * len(red[0]), 1)
-        self.ids = {zero: 0}
-        self.vals = [zero]
+        deg = len(red[0])
+        self.vals = [((0,) * deg, 1), ((1,) + (0,) * (deg - 1), 1)]
+        self.ids = {v: i for i, v in enumerate(self.vals)}
+        self.add: dict = {}
         self.mul: dict = {}
         self.sub: dict = {}
         self.neg: dict = {}
@@ -161,9 +169,28 @@ class Scalars:
             self.vals.append(key)
         return i
 
+    def id_of(self, nums, den) -> int:
+        """Id of the value of any pair (nums, den), canonical or not."""
+        i = self.ids.get((nums, den))
+        if i is None:
+            i = self.intern(*knorm(nums, den)) if any(nums) else 0
+        return i
+
+    def empty_memos(self) -> None:
+        """Empty every memo in place; the ids, which callers hold, are kept."""
+        for memo in (self.add, self.mul, self.sub, self.neg, self.inv):
+            memo.clear()
+
     # Memo misses: compute on the pairs, intern, and record the id.  A full
-    # memo is emptied first; the ids, which the rows hold, are kept.  The
-    # product memo is on ids, so kmul's pair memo would only hold it twice.
+    # memo is emptied first.  The product memo is on ids, so kmul's pair
+    # memo would only hold it twice.
+    def addition(self, a, b) -> int:
+        if len(self.add) >= MEMO_CAP:
+            self.add.clear()
+        rn, rd = kadd(*self.vals[a], *self.vals[b])
+        r = self.add[a, b] = self.intern(rn, rd) if any(rn) else 0
+        return r
+
     def product(self, a, b) -> int:
         if len(self.mul) >= MEMO_CAP:
             self.mul.clear()
@@ -182,8 +209,9 @@ class Scalars:
         return r
 
 
-# The table of the field asked for last; a new field starts an empty one, as
-# the kmul memo does.  Each solve keeps a reference to its own table.
+# Every field's table, by reduction rows, and the one asked for last: the
+# only one whose memos are kept.
+_tables: dict = {}
 _table = None
 
 
@@ -191,9 +219,40 @@ def scalars(red) -> Scalars:
     """The intern table of the field with reduction rows ``red``."""
     global _table
     t = _table
-    if t is None or (t.red is not red and t.red != red):
-        t = _table = Scalars(red)
+    if t is not None and t.red is red:
+        return t
+    t = _tables.get(red)
+    if t is None:
+        t = _tables[red] = Scalars(red)
+    if t is not _table:
+        if _table is not None:
+            _table.empty_memos()
+        _table = t
     return t
+
+
+def krow_add(dst, src, a, table):
+    """In-place ``dst[col] += a*src[col]`` over the columns of src.
+
+    dst and src map column keys to nonzero ids of ``table``, and ``a`` is
+    a nonzero id; entries that become zero are removed from dst.  This is
+    the operator inner loop (composition and sums).
+    """
+    muls, adds = table.mul, table.add
+    for col, s in src.items():
+        if a != ONE:
+            s = muls.get((s, a)) or table.product(s, a)
+        e = dst.get(col)
+        if e is None:
+            dst[col] = s
+            continue
+        r = adds.get((e, s))
+        if r is None:
+            r = table.addition(e, s)
+        if r:
+            dst[col] = r
+        else:
+            del dst[col]
 
 
 def krow_axpy(dst, src, a, table):

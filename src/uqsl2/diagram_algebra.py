@@ -29,13 +29,12 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from uqsl2._kernel import kacc, kmul, kneg
+from uqsl2._kernel import krow_add, scalars
 from uqsl2.cyclo_field import CycloNum, FieldCtx, QFactProduct
 from uqsl2.tensor_space import (
     BasisIndex,
     LinOp,
     TensorVector,
-    _kq,
     _op,
     _vec,
     all_indices,
@@ -391,15 +390,28 @@ def cup_outputs(op: LinOp, i: int) -> LinOp:
     ctx, n = op.ctx, op.z_out
     low = _strand_gap("cup", i, n)
     lo, hi = 1 << (i - 1), 1 << i
-    mq, red = kneg(*_kq(ctx, 1)), ctx.red
+    table, mq = scalars(ctx.red), ctx.qid(ctx.p + 1)
+    muls, adds = table.mul, table.add
     cols = {}
     for m, col in op.columns.items():
         acc = {}
-        for t, (xn, xd) in col.terms.items():
+        for t, x in col.terms.items():
             s = t & (lo | hi)
             if s == lo or s == hi:
-                kacc(acc, (t & low) | (t >> 2) & ~low,
-                     *((xn, xd) if s == lo else kmul(xn, xd, *mq, red)))
+                if s == hi:
+                    x = muls.get((x, mq)) or table.product(x, mq)
+                k = (t & low) | (t >> 2) & ~low
+                e = acc.get(k)
+                if e is None:
+                    acc[k] = x
+                    continue
+                r = adds.get((e, x))
+                if r is None:
+                    r = table.addition(e, x)
+                if r:
+                    acc[k] = r
+                else:
+                    del acc[k]
         if acc:
             cols[m] = _vec(ctx, n - 2, acc)
     return _op(ctx, op.z_in, n - 2, cols)
@@ -411,14 +423,13 @@ def cap_inputs(op: LinOp, i: int) -> LinOp:
     ctx, n = op.ctx, op.z_in
     low = _strand_gap("cap", i, n)
     lo, hi = 1 << (i - 1), 1 << i
-    qinv, red = _kq(ctx, -1), ctx.red
+    table, qinv, minus = scalars(ctx.red), ctx.qid(-1), ctx.qid(ctx.p)
     accs: dict = {}
     for m, col in op.columns.items():
         s = m & (lo | hi)
         if s == lo or s == hi:
-            acc = accs.setdefault((m & low) | (m >> 2) & ~low, {})
-            for t, (xn, xd) in col.terms.items():
-                kacc(acc, t, *(kmul(xn, xd, *qinv, red) if s == lo else kneg(xn, xd)))
+            unit = qinv if s == lo else minus
+            krow_add(accs.setdefault((m & low) | (m >> 2) & ~low, {}), col.terms, unit, table)
     return _op(ctx, n - 2, op.z_out, {b: _vec(ctx, op.z_out, a) for b, a in accs.items() if a})
 
 
@@ -429,14 +440,15 @@ def cap_outputs(op: LinOp, i: int) -> LinOp:
     ctx, n = op.ctx, op.z_out + 2
     low = _strand_gap("cap", i, n)
     lo, hi = 1 << (i - 1), 1 << i
-    qinv, red = _kq(ctx, -1), ctx.red
+    table, qinv = scalars(ctx.red), ctx.qid(-1)
+    muls, negs = table.mul, table.neg
     cols = {}
     for m, col in op.columns.items():
         terms = {}
-        for t, (xn, xd) in col.terms.items():
+        for t, x in col.terms.items():
             base = (t & low) | (t & ~low) << 2
-            terms[base | lo] = kmul(xn, xd, *qinv, red)
-            terms[base | hi] = kneg(xn, xd)
+            terms[base | lo] = muls.get((x, qinv)) or table.product(x, qinv)
+            terms[base | hi] = negs.get(x) or table.negation(x)
         cols[m] = _vec(ctx, n, terms)
     return _op(ctx, op.z_in, n, cols)
 
@@ -448,13 +460,12 @@ def cup_inputs(op: LinOp, i: int) -> LinOp:
     ctx, n = op.ctx, op.z_in + 2
     low = _strand_gap("cup", i, n)
     lo, hi = 1 << (i - 1), 1 << i
-    mq, red = kneg(*_kq(ctx, 1)), ctx.red
+    mq = ctx.qid(ctx.p + 1)
     cols = {}
     for m, col in op.columns.items():
         base = (m & low) | (m & ~low) << 2
         cols[base | lo] = col
-        cols[base | hi] = _vec(ctx, op.z_out, {
-            t: kmul(xn, xd, *mq, red) for t, (xn, xd) in col.terms.items()})
+        cols[base | hi] = col._times(mq)
     return _op(ctx, n, op.z_out, cols)
 
 
@@ -593,13 +604,17 @@ def rotation(ctx: FieldCtx, f: LinOp) -> LinOp:
     if f.z_out != n:
         raise ValueError("rotation needs a square operator")
     top, low = 1 << (n - 1), (1 << (n - 1)) - 1
-    q, qinv, red = _kq(ctx, 1), _kq(ctx, -1), ctx.red
+    table, q, qinv = scalars(ctx.red), ctx.qid(1), ctx.qid(-1)
+    muls, negs = table.mul, table.neg
     cols: dict = {}
     for m, col in f.columns.items():
         m_n, shifted = m >> (n - 1), (m & low) << 1
         gap, unit = (0, qinv) if m_n else (top, q)
-        for t, (xn, xd) in col.terms.items():
+        for t, x in col.terms.items():
             t_1 = t & 1
-            entry = kneg(xn, xd) if t_1 == m_n else kmul(xn, xd, *unit, red)
-            cols.setdefault(shifted | (1 - t_1), {})[t >> 1 | gap] = entry
+            if t_1 == m_n:
+                x = negs.get(x) or table.negation(x)
+            else:
+                x = muls.get((x, unit)) or table.product(x, unit)
+            cols.setdefault(shifted | (1 - t_1), {})[t >> 1 | gap] = x
     return _op(ctx, n, n, {b: _vec(ctx, n, terms) for b, terms in cols.items()})

@@ -16,13 +16,12 @@ from __future__ import annotations
 from itertools import combinations
 
 from uqsl2.cyclo_field import FieldCtx, make_field
-from uqsl2._kernel import kacc, kmul
+from uqsl2._kernel import krow_add, scalars
 from uqsl2.diagram_algebra import cap_outputs, cup_outputs
 from uqsl2.tensor_space import (
     BasisIndex,
     LinOp,
     TensorVector,
-    _kq,
     _op,
     _vec,
     all_indices,
@@ -124,15 +123,13 @@ def _trace_strand(op: LinOp, j: int, full: int) -> LinOp:
     if op.z_out != n:
         raise ValueError("partial trace needs a square operator")
     ctx, bit, low = op.ctx, 1 << (j - 1), (1 << (j - 1)) - 1
-    empty, occupied, red = _kq(ctx, -full), _kq(ctx, full), ctx.red
+    empty, occupied, table = ctx.qid(-full), ctx.qid(full), scalars(ctx.red)
     cols = {}
     for m, col in op.columns.items():
         side = m & bit
-        unit = occupied if side else empty
-        acc = cols.setdefault((m & low) | (m >> 1) & ~low, {})
-        for t, (xn, xd) in col.terms.items():
-            if t & bit == side:
-                kacc(acc, (t & low) | (t >> 1) & ~low, *kmul(xn, xd, *unit, red))
+        krow_add(cols.setdefault((m & low) | (m >> 1) & ~low, {}),
+                 {(t & low) | (t >> 1) & ~low: x for t, x in col.terms.items() if t & bit == side},
+                 occupied if side else empty, table)
     return _op(ctx, n - 1, n - 1, {b: _vec(ctx, n - 1, a) for b, a in cols.items() if a})
 
 

@@ -34,7 +34,7 @@ from math import comb
 from typing import Callable, NamedTuple
 
 from ._elim import nullspace, rank_of_vectors
-from ._kernel import kacc, kneg
+from ._kernel import kacc, kneg, krow_add, scalars
 from .cyclo_field import CycloNum, FieldCtx, QFactProduct, SingularRatio
 from .diagram_algebra import (
     all_diagrams,
@@ -62,7 +62,7 @@ from .pa_generators import (
     partial_trace_right,
 )
 from .tensor_space import (
-    BasisIndex, LinOp, TensorVector, basis_index, e_power, e_terms, f_power, f_terms,
+    BasisIndex, LinOp, TensorVector, _op, _vec, basis_index, e_power, e_terms, f_power, f_terms,
     from_word, op_E, op_F, op_K, op_K_power, widen, x_bottom, x_top,
 )
 
@@ -125,7 +125,7 @@ def rank_of_linops(ctx: FieldCtx, ops) -> int:
 def _witness(lhs: LinOp, rhs: LinOp) -> dict | None:
     """Both images of the least basis vector whose columns differ, or None.
 
-    Kernel pairs are canonical, so columns differ exactly when their terms
+    Equal values have equal ids, so columns differ exactly when their terms
     do; a missing column is zero.
     """
     lc, rc = lhs.columns, rhs.columns
@@ -511,10 +511,14 @@ def _rotation_sum(g, n, name):
     ops = _rotation_orbit(g.p, name)
     zero = LinOp.zero(ctx, n, n)
     for seed in ((1, 0), (0, 1)):
-        total = zero
+        # sum k_i R^i(g x 1), accumulated column by column in one pass
+        table, cols = scalars(ctx.red), {}
         for ki, op in zip(CoefficientVector(ctx, *seed).k, ops):
-            if ki:
-                total = total + op.scale(ki)
+            a = table.id_of(ki.nums, ki.den)
+            if a:
+                for m, col in op.columns.items():
+                    krow_add(cols.setdefault(m, {}), col.terms, a, table)
+        total = _op(ctx, n, n, {m: _vec(ctx, n, t) for m, t in cols.items() if t})
         yield {"identity": f"sum k_i R^i({name} x 1) = 0", "seed": list(seed)}, total, zero
 
 

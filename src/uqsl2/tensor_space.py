@@ -8,11 +8,15 @@ K-eigenvalue there is q^(z-2n).  On top of the basis sit sparse vectors
 K/E/F actions, and their closed-form k-th powers.
 
 There is one scalar representation below the API: a TensorVector holds
-{int mask: (nums, den)} kernel pairs and a LinOp {int mask: TensorVector},
-and all their arithmetic runs on ``uqsl2._kernel``.  CycloNum and
-BasisIndex appear only at the boundary: the constructors, ``unit``,
-``scale``, ``column``, ``coeff`` and ``str``.  ``LinOp.flat`` hands the
-entries to ``uqsl2._elim`` as one kernel row, without conversion.
+{int mask: int id} with ids of its field's ``uqsl2._kernel.Scalars``
+table, and a LinOp {int mask: TensorVector}.  Every FieldCtx of one p
+shares that table, so equal values have equal ids and equality of
+vectors and operators is equality of id dicts.  Sums, negations,
+products, composition and the index maps are memoised id lookups.
+CycloNum and BasisIndex appear only at the boundary: the constructors,
+``unit``, ``scale``, ``column``, ``coeff`` and ``str``.  ``LinOp.flat``
+hands the entries to ``uqsl2._elim`` as one row of kernel pairs, read
+from the table.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, NamedTuple
 
-from uqsl2._kernel import kacc, kmul, kneg
+from uqsl2._kernel import ONE, krow_add, scalars
 from uqsl2.cyclo_field import CycloNum, FieldCtx
 
 
@@ -77,26 +81,31 @@ def x_top(z: int) -> BasisIndex:
     return BasisIndex(z, (1 << z) - 1)
 
 
-def _kq(ctx: FieldCtx, e: int) -> tuple:
-    """Kernel pair of q^e."""
-    c = ctx.q_power(e)
-    return c.nums, c.den
+def _cid(ctx: FieldCtx, c) -> int:
+    """Id of a CycloNum, int or Fraction in the field's table (0 for zero)."""
+    if not isinstance(c, CycloNum):
+        c = ctx.scalar(c)
+    return scalars(ctx.red).id_of(c.nums, c.den)
+
+
+# _vec and _op wrap terms and columns already in id form, without __init__.
+_new = object.__new__
 
 
 def _vec(ctx: FieldCtx, z: int, terms: dict) -> "TensorVector":
-    v = TensorVector(ctx, z)
-    v.terms = terms
+    v = _new(TensorVector)
+    v.ctx, v.z, v.terms = ctx, z, terms
     return v
 
 
 def _op(ctx: FieldCtx, z_in: int, z_out: int, columns: dict) -> "LinOp":
-    out = LinOp(ctx, z_in, z_out)
-    out.columns = columns
+    out = _new(LinOp)
+    out.ctx, out.z_in, out.z_out, out.columns = ctx, z_in, z_out, columns
     return out
 
 
 class TensorVector:
-    """Sparse element of X^(tensor z): occupancy mask -> kernel pair."""
+    """Sparse element of X^(tensor z): occupancy mask -> scalar id."""
 
     __slots__ = ("ctx", "z", "terms")
 
@@ -104,38 +113,44 @@ class TensorVector:
         """``terms`` maps BasisIndex to CycloNum; zero coefficients are dropped."""
         self.ctx = ctx
         self.z = z
-        self.terms: dict[int, tuple] = {}
+        self.terms: dict[int, int] = {}
         if terms:
+            table = scalars(ctx.red)
             for b, c in terms.items():
                 if c:
                     assert b.z == z
-                    self.terms[b.mask] = (c.nums, c.den)
+                    self.terms[b.mask] = table.id_of(c.nums, c.den)
 
     @classmethod
     def unit(cls, ctx: FieldCtx, b: BasisIndex) -> "TensorVector":
-        return cls(ctx, b.z, {b: ctx.one})
+        return _vec(ctx, b.z, {b.mask: ONE})
 
     def __add__(self, other: "TensorVector") -> "TensorVector":
         assert self.z == other.z
         out = dict(self.terms)
-        for b, (cn, cd) in other.terms.items():
-            kacc(out, b, cn, cd)
+        krow_add(out, other.terms, ONE, scalars(self.ctx.red))
         return _vec(self.ctx, self.z, out)
 
     def __neg__(self) -> "TensorVector":
-        return _vec(self.ctx, self.z, {b: kneg(*c) for b, c in self.terms.items()})
+        table = scalars(self.ctx.red)
+        negs = table.neg
+        return _vec(self.ctx, self.z, {
+            b: negs.get(x) or table.negation(x) for b, x in self.terms.items()})
 
     def __sub__(self, other: "TensorVector") -> "TensorVector":
         return self + (-other)
 
     def scale(self, c) -> "TensorVector":
-        if not isinstance(c, CycloNum):
-            c = self.ctx.scalar(c)
-        cn, cd, red = c.nums, c.den, self.ctx.red
-        v = TensorVector(self.ctx, self.z)
-        if c:
-            v.terms = {b: kmul(xn, xd, cn, cd, red) for b, (xn, xd) in self.terms.items()}
-        return v
+        return self._times(_cid(self.ctx, c))
+
+    def _times(self, a: int) -> "TensorVector":
+        """This vector times the scalar id ``a``."""
+        if a == ONE or not a:
+            return _vec(self.ctx, self.z, dict(self.terms) if a else {})
+        table = scalars(self.ctx.red)
+        muls = table.mul
+        return _vec(self.ctx, self.z, {
+            b: muls.get((x, a)) or table.product(x, a) for b, x in self.terms.items()})
 
     def __mul__(self, c):
         return self.scale(c)
@@ -143,16 +158,19 @@ class TensorVector:
     __rmul__ = __mul__
 
     def tensor(self, other: "TensorVector") -> "TensorVector":
-        red, shift = self.ctx.red, self.z
+        table, shift = scalars(self.ctx.red), self.z
+        muls = table.mul
         out = {}
-        for b1, (an, ad) in self.terms.items():
-            for b2, (bn, bd) in other.terms.items():
-                out[b1 | b2 << shift] = kmul(an, ad, bn, bd, red)
+        for b1, x in self.terms.items():
+            for b2, y in other.terms.items():
+                out[b1 | b2 << shift] = muls.get((x, y)) or table.product(x, y)
         return _vec(self.ctx, self.z + other.z, out)
 
     def coeff(self, b: BasisIndex) -> CycloNum:
         c = self.terms.get(b.mask)
-        return self.ctx.zero if c is None else CycloNum(self.ctx, *c)
+        if c is None:
+            return self.ctx.zero
+        return CycloNum(self.ctx, *scalars(self.ctx.red).vals[c])
 
     def homogeneous_weight(self) -> int | None:
         """The common weight of all terms, or None if mixed or zero."""
@@ -173,9 +191,10 @@ class TensorVector:
     def __str__(self):
         if not self.terms:
             return "0"
+        vals = scalars(self.ctx.red).vals
         parts = []
         for b in sorted((BasisIndex(self.z, m) for m in self.terms), key=BasisIndex.word):
-            cs = str(CycloNum(self.ctx, *self.terms[b.mask]))
+            cs = str(CycloNum(self.ctx, *vals[self.terms[b.mask]]))
             if cs == "1":
                 parts.append(str(b))
             elif cs == "-1":
@@ -211,8 +230,7 @@ class LinOp:
 
     @classmethod
     def identity(cls, ctx: FieldCtx, z: int) -> "LinOp":
-        one = (ctx.one.nums, ctx.one.den)
-        return _op(ctx, z, z, {m: _vec(ctx, z, {m: one}) for m in range(1 << z)})
+        return _op(ctx, z, z, {m: _vec(ctx, z, {m: ONE}) for m in range(1 << z)})
 
     @classmethod
     def zero(cls, ctx: FieldCtx, z_in: int, z_out: int) -> "LinOp":
@@ -226,37 +244,37 @@ class LinOp:
         col = self.columns.get(b.mask)
         return col if col is not None else TensorVector(self.ctx, self.z_out)
 
+    def _apply(self, terms: dict, table) -> dict:
+        """Id terms of this operator applied to the id terms ``terms``."""
+        cols = self.columns
+        acc: dict[int, int] = {}
+        for b, c in terms.items():
+            col = cols.get(b)
+            if col is not None:
+                krow_add(acc, col.terms, c, table)
+        return acc
+
     def apply(self, vec: TensorVector) -> TensorVector:
         assert vec.z == self.z_in
-        red = self.ctx.red
-        acc: dict[int, tuple] = {}
-        for b, (cn, cd) in vec.terms.items():
-            col = self.columns.get(b)
-            if col is None:
-                continue
-            for b2, (xn, xd) in col.terms.items():
-                kacc(acc, b2, *kmul(cn, cd, xn, xd, red))
-        return _vec(self.ctx, self.z_out, acc)
+        return _vec(self.ctx, self.z_out, self._apply(vec.terms, scalars(self.ctx.red)))
 
     def __mul__(self, other):
         """Composition self . other (apply other first)."""
         if isinstance(other, LinOp):
             assert other.z_out == self.z_in
+            table, ctx, z = scalars(self.ctx.red), self.ctx, self.z_out
             cols = {}
             for b, col in other.columns.items():
-                v = self.apply(col)
-                if v:
-                    cols[b] = v
-            return _op(self.ctx, other.z_in, self.z_out, cols)
+                acc = self._apply(col.terms, table)
+                if acc:
+                    cols[b] = _vec(ctx, z, acc)
+            return _op(ctx, other.z_in, z, cols)
         return self.scale(other)
 
     def scale(self, c) -> "LinOp":
-        if not isinstance(c, CycloNum):
-            c = self.ctx.scalar(c)
-        out = LinOp(self.ctx, self.z_in, self.z_out)
-        if c:
-            out.columns = {b: col.scale(c) for b, col in self.columns.items()}
-        return out
+        a = _cid(self.ctx, c)
+        return _op(self.ctx, self.z_in, self.z_out,
+                   {b: col._times(a) for b, col in self.columns.items()} if a else {})
 
     def __rmul__(self, c):
         return self.scale(c)
@@ -296,10 +314,10 @@ class LinOp:
         return _op(self.ctx, self.z_in + other.z_in, self.z_out + other.z_out, cols)
 
     def flat(self) -> dict:
-        """All entries as one kernel row keyed by (in mask << z_out) | out mask."""
-        shift = self.z_out
+        """All entries as one row of kernel pairs keyed by (in mask << z_out) | out mask."""
+        shift, vals = self.z_out, scalars(self.ctx.red).vals
         return {
-            b << shift | b2: c
+            b << shift | b2: vals[c]
             for b, col in self.columns.items()
             for b2, c in col.terms.items()
         }
@@ -355,20 +373,21 @@ def f_terms(z: int, mask: int):
 
 
 def _lift(ctx: FieldCtx, vec: TensorVector, rule) -> TensorVector:
-    red = ctx.red
-    acc: dict[int, tuple] = {}
-    for b, (cn, cd) in vec.terms.items():
-        for nb, e in rule(vec.z, b):
-            kacc(acc, nb, *kmul(cn, cd, *_kq(ctx, e), red))
+    table, qid = scalars(ctx.red), ctx.qid
+    acc: dict[int, int] = {}
+    for b, c in vec.terms.items():
+        krow_add(acc, {nb: qid(e) for nb, e in rule(vec.z, b)}, c, table)
     return _vec(ctx, vec.z, acc)
 
 
 def apply_k(ctx: FieldCtx, vec: TensorVector) -> TensorVector:
-    z, red = vec.z, ctx.red
-    return _vec(ctx, z, {
-        b: kmul(cn, cd, *_kq(ctx, z - 2 * b.bit_count()), red)
-        for b, (cn, cd) in vec.terms.items()
-    })
+    z, table = vec.z, scalars(ctx.red)
+    muls = table.mul
+    out = {}
+    for b, c in vec.terms.items():
+        k = ctx.qid(z - 2 * b.bit_count())
+        out[b] = muls.get((c, k)) or table.product(c, k)
+    return _vec(ctx, z, out)
 
 
 def apply_e(ctx: FieldCtx, vec: TensorVector) -> TensorVector:
@@ -420,7 +439,7 @@ def e_power(ctx: FieldCtx, k: int, z: int) -> LinOp:
     q^(kz - sum(U) - 2*sum_u |S cap (u,z]| + k(k-1)/2) rho_(S minus U).
     """
     assert k >= 0
-    fact = ctx.qfact(k)
+    fact = _cid(ctx, ctx.qfact(k))
     base = k * z + k * (k - 1) // 2
     cols = {}
     for b in all_indices(z):
@@ -429,14 +448,14 @@ def e_power(ctx: FieldCtx, k: int, z: int) -> LinOp:
         occ = b.occupancy
         if len(occ) < k:
             continue
-        col = TensorVector(ctx, z)
+        terms = {}
         for U in combinations(occ, k):
             e = base - sum(U) - 2 * sum((b.mask >> u).bit_count() for u in U)
             rm = 0
             for u in U:
                 rm |= 1 << (u - 1)
-            col.terms[b.mask & ~rm] = kmul(fact.nums, fact.den, *_kq(ctx, e), ctx.red)
-        cols[b] = col
+            terms[b.mask & ~rm] = ctx.qid(e)
+        cols[b] = _vec(ctx, z, terms)._times(fact)
     return LinOp(ctx, z, z, cols)
 
 
@@ -447,7 +466,7 @@ def f_power(ctx: FieldCtx, k: int, z: int) -> LinOp:
     q^(2*sum_v |S cap [1,v)| - sum(V) + k + k(k-1)/2) rho_(S union V).
     """
     assert k >= 0
-    fact = ctx.qfact(k)
+    fact = _cid(ctx, ctx.qfact(k))
     base = k + k * (k - 1) // 2
     cols = {}
     for b in all_indices(z):
@@ -456,7 +475,7 @@ def f_power(ctx: FieldCtx, k: int, z: int) -> LinOp:
         free = [j for j in range(1, z + 1) if not b.mask >> (j - 1) & 1]
         if len(free) < k:
             continue
-        col = TensorVector(ctx, z)
+        terms = {}
         for V in combinations(free, k):
             e = base - sum(V) + 2 * sum(
                 (b.mask & ((1 << (v - 1)) - 1)).bit_count() for v in V
@@ -464,7 +483,7 @@ def f_power(ctx: FieldCtx, k: int, z: int) -> LinOp:
             add = 0
             for v in V:
                 add |= 1 << (v - 1)
-            col.terms[b.mask | add] = kmul(fact.nums, fact.den, *_kq(ctx, e), ctx.red)
-        cols[b] = col
+            terms[b.mask | add] = ctx.qid(e)
+        cols[b] = _vec(ctx, z, terms)._times(fact)
     return LinOp(ctx, z, z, cols)
 

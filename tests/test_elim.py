@@ -153,7 +153,7 @@ def test_nullspace_basis(system):
 @settings(max_examples=60, deadline=None)
 def test_interleaved_fields(sys2, sys3):
     """Accumulators over p = 2 and p = 3, fed in turn, each match the
-    reference although every new accumulator replaces the shared table."""
+    reference although every switch of field empties the other's memos."""
     accs = [(SparseRref(ctx), _RefRref(ctx), rows) for ctx, _, rows in (sys2, sys3)]
     for k in range(max(len(sys2[2]), len(sys3[2]))):
         for rr, ref, rows in accs:

@@ -23,6 +23,7 @@ from uqsl2.pa_generators import (
     partial_trace_right,
 )
 from uqsl2.tensor_space import (
+    BasisIndex,
     LinOp,
     TensorVector,
     all_indices,
@@ -109,7 +110,8 @@ def test_image_is_minus_signed_simple(gens):
     ctx, p, z = gens.ctx, gens.p, 2 * gens.p - 1
     want = {-ctx.q_power(p - 1 - 2 * j) for j in range(p)}
     for op in (gens.alpha, gens.beta):
-        cols = [dict(op.column(b).terms) for b in all_indices(z) if op.column(b)]
+        cols = [{m: (c.nums, c.den) for m in col.terms for c in [col.coeff(BasisIndex(z, m))]}
+                for col in map(op.column, all_indices(z)) if col]
         assert rank_of_vectors(ctx, cols) == p
         eigs = {
             ctx.q_power(z - 2 * op.column(b).homogeneous_weight())

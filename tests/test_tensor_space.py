@@ -1,10 +1,13 @@
 """Occupancy basis, lifted operators, closed-form powers, peel-off identities."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uqsl2.cyclo_field import make_field
+from uqsl2 import _kernel
+from uqsl2.cyclo_field import FieldCtx, make_field
 from uqsl2.tensor_space import (
     BasisIndex,
     LinOp,
@@ -214,3 +217,110 @@ def test_kpow_diagonal(mask):
     v = TensorVector.unit(ctx, b)
     got = op_K_power(ctx, 6, -2).column(b)
     assert got == v * ctx.q_power(-2 * (6 - 2 * b.weight))
+
+
+# --- interned scalar ids ---------------------------------------------------------
+# Entries are ids of the field's intern table; the references below compute
+# every entry with CycloNum arithmetic and read the id results through coeff.
+
+def _cyclo(ctx, data):
+    nums = data.draw(st.lists(st.integers(-3, 3), min_size=ctx.degree, max_size=ctx.degree))
+    den = data.draw(st.integers(1, 4))
+    return sum((ctx.q_power(j) * Fraction(n, den) for j, n in enumerate(nums)), ctx.zero)
+
+
+def _ref_vec(ctx, data, z):
+    masks = data.draw(st.sets(st.integers(0, (1 << z) - 1), max_size=4))
+    return {m: _cyclo(ctx, data) for m in sorted(masks)}
+
+
+def _vector(ctx, z, ref):
+    return TensorVector(ctx, z, {BasisIndex(z, m): c for m, c in ref.items()})
+
+
+def _entries(v):
+    return {m: v.coeff(BasisIndex(v.z, m)) for m in v.terms}
+
+
+def _nonzero(ref):
+    return {m: c for m, c in ref.items() if c}
+
+
+def _ref_apply(ctx, cols, vec):
+    out = {}
+    for b, c in vec.items():
+        for t, x in cols.get(b, {}).items():
+            out[t] = out.get(t, ctx.zero) + c * x
+    return _nonzero(out)
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 5, 6])
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_vector_ids_match_cyclonum(p, data):
+    ctx = make_field(p)
+    z1, z2 = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    a, b, w = _ref_vec(ctx, data, z1), _ref_vec(ctx, data, z1), _ref_vec(ctx, data, z2)
+    c = _cyclo(ctx, data)
+    va, vb, vw = _vector(ctx, z1, a), _vector(ctx, z1, b), _vector(ctx, z2, w)
+    assert _entries(va) == _nonzero(a)
+    summed = {m: a.get(m, ctx.zero) + b.get(m, ctx.zero) for m in a.keys() | b.keys()}
+    assert _entries(va + vb) == _nonzero(summed)
+    assert _entries(-va) == _nonzero({m: -x for m, x in a.items()})
+    assert _entries(va.scale(c)) == _nonzero({m: x * c for m, x in a.items()})
+    assert _entries(va.tensor(vw)) == _nonzero(
+        {m1 | m2 << z1: x * y for m1, x in a.items() for m2, y in w.items()})
+    assert (va == vb) == (_nonzero(a) == _nonzero(b))
+    assert va - va == TensorVector(ctx, z1)
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 5, 6])
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_linop_ids_match_cyclonum(p, data):
+    ctx = make_field(p)
+    z0, z1, z2 = (data.draw(st.integers(1, 3)) for _ in range(3))
+    shapes = {"A": (z1, z2), "B": (z0, z1), "C": (z0, z1)}
+    refs = {n: {m: _ref_vec(ctx, data, zo) for m in range(1 << zi)}
+            for n, (zi, zo) in shapes.items()}
+    A, B, C = (LinOp(ctx, zi, zo, {BasisIndex(zi, m): _vector(ctx, zo, col)
+                                   for m, col in refs[n].items()})
+               for n, (zi, zo) in shapes.items())
+    v = _ref_vec(ctx, data, z1)
+    assert _entries(A.apply(_vector(ctx, z1, v))) == _ref_apply(ctx, refs["A"], v)
+    AB = A * B
+    for m, col in refs["B"].items():
+        assert _entries(AB.column(BasisIndex(z0, m))) == _ref_apply(ctx, refs["A"], col)
+    same = all(_nonzero(refs["B"][m]) == _nonzero(refs["C"][m]) for m in range(1 << z0))
+    assert (B == C) == same
+    assert B + C == C + B
+    assert not (B - B)
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 5, 6])
+def test_field_contexts_share_ids(p):
+    # two contexts of one p share the intern table, so their operators compare
+    one, two = FieldCtx(p), FieldCtx(p)
+    assert one.red is two.red
+    for z in (2, 3):
+        assert op_E(one, z) * op_F(one, z) == op_E(two, z) * op_F(two, z)
+        assert e_power(one, 2, z) == e_power(two, 2, z)
+        assert op_K_power(one, z, -1).scale(one.qint(3)) == op_K_power(two, z, -1).scale(two.qint(3))
+
+
+def test_ids_survive_field_switch():
+    # p = 3 work empties the p = 2 memos; the ids the p = 2 operator holds
+    # still stand for the same values
+    ctx2 = FieldCtx(2)
+    built = (op_F(ctx2, 3) * op_E(ctx2, 3)).scale(ctx2.q_power(-1)) + op_K(ctx2, 3)
+    text = str(built.column(from_word("110")))
+    ctx3 = FieldCtx(3)
+    assert (op_F(ctx3, 3) * op_E(ctx3, 3)).scale(ctx3.qint(2)) != op_K(ctx3, 3)
+    table2 = _kernel._tables[ctx2.red]
+    assert not (table2.add or table2.mul or table2.neg)
+    # a new value interned first, so a table rebuilt on the switch would
+    # give the same values other ids
+    assert LinOp.identity(ctx2, 1).scale(Fraction(5, 7)) != LinOp.identity(ctx2, 1)
+    fresh = (op_F(ctx2, 3) * op_E(ctx2, 3)).scale(ctx2.q_power(-1)) + op_K(ctx2, 3)
+    assert built == fresh
+    assert str(fresh.column(from_word("110"))) == text

@@ -139,7 +139,7 @@ def test_single_entry_fault_sweep(monkeypatch):
     g = make_generators(2)
     n = 3
     k = op_K(g.ctx, n)
-    kval = [k.column(BasisIndex(n, b)).terms[b] for b in range(1 << n)]
+    kval = [k.column(BasisIndex(n, b)).coeff(BasisIndex(n, b)) for b in range(1 << n)]
     entries = [(r, c) for r in range(1 << n) for c in range(1 << n) if kval[r] == kval[c]]
     caught = dict.fromkeys(IDS, 0)
     escaped = []
