@@ -393,6 +393,8 @@ def cup_outputs(op: LinOp, i: int) -> LinOp:
     table, mq = scalars(ctx.red), ctx.qid(ctx.p + 1)
     muls, adds = table.mul, table.add
     cols = {}
+    # The sum is inlined rather than krow_add on two split dicts: this is
+    # the closure that kp_periodicity runs 448 times at p = 4.
     for m, col in op.columns.items():
         acc = {}
         for t, x in col.terms.items():
