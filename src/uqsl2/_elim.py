@@ -10,6 +10,11 @@ pair the kernel would compute, so ranks and nullspaces are unchanged.
 The one CycloNum in this module is the field inverse behind each new
 pivot value.  Everything here is exact; there is no pivoting heuristic
 beyond smallest column key, which keeps results deterministic.
+
+``residue_rank`` runs the same reduction loop over a prime field F_l, on
+rows of int residues: only the multiply-subtract and the pivot inverse
+differ.  It can stop once the rank reaches a given value, which is how a
+caller certifies a nullity against a lower bound it holds.
 """
 
 from __future__ import annotations
@@ -51,26 +56,65 @@ class SparseRref:
             if i:
                 r[k] = i
         row.clear()
-        while r:
-            c = min(r)
-            a = r[c]
-            piv = self.pivots.get(c)
-            if piv is None:
-                inv = table.inv.get(a)
-                if inv is None:
-                    x = CycloNum(self.ctx, *table.vals[a]).inv()
-                    inv = table.inv[a] = intern(x.nums, x.den)
-                mul, vals = table.mul, table.vals
-                for k, v in r.items():
-                    w = mul.get((v, inv))
-                    if w is None:
-                        w = table.product(v, inv)
-                    r[k] = w
-                    row[k] = vals[w]
-                self.pivots[c] = r
-                return True
-            krow_axpy(r, piv, a, table)
-        return False
+        c = _reduce(r, self.pivots, krow_axpy, table)
+        if c is None:
+            return False
+        a = r[c]
+        inv = table.inv.get(a)
+        if inv is None:
+            x = CycloNum(self.ctx, *table.vals[a]).inv()
+            inv = table.inv[a] = intern(x.nums, x.den)
+        mul, vals = table.mul, table.vals
+        for k, v in r.items():
+            w = mul.get((v, inv))
+            if w is None:
+                w = table.product(v, inv)
+            r[k] = w
+            row[k] = vals[w]
+        self.pivots[c] = r
+        return True
+
+
+def _reduce(r, pivots, axpy, domain):
+    """Eliminate pivot columns from ``r`` in place, smallest key first.
+
+    Pivot rows have pivot value 1, so ``axpy(r, piv, r[c], domain)``
+    clears column c.  Returns the first column of ``r`` without a pivot,
+    or None when ``r`` reduces to zero.
+    """
+    while r:
+        c = min(r)
+        piv = pivots.get(c)
+        if piv is None:
+            return c
+        axpy(r, piv, r[c], domain)
+    return None
+
+
+def _residue_axpy(dst, src, a, modulus):
+    """In-place ``dst[col] -= a*src[col]`` modulo a prime; zeros are removed."""
+    for col, s in src.items():
+        x = (dst.get(col, 0) - a * s) % modulus
+        if x:
+            dst[col] = x
+        else:
+            del dst[col]  # a*s is nonzero mod a prime, so col was in dst
+
+
+def residue_rank(rows, modulus: int, stop: int | None = None) -> int:
+    """Rank over F_modulus of rows {column key: nonzero residue}.
+
+    ``modulus`` must be prime.  Rows are reduced in the order given and
+    consumed; once the rank equals ``stop`` no further row is read.
+    """
+    pivots: dict = {}
+    rows = iter(rows)
+    while len(pivots) != stop and (r := next(rows, None)) is not None:
+        c = _reduce(r, pivots, _residue_axpy, modulus)
+        if c is not None:
+            inv = pow(r[c], -1, modulus)
+            pivots[c] = {k: v * inv % modulus for k, v in r.items()}
+    return len(pivots)
 
 
 def rank_of_vectors(ctx: FieldCtx, vectors) -> int:

@@ -21,7 +21,7 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from uqsl2.cyclo_field import FieldCtx
 from uqsl2.fusion_dims import CONVENTIONS, dimension
@@ -44,8 +44,7 @@ COMMANDS = ("verify", "dims", "conjecture", "hom", "basis", "all")
 FORMATS = ("json", "markdown", "csv")
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     command: str
     ps: tuple[int, ...] = (2, 3)
     relations: tuple[str, ...] = RELATION_IDS

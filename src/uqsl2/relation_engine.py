@@ -15,9 +15,20 @@ commutant End_U(X^n) is solved as Hom_U(1, X^2n), X being self-dual: the
 invariants of X^2n, one weight slice w = n (mod p) at a time, whose 4^n
 basis vectors are the same lattice the gate counts.  The reversal of the
 complement, sigma, swaps E and F, so only the slices below the middle are
-eliminated (each counted twice) and the middle one splits into two E-only
+solved (each counted twice) and the middle one splits into two E-only
 halves; an integer check of sigma E = F sigma on every mask used comes
-first and raises ArithmeticError if it fails.
+first, once per slice and process, and raises ArithmeticError if it fails.
+
+Where the diagrams span (n <= 2p - 2) each system's nullity is certified
+by two bounds that must meet.  The upper bound is the column count minus
+the rank modulo a prime l = 1 (mod 2p), q sent to a root of Phi_2p mod l,
+taken row by row; rank mod l never exceeds the exact rank.  The lower
+bound is the rank mod l of the sigma halves of the nested-cup invariants,
+one per noncrossing matching, each first checked to be killed by E and F
+as an identity in Z[q, 1/q] (ArithmeticError otherwise); the slices below
+the middle get 0.  The modular elimination stops as soon as the bounds
+meet.  A system whose bounds never meet, and every system above 2p - 2,
+is eliminated exactly, so no reported dimension rests on a bound alone.
 
 Checks are pure and independent of each other; ``run_checks`` executes
 them in a fixed order (relation id, then p) so sweep reports come out
@@ -33,9 +44,9 @@ from itertools import combinations
 from math import comb
 from typing import Callable, NamedTuple
 
-from ._elim import nullspace, rank_of_vectors
-from ._kernel import kacc, kneg, krow_add, scalars
-from .cyclo_field import CycloNum, FieldCtx, QFactProduct, SingularRatio
+from ._elim import nullspace, rank_of_vectors, residue_rank
+from ._kernel import kacc, krow_add, scalars
+from .cyclo_field import CycloNum, FieldCtx, QFactProduct, SingularRatio, cyclotomic_polynomial
 from .diagram_algebra import (
     all_diagrams,
     cap_inputs,
@@ -251,19 +262,28 @@ def commutant_dim(p: int, n: int, budget: int = DEFAULT_BUDGET) -> int:
     X is self-dual, so End_U(X^n) = Hom_U(1, X^2n): the invariant vectors
     of X^2n, killed by E and F and fixed by K.  K fixes exactly the
     weights w = n (mod p), and E, F move weight by one, so each such
-    weight slice is an independent block solved by exact elimination.
+    weight slice is an independent system.
 
     sigma(b), the complement of mask b read from the other end, maps
     weight w to 2n - w and satisfies sigma E = F sigma (the involution of
     U_q(sl2) that swaps E and F).  So slice 2n - w has the nullity of
-    slice w, and only the slices w < n are eliminated, E and F rows
-    together.  On the middle slice v = v+ + v- with sigma v+- = +-v+-,
-    and v is invariant exactly when E v+ = E v- = 0: two E-only systems
-    on the columns b + sigma b (and each sigma-fixed b) and b - sigma b.
-    Before solving, e_terms through sigma are compared with f_terms of
-    sigma b on every mask used, in integers; a mismatch raises
-    ArithmeticError.  The gate is 4^n >= budget, 4^n being both
-    dim End(X^n) and dim X^2n.
+    slice w, and only the slices w < n are solved, E and F rows together.
+    On the middle slice v = v+ + v- with sigma v+- = +-v+-, and v is
+    invariant exactly when E v+ = E v- = 0: two E-only systems on the
+    columns b + sigma b (and each sigma-fixed b) and b - sigma b.  Before
+    solving, e_terms through sigma are compared with f_terms of sigma b on
+    every mask used, in integers; a mismatch raises ArithmeticError.
+
+    Each system's nullity is certified by two bounds when n <= 2p - 2,
+    where the diagrams span.  Above: C - rank mod l, C the column count,
+    for a prime l = 1 (mod 2p) with q sent to a root of Phi_2p mod l;
+    rank mod l never exceeds the exact rank, of the rows eliminated so
+    far or of all of them.  Below: the rank mod l of the sigma halves of
+    the nested-cup invariants, each checked exactly (0 on the slices
+    w < n).  Elimination mod l stops when the bounds meet, and their
+    common value is the nullity.  A system whose bounds never meet, and
+    every system when n > 2p - 2, is solved by exact elimination.  The
+    gate is 4^n >= budget, 4^n being both dim End(X^n) and dim X^2n.
     """
     _require_solve(n, budget)
     return _commutant_dim(p, n)
@@ -271,57 +291,225 @@ def commutant_dim(p: int, n: int, budget: int = DEFAULT_BUDGET) -> int:
 
 @lru_cache(maxsize=None)
 def _commutant_dim(p: int, n: int) -> int:
-    ctx = FieldCtx(p)
-    qp = [(c.nums, c.den) for c in map(ctx.q_power, range(2 * p))]
     z = 2 * n
-    full = (1 << z) - 1
-    key = lambda b: int(f"{b:0{z}b}"[::-1], 2)  # leftmost strand pivots first
-    sigma = lambda b: key(full ^ b)
+    key, sigma = _reversal(z)
     low = range(n % p, n, p)
-    slices: dict = defaultdict(list)
-    for b in range(1 << z):
-        slices[b.bit_count()].append(b)
-    # The split below is exact only if sigma E = F sigma on every mask it uses.
     for w in (*low, n, *(z - w for w in low)):
-        for b in slices[w]:
-            if sorted((sigma(t), e) for t, e in e_terms(z, b)) != sorted(f_terms(z, sigma(b))):
-                raise ArithmeticError(f"sigma E != F sigma on mask {b:0{z}b}")
-
-    def rank(rows):
-        # Rows by ascending target, E and F merged: keeps fill-in low.
-        return rank_of_vectors(ctx, (rows[t] for t in sorted(rows)))
-
+        _check_sigma(z, w)
+    # Certify only where the diagrams span; elsewhere the bounds would not
+    # meet and the modular pass would be wasted.
+    certify = n <= 2 * p - 2
+    lower_even, lower_odd = _cup_bounds(p, n) if certify else (None, None)
     dim = 0
     for w in low:
         # E rows (weight w-1) and F rows (weight w+1), keyed by target mask;
         # slice z - w has the same nullity.
-        rows: dict = defaultdict(dict)
-        for b in slices[w]:
-            col = key(b)
+        rows: dict = defaultdict(list)
+        for b in _masks(z, w):
+            col = key[b]
             for rule in (e_terms, f_terms):
                 for t, e in rule(z, b):
-                    rows[t][col] = qp[e % (2 * p)]
-        dim += 2 * (comb(z, w) - rank(rows))
+                    rows[t].append((col, e))
+        dim += 2 * _nullity(p, rows, comb(z, w), 0 if certify else None)
     # Middle slice: E rows only, on the columns b + sigma b (even, with the
-    # sigma-fixed b) and b - sigma b (odd), each pair keyed by its lesser mask.
-    even: dict = defaultdict(dict)
-    odd: dict = defaultdict(dict)
-    for b in slices[n]:
-        s = sigma(b)
+    # sigma-fixed b) and b - sigma b (odd), each pair keyed by its lesser
+    # mask; -q^e is written q^(e + p).
+    even: dict = defaultdict(list)
+    odd: dict = defaultdict(list)
+    n_odd = 0
+    for b in _masks(z, n):
+        s = sigma[b]
         if s < b:
             continue
-        col = key(b)
-        for t, e in e_terms(z, b):
-            even[t][col] = qp[e % (2 * p)]
+        col = key[b]
+        terms = list(e_terms(z, b))
+        for t, e in terms:
+            even[t].append((col, e))
         if s == b:
             continue
-        for t, e in e_terms(z, b):
-            odd[t][col] = qp[e % (2 * p)]
+        n_odd += 1
+        for t, e in terms:
+            odd[t].append((col, e))
         for t, e in e_terms(z, s):
-            c = qp[e % (2 * p)]
-            kacc(even[t], col, *c)
-            kacc(odd[t], col, *kneg(*c))
-    return dim + comb(z, n) - rank(even) - rank(odd)
+            even[t].append((col, e))
+            odd[t].append((col, e + p))
+    n_even = comb(z, n) - n_odd
+    return dim + _nullity(p, even, n_even, lower_even) + _nullity(p, odd, n_odd, lower_odd)
+
+
+def _nullity(p: int, rows: dict, ncols: int, lower: int | None) -> int:
+    """Nullity of the system whose row t sums q^e over its (column, e)
+    terms, rows taken by ascending t.
+
+    With a lower bound, rows are first eliminated mod l until C - rank
+    mod l falls to it; if it never does, and without one, the rows are
+    eliminated exactly.
+    """
+    order = sorted(rows)
+    if lower is not None:
+        l, rp = _modular_map(p)
+        m = 2 * p
+
+        def residues(terms):
+            row: dict = {}
+            for col, e in terms:
+                row[col] = (row.get(col, 0) + rp[e % m]) % l
+            return {c: x for c, x in row.items() if x}
+
+        if residue_rank((residues(rows[t]) for t in order), l, ncols - lower) == ncols - lower:
+            return lower
+    ctx = FieldCtx(p)
+    qp = [(c.nums, c.den) for c in map(ctx.q_power, range(2 * p))]
+
+    def exact(terms):
+        row: dict = {}
+        for col, e in terms:
+            kacc(row, col, *qp[e % (2 * p)])
+        return row
+
+    # Rows by ascending target, E and F merged: keeps fill-in low.
+    return ncols - rank_of_vectors(ctx, (exact(rows[t]) for t in order))
+
+
+@lru_cache(maxsize=None)
+def _reversal(z: int) -> tuple:
+    """(key, sigma) as lists over the masks of z strands: key[b] is b read
+    from the other end, so the leftmost strand pivots first, and
+    sigma[b] = key[b ^ (2^z - 1)]."""
+    key = [0] * (1 << z)
+    for b in range(1, 1 << z):
+        key[b] = key[b >> 1] >> 1 | (b & 1) << (z - 1)
+    return key, key[::-1]
+
+
+def _masks(z: int, w: int) -> list:
+    """The masks of z strands with w set, ascending."""
+    return [b for b in range(1 << z) if b.bit_count() == w]
+
+
+@lru_cache(maxsize=None)
+def _check_sigma(z: int, w: int) -> None:
+    """Raise ArithmeticError unless sigma E b = F sigma b for every mask b
+    of weight w; integer exponents, so one check serves every p."""
+    _, sigma = _reversal(z)
+    for b in _masks(z, w):
+        if sorted((sigma[t], e) for t, e in e_terms(z, b)) != sorted(f_terms(z, sigma[b])):
+            raise ArithmeticError(f"sigma E != F sigma on mask {b:0{z}b}")
+
+
+def _nested_cups(n: int) -> list:
+    """The nested-cup invariants of X^2n, one per noncrossing perfect
+    matching of the 2n strands, as {mask: (c, e)} meaning sum c q^e.
+
+    Each arc (i < j) sets strand i with coefficient 1 or strand j with
+    coefficient -q, the cup factors of ``cup_outputs``.
+    """
+    def matchings(points):
+        if not points:
+            yield ()
+            return
+        i = points[0]
+        for k in range(1, len(points), 2):
+            for inner in matchings(points[1:k]):
+                for outer in matchings(points[k + 1:]):
+                    yield ((i, points[k]),) + inner + outer
+
+    vecs = []
+    for arcs in matchings(tuple(range(2 * n))):
+        v = {0: (1, 0)}
+        for i, j in arcs:
+            v = {**{b | 1 << i: (c, e) for b, (c, e) in v.items()},
+                 **{b | 1 << j: (-c, e + 1) for b, (c, e) in v.items()}}
+        vecs.append(v)
+    return vecs
+
+
+@lru_cache(maxsize=None)
+def _checked_cups(n: int) -> tuple:
+    """``_nested_cups(n)``, each vector checked to satisfy E v = F v = 0 as
+    identities in Z[q, 1/q], so at every q = zeta_2p; raises
+    ArithmeticError otherwise."""
+    z = 2 * n
+    vecs = _nested_cups(n)
+    for rule in (e_terms, f_terms):
+        terms = {}
+        for k, v in enumerate(vecs):
+            acc: dict = defaultdict(int)
+            for b, (c, e) in v.items():
+                ts = terms.get(b)
+                if ts is None:
+                    ts = terms[b] = tuple(rule(z, b))
+                for t, d in ts:
+                    acc[t, e + d] += c
+            if any(acc.values()):
+                raise ArithmeticError(f"nested cup {k} of {2 * n} strands is not invariant")
+    return tuple(vecs)
+
+
+def _cup_bounds(p: int, n: int) -> tuple:
+    """Lower bounds on the nullities of the middle slice's even and odd
+    systems: the ranks mod l of the nested cups' sigma halves, with the
+    columns keyed as the systems key them."""
+    key, sigma = _reversal(2 * n)
+    l, rp = _modular_map(p)
+    m = 2 * p
+    even, odd = [], []
+    for v in _checked_cups(n):
+        ev: dict = {}
+        od: dict = {}
+        for b, (c, e) in v.items():
+            s = sigma[b]
+            col = key[min(b, s)]
+            x = c * rp[e % m]
+            ev[col] = (ev.get(col, 0) + x) % l
+            if s != b:
+                od[col] = (od.get(col, 0) + (x if b < s else -x)) % l
+        even.append({k: x for k, x in ev.items() if x})
+        odd.append({k: x for k, x in od.items() if x})
+    return residue_rank(even, l), residue_rank(odd, l)
+
+
+def _is_prime(m: int) -> bool:
+    """Miller-Rabin with bases 2, 7 and 61, exact for 1 < m < 4,759,123,141."""
+    for a in (2, 7, 61):
+        if m % a == 0:
+            return m == a
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 7, 61):
+        x = pow(a, d, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def _modular_map(p: int) -> tuple:
+    """(l, [r^e mod l for e < 2p]): l is the least prime = 1 (mod 2p)
+    above 2^30, and r = g^((l-1)/2p) for the least g > 1 with
+    Phi_2p(r) = 0 (mod l).
+
+    q -> r is then a ring map Z[zeta_2p] -> F_l.
+    """
+    m = 2 * p
+    l = (2**30 // m + 1) * m + 1
+    while not _is_prime(l):
+        l += m
+    if l >= 2**32:
+        raise ArithmeticError(f"modulus {l} is past the exact primality test")
+    phi = cyclotomic_polynomial(m)
+    for g in range(2, l):
+        r = pow(g, (l - 1) // m, l)
+        if reduce(lambda acc, c: (acc * r + c) % l, reversed(phi), 0) == 0:
+            return l, [pow(r, e, l) for e in range(m)]
+    raise ArithmeticError(f"no root of Phi_{m} modulo {l}")
 
 
 # The budget only gates a solve, so the cache is keyed on (p, n) alone.

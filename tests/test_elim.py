@@ -8,7 +8,7 @@ import copy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uqsl2._elim import SparseRref, nullspace, rank_of_vectors
+from uqsl2._elim import SparseRref, nullspace, rank_of_vectors, residue_rank
 from uqsl2._kernel import kacc, kadd, kmul, kneg, knorm, ksub
 from uqsl2.cyclo_field import CycloNum, make_field
 
@@ -197,3 +197,14 @@ def test_full_memos_are_emptied(monkeypatch):
     assert _commutant_dim.__wrapped__(3, 5) == 45
     table = _kernel.scalars(CTX[3].red)
     assert 0 < len(table.mul) <= 4 and 0 < len(table.sub) <= 4
+
+
+def test_residue_rank_counts_and_stops():
+    # over F_7: row 2 is twice row 1, and rows 1, 3, 4 are independent
+    rows = [{0: 1, 1: 2}, {0: 2, 1: 4}, {1: 3, 2: 1}, {0: 1, 2: 5}]
+    assert residue_rank([dict(r) for r in rows], 7) == 3
+    read = []
+    gen = (read.append(i) or dict(r) for i, r in enumerate(rows))
+    assert residue_rank(gen, 7, stop=2) == 2
+    assert read == [0, 1, 2]
+    assert residue_rank([{}, {5: 3}], 7, stop=0) == 0

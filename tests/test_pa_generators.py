@@ -288,6 +288,12 @@ _GUARDS = {
                         "[(t, e + (i == 0)) for i, (t, e) in enumerate(f(z, b))]; "
                         "rel._commutant_dim.cache_clear(); rel._commutant_dim(2, 3)",
                         "ArithmeticError"),
+    # the first term of the first nested cup one q power off: E v != 0
+    "commutant_cups": ("rel._nested_cups = lambda n, f=rel._nested_cups: "
+                       "[{b: (c, e + (i == 0)) for i, (b, (c, e)) in enumerate(v.items())} "
+                       "if k == 0 else v for k, v in enumerate(f(n))]; "
+                       "rel._commutant_dim(3, 3)",
+                       "ArithmeticError"),
     "simple_module_sign": ("rm.simple_module(ctx, 0, 1)", "ValueError"),
     "projective_module_sign": ("rm.projective_module(ctx, 2, 1)", "ValueError"),
     "intertwiner_field": ("rm.intertwiner_space(rm.simple_module(ctx, 1, 1), "

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 from collections import defaultdict
-from math import comb
+from math import comb, isqrt
 
 import pytest
 
-from uqsl2._elim import rank_of_vectors
+from uqsl2 import relation_engine
+from uqsl2._elim import SparseRref, rank_of_vectors
 from uqsl2.cyclo_field import FieldCtx
 from uqsl2.diagram_algebra import all_diagrams, diagram_to_matrix, e_op, rotation
 from uqsl2.fusion_dims import catalan, dimension_formula
@@ -20,6 +21,8 @@ from uqsl2.relation_engine import (
     capping_pattern,
     coefficient_identity_failures,
     _commutant_dim,
+    _cup_bounds,
+    _modular_map,
     _prop2_core,
     commutant_dim,
     gamma_factorial_ratio,
@@ -145,10 +148,69 @@ def _unsplit_commutant_dim(p, n):
     return dim
 
 
-@pytest.mark.parametrize("p", [2, 3, 4])
+@pytest.mark.parametrize("p", [2, 3, 4, 5, 6])
 def test_sigma_split_matches_unsplit_solve(p):
-    for n in range(6):
+    # n <= 2p - 2 are certified by the two bounds, the rest solved exactly
+    for n in range(7):
         assert _commutant_dim(p, n) == _unsplit_commutant_dim(p, n), (p, n)
+
+
+@pytest.fixture
+def fresh_solver_caches():
+    caches = (relation_engine._commutant_dim, relation_engine._checked_cups)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
+def _count_add_row(monkeypatch):
+    calls = []
+    add_row = SparseRref.add_row
+    monkeypatch.setattr(SparseRref, "add_row", lambda rr, row: calls.append(1) or add_row(rr, row))
+    return calls
+
+
+def test_certified_solve_skips_exact_elimination(monkeypatch, fresh_solver_caches):
+    calls = _count_add_row(monkeypatch)
+    assert _commutant_dim(4, 4) == 14
+    assert calls == []
+
+
+def test_short_lower_bound_set_falls_back_to_exact(monkeypatch, fresh_solver_caches):
+    # Without the first nested cup (all arcs adjacent, fixed by sigma) the
+    # even half's lower bound is one short, so its bounds never meet.
+    cups = relation_engine._nested_cups
+    monkeypatch.setattr(relation_engine, "_nested_cups", lambda n: cups(n)[1:])
+    assert sum(_cup_bounds(4, 4)) == catalan(4) - 1
+    calls = _count_add_row(monkeypatch)
+    assert _commutant_dim(4, 4) == 14
+    assert calls
+
+
+def test_faulted_lower_bound_vector_raises(monkeypatch, fresh_solver_caches):
+    def shifted(n):
+        vecs = cups(n)
+        b, (c, e) = next(iter(vecs[0].items()))
+        vecs[0][b] = (c, e + 1)
+        return vecs
+
+    cups = relation_engine._nested_cups
+    monkeypatch.setattr(relation_engine, "_nested_cups", shifted)
+    with pytest.raises(ArithmeticError):
+        _commutant_dim(3, 3)
+
+
+@pytest.mark.parametrize("p", range(2, 9))
+def test_modular_map(p):
+    l, powers = _modular_map(p)
+    r = powers[1]
+    assert powers == [pow(r, e, l) for e in range(2 * p)]
+    assert l % (2 * p) == 1 and l > 2**30
+    assert all(l % d for d in range(2, isqrt(l) + 1))
+    phi = FieldCtx(p).cyclotomic_modulus
+    assert sum(c * pow(r, i, l) for i, c in enumerate(phi)) % l == 0
 
 
 def test_commutant_reaches_seven_strands():
