@@ -358,8 +358,7 @@ def _nullity(p: int, rows: dict, ncols: int, lower: int | None) -> int:
 
         if residue_rank((residues(rows[t]) for t in order), l, ncols - lower) == ncols - lower:
             return lower
-    ctx = FieldCtx(p)
-    qp = [(c.nums, c.den) for c in map(ctx.q_power, range(2 * p))]
+    ctx, qp = _exact_powers(p)
 
     def exact(terms):
         row: dict = {}
@@ -369,6 +368,13 @@ def _nullity(p: int, rows: dict, ncols: int, lower: int | None) -> int:
 
     # Rows by ascending target, E and F merged: keeps fill-in low.
     return ncols - rank_of_vectors(ctx, (exact(rows[t]) for t in order))
+
+
+@lru_cache(maxsize=None)
+def _exact_powers(p: int) -> tuple:
+    """(FieldCtx(p), [the kernel pair of q^e for e < 2p])."""
+    ctx = FieldCtx(p)
+    return ctx, [(c.nums, c.den) for c in map(ctx.q_power, range(2 * p))]
 
 
 @lru_cache(maxsize=None)
