@@ -1,15 +1,13 @@
 """Sparse exact linear algebra over Q(q): row reduction and nullspaces.
 
 Rows and returned vectors map column keys (any comparable, hashable
-values) to nonzero kernel pairs (nums, den) as used by ``uqsl2._kernel``;
-that is the only scalar form callers see, so callers holding CycloNum
-values wrap and unwrap at their own boundary.  Inside, each pair is
-interned as an id of the field's ``Scalars`` table and the elimination
-runs on id rows with memoised arithmetic; every id stands for the exact
-pair the kernel would compute, so ranks and nullspaces are unchanged.
-The one CycloNum in this module is the field inverse behind each new
-pivot value.  Everything here is exact; there is no pivoting heuristic
-beyond smallest column key, which keeps results deterministic.
+values) to nonzero int ids of the field's ``uqsl2._kernel.Scalars``
+table; callers build id rows and wrap ids into CycloNum at their own
+boundary.  The elimination runs on those ids with the table's memoised
+arithmetic; every id stands for the exact value the kernel computes, so
+ranks and nullspaces are exact.  The one CycloNum in this module is the
+field inverse behind each new pivot value.  There is no pivoting
+heuristic beyond smallest column key, which keeps results deterministic.
 
 ``residue_rank`` runs the same reduction loop over a prime field F_l, on
 rows of int residues: only the multiply-subtract and the pivot inverse
@@ -19,7 +17,7 @@ caller certifies a nullity against a lower bound it holds.
 
 from __future__ import annotations
 
-from uqsl2._kernel import kneg, krow_axpy, scalars
+from uqsl2._kernel import ONE, krow_axpy, scalars
 from uqsl2.cyclo_field import CycloNum, FieldCtx
 
 
@@ -40,21 +38,16 @@ class SparseRref:
         return len(self.pivots)
 
     def add_row(self, row: dict) -> bool:
-        """Reduce ``row`` against the accumulated pivots.
+        """Reduce the id row ``row`` against the accumulated pivots.
 
-        Absorbs the remainder as a new pivot row when it is nonzero and
-        leaves that pivot row, as pairs with pivot value 1, in ``row``;
-        otherwise leaves ``row`` empty.  Returns True iff the rank grew.
+        Zero ids are dropped.  Absorbs the remainder as a new pivot row
+        when it is nonzero and leaves that pivot row in ``row`` as kernel
+        pairs (nums, den), pivot value 1: ``perfbench/layer_trace.py``
+        reads its coefficient sizes there.  Otherwise leaves ``row``
+        empty.  Returns True iff the rank grew.
         """
         table = self.table
-        ids, id_of, intern = table.ids, table.id_of, table.intern
-        r = {}
-        # Only canonical pairs are interned, so a hit needs no knorm; zero
-        # (id 0, or all numerators zero) is dropped.
-        for k, pair in row.items():
-            i = ids.get(pair) or id_of(*pair)
-            if i:
-                r[k] = i
+        r = {k: i for k, i in row.items() if i}
         row.clear()
         c = _reduce(r, self.pivots, krow_axpy, table)
         if c is None:
@@ -63,13 +56,10 @@ class SparseRref:
         inv = table.inv.get(a)
         if inv is None:
             x = CycloNum(self.ctx, *table.vals[a]).inv()
-            inv = table.inv[a] = intern(x.nums, x.den)
+            inv = table.inv[a] = table.intern(x.nums, x.den)
         mul, vals = table.mul, table.vals
         for k, v in r.items():
-            w = mul.get((v, inv))
-            if w is None:
-                w = table.product(v, inv)
-            r[k] = w
+            w = r[k] = mul.get((v, inv)) or table.product(v, inv)
             row[k] = vals[w]
         self.pivots[c] = r
         return True
@@ -117,12 +107,16 @@ def residue_rank(rows, modulus: int, stop: int | None = None) -> int:
     return len(pivots)
 
 
-def rank_of_vectors(ctx: FieldCtx, vectors) -> int:
-    """Rank of a family of kernel rows; the rows are not modified."""
+def _rref(ctx: FieldCtx, rows) -> SparseRref:
     rr = SparseRref(ctx)
-    for v in vectors:
-        rr.add_row(dict(v))
-    return rr.rank
+    for row in rows:
+        rr.add_row(dict(row))
+    return rr
+
+
+def rank_of_vectors(ctx: FieldCtx, vectors) -> int:
+    """Rank of a family of id rows; the rows are not modified."""
+    return _rref(ctx, vectors).rank
 
 
 def nullspace(ctx: FieldCtx, rows, columns) -> list[dict]:
@@ -130,11 +124,9 @@ def nullspace(ctx: FieldCtx, rows, columns) -> list[dict]:
 
     ``columns`` fixes the order of the free variables, so the basis is
     deterministic: one vector per free column, with that coordinate 1.
-    Returns kernel-form vectors; the rows are not modified.
+    Rows and returned vectors are id rows; the rows are not modified.
     """
-    rr = SparseRref(ctx)
-    for row in rows:
-        rr.add_row(dict(row))
+    rr = _rref(ctx, rows)
     table = rr.table
     pivs = rr.pivots
     for pc in sorted(pivs, reverse=True):
@@ -144,15 +136,14 @@ def nullspace(ctx: FieldCtx, rows, columns) -> list[dict]:
             if e is not None:
                 krow_axpy(row, pivs[c], e, table)
     basis = []
-    one = (ctx.one.nums, ctx.one.den)
-    vals = table.vals
+    negs = table.neg
     for f in columns:
         if f in pivs:
             continue
-        vec = {f: one}
+        vec = {f: ONE}
         for pc, row in pivs.items():
             e = row.get(f)
             if e is not None:
-                vec[pc] = kneg(*vals[e])
+                vec[pc] = negs.get(e) or table.negation(e)
         basis.append(vec)
     return basis

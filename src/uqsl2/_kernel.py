@@ -1,28 +1,28 @@
-"""Scalar kernel: exact arithmetic on cyclotomic numbers as integer tuples.
+"""Scalar kernel: exact arithmetic on cyclotomic numbers.
 
-A scalar is a pair ``(nums, den)``: ``nums`` is a tuple of integer
+The pair functions (``knorm``, ``kadd``, ``ksub``, ``kneg``, ``kmul``)
+take a scalar as a pair ``(nums, den)``: ``nums`` is a tuple of integer
 numerators (coefficients of q^0, q^1, ...) of length ``deg``, ``den`` a
 positive integer, with gcd(*nums, den) == 1.  ``red`` holds the reduction
 rows of the field: red[k][j] is the integer coefficient of q^j in
 q^(deg+k) reduced modulo the minimal polynomial.  Integers stay Python
-ints throughout; exactness requires arbitrary precision.
+ints throughout; exactness requires arbitrary precision.  Only this
+module and ``uqsl2.cyclo_field`` (``CycloNum``) call them.
 
-Above the pair functions there is one representation: a scalar is a
-small int id of its field's ``Scalars`` table, which interns canonical
-pairs (0 is zero, 1 is one) and memoises sums, products, differences and
-negations on id operands, computing each miss once on the pairs.  Every
-value is interned in canonical form, so equal values have equal ids.
+Below ``CycloNum`` every module holds a scalar as a small int id of its
+field's ``Scalars`` table, which interns canonical pairs (0 is zero, 1
+is one) and memoises sums, products, differences and negations on ids,
+computing each miss once on the pairs; equal values have equal ids.
 ``scalars(red)`` holds one table per field, found by its reduction rows,
-for the whole process: operators and pivot rows keep ids, and caches keep
-operators.  Only the field asked for last keeps its memos, so memory
-holds one field's memos at a time; a new field's table empties the
-previous one's.  Operators (``uqsl2.tensor_space``) and the elimination
-(``krow_axpy``) both run on these ids.
+for the whole process.  Only the field asked for last keeps its memos; a
+new field's table empties the previous one's.  Operators
+(``uqsl2.tensor_space``), the elimination (``krow_axpy``) and the
+intertwiner solver all run on these ids.
 
-``kmul`` is the pair product for ``CycloNum``, memoised one field at a
-time.  Sums of two integral pairs (both denominators 1, most sums in
-practice) add the numerators and skip ``knorm``: the gcd with 1 is 1, so
-the pair is the one the general formula gives.
+``kmul`` is the one pair product, for ``CycloNum`` and the table's
+product misses alike.  Sums of two integral pairs (both denominators 1,
+most sums in practice) add the numerators and skip ``knorm``: the gcd
+with 1 is 1, so the pair is the one the general formula gives.
 """
 
 from __future__ import annotations
@@ -68,27 +68,7 @@ def kneg(an, ad):
     return tuple(map(neg, an)), ad
 
 
-# (red, {(an, ad, bn, bd): product}) of the field multiplied in last.  A new
-# field starts an empty memo, so memory holds one field's products at a time.
-_last = (None, {})
-
-
 def kmul(an, ad, bn, bd, red):
-    """``kprod``, memoised for the field multiplied in last."""
-    global _last
-    last, memo = _last
-    if red is not last:
-        if red != last:
-            memo = {}
-        _last = red, memo
-    key = (an, ad, bn, bd)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    return memo.setdefault(key, kprod(an, ad, bn, bd, red))
-
-
-def kprod(an, ad, bn, bd, red):
     """Multiply: integer convolution, reduce by red rows, normalize."""
     deg = len(an)
     conv = [0] * (2 * deg - 1)
@@ -109,20 +89,6 @@ def kprod(an, ad, bn, bd, red):
                 if r:
                     nums[j] += c * r
     return knorm(tuple(nums), ad * bd)
-
-
-def kacc(acc, key, nums, den):
-    """In-place ``acc[key] += (nums, den)``; a sum that becomes zero is removed."""
-    e = acc.get(key)
-    if e is None:
-        acc[key] = (nums, den)
-        return
-    en, ed = e
-    rn, rd = (tuple(map(add, en, nums)), 1) if ed == 1 == den else kadd(en, ed, nums, den)
-    if any(rn):
-        acc[key] = (rn, rd)
-    else:
-        del acc[key]
 
 
 # Entries a sum, product or difference memo holds before it is emptied.
@@ -182,8 +148,7 @@ class Scalars:
             memo.clear()
 
     # Memo misses: compute on the pairs, intern, and record the id.  A full
-    # memo is emptied first.  The product memo is on ids, so kmul's pair
-    # memo would only hold it twice.
+    # memo is emptied first.
     def addition(self, a, b) -> int:
         if len(self.add) >= MEMO_CAP:
             self.add.clear()
@@ -194,7 +159,7 @@ class Scalars:
     def product(self, a, b) -> int:
         if len(self.mul) >= MEMO_CAP:
             self.mul.clear()
-        r = self.mul[a, b] = self.intern(*kprod(*self.vals[a], *self.vals[b], self.red))
+        r = self.mul[a, b] = self.intern(*kmul(*self.vals[a], *self.vals[b], self.red))
         return r
 
     def difference(self, a, b) -> int:
@@ -207,6 +172,17 @@ class Scalars:
     def negation(self, a) -> int:
         r = self.neg[a] = self.intern(*kneg(*self.vals[a]))
         return r
+
+    def accumulate(self, row, key, a) -> None:
+        """In-place ``row[key] += a`` for a nonzero id ``a``; a zero sum is removed."""
+        e = row.get(key)
+        if e is not None:
+            r = self.add.get((e, a))
+            a = self.addition(e, a) if r is None else r
+            if not a:
+                del row[key]
+                return
+        row[key] = a
 
 
 # Every field's table, by reduction rows, and the one asked for last: the

@@ -45,7 +45,7 @@ from math import comb
 from typing import Callable, NamedTuple
 
 from ._elim import nullspace, rank_of_vectors, residue_rank
-from ._kernel import kacc, krow_add, scalars
+from ._kernel import krow_add, scalars
 from .cyclo_field import CycloNum, FieldCtx, QFactProduct, SingularRatio, cyclotomic_polynomial
 from .diagram_algebra import (
     all_diagrams,
@@ -73,8 +73,8 @@ from .pa_generators import (
     partial_trace_right,
 )
 from .tensor_space import (
-    BasisIndex, LinOp, TensorVector, _op, _vec, basis_index, e_power, e_terms, f_power, f_terms,
-    from_word, op_E, op_F, op_K, op_K_power, widen, x_bottom, x_top,
+    BasisIndex, LinOp, TensorVector, _cid, _op, _vec, basis_index, e_power, e_terms, f_power,
+    f_terms, from_word, op_E, op_F, op_K, op_K_power, widen, x_bottom, x_top,
 )
 
 DEFAULT_BUDGET = 2**16
@@ -223,7 +223,8 @@ def coefficient_identity_failures(ctx: FieldCtx) -> list:
     orders, before any factorial reduction.
     """
     p = ctx.p
-    qp, lam = ctx.q_power, ctx.lambda_coeff
+    # Each lambda coefficient recurs across the tuples; evaluate it once.
+    qp, lam = ctx.q_power, lru_cache(maxsize=None)(ctx.lambda_coeff)
     bad = []
     for j in range(p + 1):
         for l in range(p):
@@ -358,23 +359,21 @@ def _nullity(p: int, rows: dict, ncols: int, lower: int | None) -> int:
 
         if residue_rank((residues(rows[t]) for t in order), l, ncols - lower) == ncols - lower:
             return lower
-    ctx, qp = _exact_powers(p)
+    ctx = _field(p)
+    acc, qids, m = scalars(ctx.red).accumulate, ctx.qids, 2 * p
 
     def exact(terms):
         row: dict = {}
         for col, e in terms:
-            kacc(row, col, *qp[e % (2 * p)])
+            acc(row, col, qids[e % m])
         return row
 
     # Rows by ascending target, E and F merged: keeps fill-in low.
     return ncols - rank_of_vectors(ctx, (exact(rows[t]) for t in order))
 
 
-@lru_cache(maxsize=None)
-def _exact_powers(p: int) -> tuple:
-    """(FieldCtx(p), [the kernel pair of q^e for e < 2p])."""
-    ctx = FieldCtx(p)
-    return ctx, [(c.nums, c.den) for c in map(ctx.q_power, range(2 * p))]
+# One FieldCtx(p) for every exact solve at p.
+_field = lru_cache(maxsize=None)(FieldCtx)
 
 
 @lru_cache(maxsize=None)
@@ -905,10 +904,8 @@ def _check_rot_rank(p, budget):
             for pos, c in op.flat().items():
                 rows_by_pos[pos][i] = c
         null = nullspace(ctx, rows_by_pos.values(), range(m))
-        seeds = [
-            {i: (c.nums, c.den) for i, c in enumerate(CoefficientVector(ctx, *seed).k) if c}
-            for seed in ((1, 0), (0, 1))
-        ]
+        seeds = [{i: _cid(ctx, c) for i, c in enumerate(CoefficientVector(ctx, *seed).k) if c}
+                 for seed in ((1, 0), (0, 1))]
         if len(null) != 2 or rank_of_vectors(ctx, null + seeds) != 2:
             return n, False, {"identity": f"nullspace of {name} orbit matches seed span",
                               "nullity": len(null)}

@@ -6,16 +6,18 @@ action in the standard bases.  Matrices are row-major tuples of CycloNum;
 column j is the image of basis vector j.  The intertwiner solver computes
 an exact nullspace basis of the commutation constraints and reproduces the
 hom-space dimension table.  K is diagonal, so it solves only for the
-entries between equal K eigenvalues, under the E and F constraints; it
-hands ``uqsl2._elim`` kernel pairs and wraps the solved maps back into
-CycloNum matrices.  Each module's K eigenvalues and E/F nonzero entries
-are read from its matrices once, on first use, and reused by every pair.
+entries between equal K eigenvalues, under the E and F constraints.
+Each module's K eigenvalues and E/F nonzero entries are read from its
+matrices once, on first use, as ids of the field's ``Scalars`` table,
+and reused by every pair.  The solver and the intertwiner and span
+checks build id rows with the table's memos, hand them to
+``uqsl2._elim``, and wrap each solved map into CycloNum once.
 """
 
 from __future__ import annotations
 
 from uqsl2 import _elim
-from uqsl2._kernel import kacc, kmul, kneg
+from uqsl2._kernel import scalars
 from uqsl2.cyclo_field import CycloNum, FieldCtx
 
 
@@ -48,23 +50,25 @@ class ModuleData:
         self._sparse = None
 
     def sparse(self) -> tuple:
-        """(K eigenvalues, E entries, F entries) as kernel pairs, read once.
+        """(K eigenvalues, E entries, F entries) as scalar ids, read once.
 
         The eigenvalues come one per basis vector; each of E and F comes as
-        (the nonzero (row, nums, den) of every column, the negated nonzero
-        (column, nums, den) of every row), indices ascending.  Raises
+        (the nonzero (row, id) of every column, the negated nonzero
+        (column, id) of every row), indices ascending.  Raises
         ArithmeticError, on every call, if K is not diagonal.
         """
         if self._sparse is None:
             K, d = self.K_matrix, self.dimension
             if any(c for i, row in enumerate(K) for j, c in enumerate(row) if i != j):
                 raise ArithmeticError(f"K of {self.label} is not diagonal")
+            id_of = scalars(self.ctx.red).id_of
+            cid = lambda c: id_of(c.nums, c.den)
             ef = tuple(
-                ([[(k, c.nums, c.den) for k in range(d) if (c := M[k][j])] for j in range(d)],
-                 [[(k, *kneg(c.nums, c.den)) for k, c in enumerate(M[i]) if c] for i in range(d)])
+                ([[(k, cid(c)) for k in range(d) if (c := M[k][j])] for j in range(d)],
+                 [[(k, cid(-c)) for k, c in enumerate(M[i]) if c] for i in range(d)])
                 for M in (self.E_matrix, self.F_matrix)
             )
-            self._sparse = (tuple((K[i][i].nums, K[i][i].den) for i in range(d)), *ef)
+            self._sparse = (tuple(cid(K[i][i]) for i in range(d)), *ef)
         return self._sparse
 
     @property
@@ -198,21 +202,23 @@ def is_intertwiner(M, src: ModuleData, tgt: ModuleData) -> bool:
 
     Both K are diagonal, so K commutes iff every nonzero M[i][j] joins equal
     eigenvalues.  For E and F, g_tgt M - M g_src is summed over the nonzeros
-    of M into a sparse dict of kernel pairs, which must come out empty.
+    of M into a sparse dict of scalar ids, which must come out empty.
     """
-    red = src.ctx.red
+    table = scalars(src.ctx.red)
+    muls, product, acc = table.mul, table.product, table.accumulate
     (ks, *src_ef), (kt, *tgt_ef) = src.sparse(), tgt.sparse()
-    nonzeros = [(i, j, c.nums, c.den) for i, row in enumerate(M) for j, c in enumerate(row) if c]
-    if any(kt[i] != ks[j] for i, j, _, _ in nonzeros):
+    nonzeros = [(i, j, table.id_of(c.nums, c.den))
+                for i, row in enumerate(M) for j, c in enumerate(row) if c]
+    if any(kt[i] != ks[j] for i, j, _ in nonzeros):
         return False
     for (_, srows), (tcols, _) in zip(src_ef, tgt_ef):
-        acc: dict = {}
-        for i, j, n, d in nonzeros:
-            for k, cn, cd in srows[j]:  # negated g_src[j][k]
-                kacc(acc, (i, k), *kmul(n, d, cn, cd, red))
-            for k, cn, cd in tcols[i]:  # g_tgt[k][i]
-                kacc(acc, (k, j), *kmul(cn, cd, n, d, red))
-        if acc:
+        row: dict = {}
+        for i, j, x in nonzeros:
+            for k, c in srows[j]:  # negated g_src[j][k]
+                acc(row, (i, k), muls.get((x, c)) or product(x, c))
+            for k, c in tcols[i]:  # g_tgt[k][i]
+                acc(row, (k, j), muls.get((c, x)) or product(c, x))
+        if row:
             return False
     return True
 
@@ -234,25 +240,26 @@ def intertwiner_space(src: ModuleData, tgt: ModuleData) -> HomBasis:
     for j, k in enumerate(ks):
         by_value.setdefault(k, []).append(j)
     live = {i * ds + j for i, k in enumerate(kt) for j in by_value.get(k, ())}
+    table = scalars(ctx.red)
+    acc = table.accumulate
     rows = []
     for (scols, _), (_, trows) in zip(src_ef, tgt_ef):
         for i in range(dt):
             for j in range(ds):
-                row: dict[int, tuple] = {}
-                for k, n, d in scols[j]:
+                row = {}
+                for k, c in scols[j]:
                     if (key := i * ds + k) in live:
-                        kacc(row, key, n, d)
-                for k, n, d in trows[i]:
+                        row[key] = c  # these keys are distinct
+                for k, c in trows[i]:
                     if (key := k * ds + j) in live:
-                        kacc(row, key, n, d)
+                        acc(row, key, c)
                 if row:
                     rows.append(row)
-    vecs = _elim.nullspace(ctx, rows, sorted(live))
     maps = []
-    for v in vecs:
+    for v in _elim.nullspace(ctx, rows, sorted(live)):
         M = [[ctx.zero] * ds for _ in range(dt)]
         for key, c in v.items():
-            M[key // ds][key % ds] = CycloNum(ctx, *c)
+            M[key // ds][key % ds] = CycloNum(ctx, *table.vals[c])
         maps.append(_freeze(M))
     return HomBasis(src.label, tgt.label, maps)
 
@@ -272,8 +279,9 @@ def _expected_hom_dim(p: int, src: ModuleData, tgt: ModuleData) -> int | None:
 
 
 def _in_span(ctx: FieldCtx, basis_maps, M) -> bool:
+    id_of = scalars(ctx.red).id_of
     vec = lambda A: {
-        (i, j): (c.nums, c.den) for i, row in enumerate(A) for j, c in enumerate(row) if c
+        (i, j): id_of(c.nums, c.den) for i, row in enumerate(A) for j, c in enumerate(row) if c
     }
     rr = _elim.SparseRref(ctx)
     for B in basis_maps:
@@ -299,6 +307,7 @@ def verify_hom_forms(ctx: FieldCtx) -> dict:
     """
     p = ctx.p
     mods = all_modules(ctx)
+    mod = {(m.kind, m.sign, m.s): m for m in mods}
     solved = {}
 
     def hom_space(src, tgt):
@@ -335,9 +344,7 @@ def verify_hom_forms(ctx: FieldCtx) -> dict:
 
     for sign in (1, -1):
         for s in range(1, p):
-            X = simple_module(ctx, sign, s)
-            P = projective_module(ctx, sign, s)
-            Pop = projective_module(ctx, -sign, p - s)
+            X, P, Pop = mod["X", sign, s], mod["P", sign, s], mod["P", -sign, p - s]
             t = p - s
             # P -> X: b_i |-> nu_i
             M = [[ctx.zero] * (2 * p) for _ in range(s)]

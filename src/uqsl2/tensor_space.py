@@ -15,8 +15,7 @@ vectors and operators is equality of id dicts.  Sums, negations,
 products, composition and the index maps are memoised id lookups.
 CycloNum and BasisIndex appear only at the boundary: the constructors,
 ``unit``, ``scale``, ``column``, ``coeff`` and ``str``.  ``LinOp.flat``
-hands the entries to ``uqsl2._elim`` as one row of kernel pairs, read
-from the table.
+hands the entries to ``uqsl2._elim`` as one id row, as they are held.
 """
 
 from __future__ import annotations
@@ -314,10 +313,10 @@ class LinOp:
         return _op(self.ctx, self.z_in + other.z_in, self.z_out + other.z_out, cols)
 
     def flat(self) -> dict:
-        """All entries as one row of kernel pairs keyed by (in mask << z_out) | out mask."""
-        shift, vals = self.z_out, scalars(self.ctx.red).vals
+        """All entries as one id row keyed by (in mask << z_out) | out mask."""
+        shift = self.z_out
         return {
-            b << shift | b2: vals[c]
+            b << shift | b2: c
             for b, col in self.columns.items()
             for b2, c in col.terms.items()
         }

@@ -380,11 +380,6 @@ def test_jw_top_projection(p):
         assert not (F * cap(ctx, i, n))
 
 
-def _pairs(v):
-    """The entries of a vector as a row of kernel pairs, read through coeff."""
-    return {m: (c.nums, c.den) for m in v.terms for c in [v.coeff(BasisIndex(v.z, m))]}
-
-
 @pytest.mark.parametrize("p", [2, 3])
 def test_jw_image_is_top_simple(p):
     # image has dimension n+1 with K-eigenvalues q^n, q^(n-2), ..., q^-n,
@@ -393,7 +388,7 @@ def test_jw_image_is_top_simple(p):
     for n, proj in [(2 * p - 1, jw_closed(ctx, 2 * p - 1))] + (
         [(2, tl_to_matrix(ctx, jw_recursive(ctx, 2)))] if p > 2 else []
     ):
-        cols = [_pairs(proj.column(b)) for b in all_indices(n)]
+        cols = [proj.column(b).terms for b in all_indices(n)]
         cols = [c for c in cols if c]
         assert rank_of_vectors(ctx, cols) == n + 1
         weights = {proj.column(b).homogeneous_weight() for b in all_indices(n) if proj.column(b)}

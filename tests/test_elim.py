@@ -1,5 +1,6 @@
-"""Exact sparse elimination: nullspace bases of random kernel-form systems,
-checked against a reference elimination on kernel pairs."""
+"""Exact sparse elimination: nullspace bases of random systems, drawn as
+kernel pairs and eliminated as id rows, checked against a reference
+elimination on the pairs."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uqsl2._elim import SparseRref, nullspace, rank_of_vectors, residue_rank
-from uqsl2._kernel import kacc, kadd, kmul, kneg, knorm, ksub
+from uqsl2._kernel import ONE, kadd, kmul, kneg, knorm, ksub, scalars
 from uqsl2.cyclo_field import CycloNum, make_field
 
 CTX = {p: make_field(p) for p in (2, 3)}
@@ -29,9 +30,23 @@ def systems(draw, p=None):
     if len(rows) >= 2 and draw(st.booleans()):
         total = dict(rows[0])
         for col, (n, d) in rows[1].items():
-            kacc(total, col, n, d)
+            e = total.pop(col, None)
+            s = (n, d) if e is None else kadd(*e, n, d)
+            if any(s[0]):
+                total[col] = s
         rows.append(total)
     return ctx, ncols, rows
+
+
+def _ids(ctx, row):
+    """The id row of a kernel-pair row; a zero pair becomes id 0."""
+    id_of = scalars(ctx.red).id_of
+    return {k: id_of(*v) for k, v in row.items()}
+
+
+def _pairs(ctx, row):
+    vals = scalars(ctx.red).vals
+    return {k: vals[i] for k, i in row.items()}
 
 
 # --- reference: the elimination on kernel pairs, before scalars were interned
@@ -94,14 +109,15 @@ def _ref_nullspace(ctx, rows, columns):
 
 
 def _pivot_pairs(rr):
-    return {c: {k: rr.table.vals[i] for k, i in row.items()} for c, row in rr.pivots.items()}
+    return {c: _pairs(rr.ctx, row) for c, row in rr.pivots.items()}
 
 
 def _add_both(rr, ref, row):
-    """add_row on the interned and the reference accumulator; both must
-    agree, and the caller's dict must hold the new pivot row (pivot value
-    one) when the rank grew and be empty otherwise."""
-    mine, theirs = dict(row), dict(row)
+    """add_row of the id row on the interned accumulator and of the pair row
+    on the reference; both must agree, and the caller's dict must hold the
+    new pivot row as pairs (pivot value one) when the rank grew and be
+    empty otherwise."""
+    mine, theirs = _ids(rr.ctx, row), dict(row)
     grew = rr.add_row(mine)
     assert grew == ref.add_row(theirs)
     assert mine == theirs
@@ -125,17 +141,17 @@ def _dot(ctx, row, vec):
 @settings(max_examples=150, deadline=None)
 def test_nullspace_basis(system):
     ctx, ncols, rows = system
-    before = copy.deepcopy(rows)
-    basis = nullspace(ctx, rows, range(ncols))
-    assert rows == before
-    assert basis == _ref_nullspace(ctx, rows, range(ncols))
-    one = (ctx.one.nums, ctx.one.den)
+    id_rows = [_ids(ctx, row) for row in rows]
+    before = copy.deepcopy(id_rows)
+    basis = nullspace(ctx, id_rows, range(ncols))
+    assert id_rows == before
+    assert [_pairs(ctx, vec) for vec in basis] == _ref_nullspace(ctx, rows, range(ncols))
     # every vector annihilates every row, in kernel arithmetic
     for vec in basis:
         for row in rows:
-            assert not any(_dot(ctx, row, vec)[0])
+            assert not any(_dot(ctx, row, _pairs(ctx, vec))[0])
     # one vector per free column: columns - rank of them
-    assert len(basis) == ncols - rank_of_vectors(ctx, rows)
+    assert len(basis) == ncols - rank_of_vectors(ctx, id_rows)
     # each vector is 1 at its own free column and 0 at the others; rank and
     # pivot rows are the reference's
     rr, ref = SparseRref(ctx), _RefRref(ctx)
@@ -145,7 +161,7 @@ def test_nullspace_basis(system):
     free = [c for c in range(ncols) if c not in rr.pivots]
     assert len(free) == len(basis)
     for f, vec in zip(free, basis):
-        assert vec[f] == one
+        assert vec[f] == ONE
         assert not set(vec) & (set(free) - {f})
 
 
@@ -167,8 +183,8 @@ def test_interleaved_fields(sys2, sys3):
 @given(systems())
 @settings(max_examples=60, deadline=None)
 def test_zero_and_unreduced_entries(system):
-    """An explicit all-zero entry changes no rank or pivot, and neither does
-    writing an entry with numerators and denominator both doubled."""
+    """An explicit zero id changes no rank or pivot, and neither does
+    interning an entry with numerators and denominator both doubled."""
     ctx, ncols, rows = system
     zero = ((0,) * ctx.degree, 1)
     padded = [{**row, ncols: zero} for row in rows]
@@ -176,11 +192,11 @@ def test_zero_and_unreduced_entries(system):
                for row in rows]
     plain = SparseRref(ctx)
     for row in rows:
-        plain.add_row(dict(row))
+        plain.add_row(_ids(ctx, row))
     for variant in (padded, doubled):
         rr = SparseRref(ctx)
         for row in variant:
-            rr.add_row(dict(row))
+            rr.add_row(_ids(ctx, row))
         assert rr.rank == plain.rank
         assert _pivot_pairs(rr) == _pivot_pairs(plain)
         # equal values share one id: only canonical pairs are interned

@@ -1,7 +1,9 @@
 """Import hygiene: every uqsl2 module imports cleanly with warnings as
-errors, and none keeps a module-level import it never references.
+errors, none keeps a module-level import it never references, and only
+the scalar kernel and the field compute on kernel pairs.
 
-``__init__.py`` is exempt; its imports are the package's re-exports.
+``__init__.py`` is exempt from the unused-import check; its imports are
+the package's re-exports.
 """
 
 from __future__ import annotations
@@ -72,3 +74,20 @@ def test_no_unused_imports(module):
     used = _referenced(tree)
     unused = {name: line for name, line in _imported(tree).items() if name not in used}
     assert not unused, f"uqsl2.{module}: unused imports {unused}"
+
+
+# The kernel's pair arithmetic; every module but these two works on scalar ids.
+PAIR_FUNCTIONS = {"knorm", "kadd", "ksub", "kneg", "kmul"}
+PAIR_MODULES = ("_kernel", "cyclo_field")
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m not in PAIR_MODULES])
+def test_pair_arithmetic_stays_in_kernel_and_field(module):
+    tree = ast.parse((PKG / f"{module}.py").read_text(encoding="utf-8"))
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert not imported & PAIR_FUNCTIONS, f"uqsl2.{module} imports {imported & PAIR_FUNCTIONS}"

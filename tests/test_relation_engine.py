@@ -9,6 +9,7 @@ import pytest
 
 from uqsl2 import relation_engine
 from uqsl2._elim import SparseRref, rank_of_vectors
+from uqsl2._kernel import scalars
 from uqsl2.cyclo_field import FieldCtx
 from uqsl2.diagram_algebra import all_diagrams, diagram_to_matrix, e_op, rotation
 from uqsl2.fusion_dims import catalan, dimension_formula
@@ -134,6 +135,7 @@ def _unsplit_commutant_dim(p, n):
     X^2n eliminated whole, its E and F rows together."""
     ctx = FieldCtx(p)
     qp = [(c.nums, c.den) for c in map(ctx.q_power, range(2 * p))]
+    id_of = scalars(ctx.red).id_of
     z = 2 * n
     dim = 0
     for w in range(n % p, z + 1, p):
@@ -144,7 +146,8 @@ def _unsplit_commutant_dim(p, n):
                 for rule in (e_terms, f_terms):
                     for t, e in rule(z, b):
                         rows[t][col] = qp[e % (2 * p)]
-        dim += comb(z, w) - rank_of_vectors(ctx, (rows[t] for t in sorted(rows)))
+        id_rows = ({c: id_of(*v) for c, v in rows[t].items()} for t in sorted(rows))
+        dim += comb(z, w) - rank_of_vectors(ctx, id_rows)
     return dim
 
 

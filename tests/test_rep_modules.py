@@ -3,7 +3,7 @@
 import pytest
 
 from uqsl2 import _elim
-from uqsl2._kernel import kacc, kneg
+from uqsl2._kernel import kadd, kneg, scalars
 from uqsl2.cyclo_field import CycloNum, make_field
 from uqsl2.rep_modules import (
     ModuleData,
@@ -178,9 +178,18 @@ def test_explicit_hom_forms(p):
 
 
 def _full_system_basis(src, tgt):
-    """Hom(src, tgt) from every K, E and F constraint on all dt*ds entries."""
+    """Hom(src, tgt) from every K, E and F constraint on all dt*ds entries,
+    the rows summed as kernel pairs and eliminated as id rows."""
     ctx = src.ctx
+    table = scalars(ctx.red)
     ds, dt = src.dimension, tgt.dimension
+
+    def add(row, key, n, d):
+        e = row.pop(key, None)
+        s = (n, d) if e is None else kadd(*e, n, d)
+        if any(s[0]):
+            row[key] = s
+
     rows = []
     for gs, gt in (
         (src.K_matrix, tgt.K_matrix),
@@ -193,16 +202,16 @@ def _full_system_basis(src, tgt):
             for j in range(ds):
                 row: dict[int, tuple] = {}
                 for k, n, d in scols[j]:
-                    kacc(row, i * ds + k, n, d)
+                    add(row, i * ds + k, n, d)
                 for k, n, d in trows[i]:
-                    kacc(row, k * ds + j, n, d)
+                    add(row, k * ds + j, n, d)
                 if row:
-                    rows.append(row)
+                    rows.append({key: table.id_of(*v) for key, v in row.items()})
     maps = []
     for v in _elim.nullspace(ctx, rows, range(dt * ds)):
         M = [[ctx.zero] * ds for _ in range(dt)]
         for key, c in v.items():
-            M[key // ds][key % ds] = CycloNum(ctx, *c)
+            M[key // ds][key % ds] = CycloNum(ctx, *table.vals[c])
         maps.append(tuple(map(tuple, M)))
     return maps
 
