@@ -31,7 +31,6 @@ from uqsl2.relation_engine import (
     InfeasibleSize,
     commutant_dim,
     run_checks,
-    verify,
 )
 from uqsl2.rep_modules import verify_hom_forms
 
@@ -269,29 +268,8 @@ def _section_hom(config: RunConfig) -> tuple[dict, int]:
 
 
 def _section_basis(config: RunConfig) -> tuple[dict, int]:
-    rows, skipped = [], []
-    failed = False
-    for p in config.ps:
-        try:
-            report = verify("prop5", p, config.budget)
-        except InfeasibleSize as exc:
-            skipped.append(
-                {"relation_id": "prop5", "p": p, "strands": exc.strands, "skipped": str(exc)}
-            )
-            continue
-        rows.append(_check_row(report))
-        failed = failed or not report.holds
-    payload = {
-        "section": "basis",
-        "columns": ["relation_id", "p", "strands", "holds", "witness"],
-        "rows": rows,
-        "skipped": skipped,
-    }
-    if failed:
-        return payload, EXIT_FAILED
-    if not rows:
-        return payload, EXIT_ALL_SKIPPED
-    return payload, EXIT_OK
+    payload, code = _section_verify(config._replace(relations=("prop5",)))
+    return {**payload, "section": "basis"}, code
 
 
 _SECTIONS = {

@@ -2,9 +2,8 @@
 
 Diagrams are non-crossing perfect matchings between n_top points (read
 left to right) and n_bottom points; as maps they send X^(tensor n_bottom)
-to X^(tensor n_top).  Abstract composition stacks diagrams and converts
-closed loops into factors of the loop parameter delta.  The matrix
-realization sends cups and caps to the standard intertwiners
+to X^(tensor n_top).  The matrix realization sends cups and caps to the
+standard intertwiners
 
     cup: v01 -> -q, v10 -> 1;   cap: 1 -> q^-1 v10 - v01
 
@@ -30,7 +29,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from uqsl2._kernel import krow_add, scalars
-from uqsl2.cyclo_field import CycloNum, FieldCtx, QFactProduct
+from uqsl2.cyclo_field import FieldCtx, QFactProduct
 from uqsl2.tensor_space import (
     BasisIndex,
     LinOp,
@@ -39,6 +38,7 @@ from uqsl2.tensor_space import (
     _vec,
     all_indices,
     f_power,
+    widen,
     x_bottom,
 )
 
@@ -57,16 +57,15 @@ def _linear(pt, n_top: int, n_bottom: int) -> int:
 
 
 class TLDiagram:
-    """A planar pairing of boundary points, plus removed-loop bookkeeping."""
+    """A planar pairing of boundary points."""
 
-    __slots__ = ("n_top", "n_bottom", "pairs", "loops_removed")
+    __slots__ = ("n_top", "n_bottom", "pairs")
 
-    def __init__(self, n_top: int, n_bottom: int, pairs, loops_removed: int = 0):
+    def __init__(self, n_top: int, n_bottom: int, pairs):
         if (n_top + n_bottom) % 2:
             raise ValueError(f"{n_top} + {n_bottom} boundary points cannot be paired")
         self.n_top = n_top
         self.n_bottom = n_bottom
-        self.loops_removed = loops_removed
         lin = lambda pt: _linear(pt, n_top, n_bottom)
         norm = []
         seen = set()
@@ -106,10 +105,10 @@ class TLDiagram:
     def __eq__(self, other):
         if not isinstance(other, TLDiagram):
             return NotImplemented
-        return self.key() == other.key() and self.loops_removed == other.loops_removed
+        return self.key() == other.key()
 
     def __hash__(self):
-        return hash((self.key(), self.loops_removed))
+        return hash(self.key())
 
     def to_parens(self) -> str:
         lin = lambda pt: _linear(pt, self.n_top, self.n_bottom)
@@ -127,20 +126,7 @@ class TLDiagram:
         }
 
     def __repr__(self):
-        loops = f", loops={self.loops_removed}" if self.loops_removed else ""
-        return f"TLDiagram({self.n_top}<-{self.n_bottom}, {self.to_parens()}{loops})"
-
-
-def identity_diagram(n: int) -> TLDiagram:
-    return TLDiagram(n, n, [(("t", i), ("b", i)) for i in range(1, n + 1)])
-
-
-def e_diagram(i: int, n: int) -> TLDiagram:
-    if not 1 <= i <= n - 1:
-        raise ValueError(f"e_{i} out of range for {n} strands")
-    pairs = [(("t", i), ("t", i + 1)), (("b", i), ("b", i + 1))]
-    pairs += [(("t", j), ("b", j)) for j in range(1, n + 1) if j not in (i, i + 1)]
-    return TLDiagram(n, n, pairs)
+        return f"TLDiagram({self.n_top}<-{self.n_bottom}, {self.to_parens()})"
 
 
 def all_diagrams(n_top: int, n_bottom: int) -> list[TLDiagram]:
@@ -162,207 +148,6 @@ def all_diagrams(n_top: int, n_bottom: int) -> list[TLDiagram]:
                     yield [(first, points[k])] + mi + mo
 
     return [TLDiagram(n_top, n_bottom, pairs) for pairs in match(seq)]
-
-
-def _stack(a: TLDiagram, b: TLDiagram) -> tuple[TLDiagram, int]:
-    """Compose a over b (b acts first); returns (diagram, new loops)."""
-    m = a.n_bottom
-    assert b.n_top == m, "incompatible boundaries"
-    pa, pb = a._partner(), b._partner()
-    seen_mid = set()
-
-    def trace(side, pt):
-        while True:
-            if side == "a":
-                s, i = pa[pt]
-                if s == "t":
-                    return ("t", i)
-                seen_mid.add(i)
-                side, pt = "b", ("t", i)
-            else:
-                s, i = pb[pt]
-                if s == "b":
-                    return ("b", i)
-                seen_mid.add(i)
-                side, pt = "a", ("b", i)
-
-    pairs = []
-    done_top = set()
-    done_bot = set()
-    for i in range(1, a.n_top + 1):
-        if i in done_top:
-            continue
-        end = trace("a", ("t", i))
-        done_top.add(i)
-        if end[0] == "t":
-            done_top.add(end[1])
-        else:
-            done_bot.add(end[1])
-        pairs.append((("t", i), end))
-    # every path left over joins two bottom points
-    for j in range(1, b.n_bottom + 1):
-        if j in done_bot:
-            continue
-        end = trace("b", ("b", j))
-        assert end[0] == "b"
-        done_bot.add(j)
-        done_bot.add(end[1])
-        pairs.append((("b", j), end))
-    loops = 0
-    unseen = set(range(1, m + 1)) - seen_mid
-    while unseen:
-        start = unseen.pop()
-        cur, in_a = start, True
-        while True:
-            if in_a:
-                s, nxt = pa[("b", cur)]
-            else:
-                s, nxt = pb[("t", cur)]
-            assert s == ("b" if in_a else "t")
-            in_a = not in_a
-            cur = nxt
-            if cur == start and in_a:
-                break
-            unseen.discard(cur)
-        loops += 1
-    out = TLDiagram(
-        a.n_top,
-        b.n_bottom,
-        pairs,
-        a.loops_removed + b.loops_removed + loops,
-    )
-    return out, loops
-
-
-class TLElement:
-    """Formal combination of loop-free diagrams with field coefficients."""
-
-    __slots__ = ("ctx", "n_top", "n_bottom", "terms")
-
-    def __init__(self, ctx: FieldCtx, n_top: int, n_bottom: int, terms=None):
-        self.ctx = ctx
-        self.n_top = n_top
-        self.n_bottom = n_bottom
-        self.terms: dict[TLDiagram, CycloNum] = {}
-        if terms:
-            for d, c in terms.items():
-                assert (d.n_top, d.n_bottom) == (n_top, n_bottom)
-                if d.loops_removed:
-                    c = c * ctx.loop_value ** d.loops_removed
-                    d = TLDiagram(d.n_top, d.n_bottom, d.pairs)
-                if c:
-                    prev = self.terms.get(d)
-                    tot = c if prev is None else prev + c
-                    if tot:
-                        self.terms[d] = tot
-                    else:
-                        del self.terms[d]
-
-    @classmethod
-    def from_diagram(cls, ctx, d: TLDiagram) -> "TLElement":
-        return cls(ctx, d.n_top, d.n_bottom, {d: ctx.one})
-
-    @classmethod
-    def identity(cls, ctx, n: int) -> "TLElement":
-        return cls.from_diagram(ctx, identity_diagram(n))
-
-    @classmethod
-    def e(cls, ctx, i: int, n: int) -> "TLElement":
-        return cls.from_diagram(ctx, e_diagram(i, n))
-
-    def __add__(self, other: "TLElement") -> "TLElement":
-        assert (self.n_top, self.n_bottom) == (other.n_top, other.n_bottom)
-        out = dict(self.terms)
-        for d, c in other.terms.items():
-            prev = out.get(d)
-            tot = c if prev is None else prev + c
-            if tot:
-                out[d] = tot
-            else:
-                del out[d]
-        el = TLElement(self.ctx, self.n_top, self.n_bottom)
-        el.terms = out
-        return el
-
-    def __neg__(self):
-        el = TLElement(self.ctx, self.n_top, self.n_bottom)
-        el.terms = {d: -c for d, c in self.terms.items()}
-        return el
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c) -> "TLElement":
-        if isinstance(c, TLElement):
-            raise TypeError("compose elements with tl_compose, not *")
-        if not isinstance(c, CycloNum):
-            c = self.ctx.scalar(c)
-        el = TLElement(self.ctx, self.n_top, self.n_bottom)
-        if c:
-            el.terms = {d: x * c for d, x in self.terms.items()}
-        return el
-
-    __mul__ = scale
-    __rmul__ = scale
-
-    def tensor_identity(self, k: int) -> "TLElement":
-        """Adjoin k vertical strands on the right."""
-        out = {}
-        for d, c in self.terms.items():
-            pairs = list(d.pairs)
-            pairs += [
-                (("t", d.n_top + i), ("b", d.n_bottom + i)) for i in range(1, k + 1)
-            ]
-            out[TLDiagram(d.n_top + k, d.n_bottom + k, pairs)] = c
-        return TLElement(self.ctx, self.n_top + k, self.n_bottom + k, out)
-
-    def __eq__(self, other):
-        if not isinstance(other, TLElement):
-            return NotImplemented
-        return (
-            (self.n_top, self.n_bottom) == (other.n_top, other.n_bottom)
-            and self.terms == other.terms
-        )
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __repr__(self):
-        if not self.terms:
-            return "TLElement(0)"
-        body = " + ".join(
-            f"({c})*{d.to_parens()}" for d, c in sorted(
-                self.terms.items(), key=lambda t: t[0].pairs
-            )
-        )
-        return f"TLElement({body})"
-
-
-def tl_compose(a: TLElement, b: TLElement) -> TLElement:
-    """a after b, converting closed loops to powers of delta."""
-    if a.n_bottom != b.n_top:
-        raise ValueError(f"cannot stack {a.n_bottom} bottom points on {b.n_top} top points")
-    ctx = a.ctx
-    delta = ctx.loop_value
-    acc: dict[TLDiagram, CycloNum] = {}
-    for d1, c1 in a.terms.items():
-        for d2, c2 in b.terms.items():
-            d, loops = _stack(d1, d2)
-            c = c1 * c2
-            if loops:
-                c = c * delta**loops
-            if not c:
-                continue
-            key = TLDiagram(d.n_top, d.n_bottom, d.pairs)
-            prev = acc.get(key)
-            tot = c if prev is None else prev + c
-            if tot:
-                acc[key] = tot
-            else:
-                del acc[key]
-    out = TLElement(ctx, a.n_top, b.n_bottom)
-    out.terms = acc
-    return out
 
 
 # --- matrix realization -----------------------------------------------------
@@ -497,7 +282,6 @@ def diagram_to_matrix(ctx: FieldCtx, d: TLDiagram) -> LinOp:
     # peel nested cups off the bottom row
     remaining = list(range(1, d.n_bottom + 1))
     op = LinOp.identity(ctx, d.n_bottom)
-    scale = ctx.one
     while True:
         hit = None
         for pos in range(len(remaining) - 1):
@@ -525,33 +309,22 @@ def diagram_to_matrix(ctx: FieldCtx, d: TLDiagram) -> LinOp:
         del rem_top[hit : hit + 2]
     for pos in reversed(inserts):
         op = cap_outputs(op, pos) if pos % 2 else -cap_outputs(op, pos)
-    if d.loops_removed:
-        scale = ctx.loop_value ** d.loops_removed
-    return op * scale if scale != ctx.one else op
-
-
-def tl_to_matrix(ctx: FieldCtx, el: TLElement) -> LinOp:
-    out = LinOp.zero(ctx, el.n_bottom, el.n_top)
-    for d, c in el.terms.items():
-        out = out + diagram_to_matrix(ctx, d) * c
-    return out
+    return op
 
 
 # --- Jones-Wenzl projections -------------------------------------------------
 
-def jw_recursive(ctx: FieldCtx, n: int) -> TLElement:
-    """f_n by the recursion f_(k+1) = f_k x 1 - ([k]/[k+1]) f_k e_k f_k."""
+def jw_recursive(ctx: FieldCtx, n: int) -> LinOp:
+    """f_n by the recursion f_(k+1) = L - ([k]/[k+1]) L e_k L, L = f_k x 1."""
     assert n >= 1
-    f = TLElement.identity(ctx, 1)
+    f = LinOp.identity(ctx, 1)
     for k in range(1, n):
         if not ctx.qint(k + 1):
             raise JWUndefined(
                 f"recursion for f_{k + 1} divides by [{k + 1}] = 0"
             )
-        ratio = ctx.qint(k) / ctx.qint(k + 1)
-        lift = f.tensor_identity(1)
-        ek = TLElement.e(ctx, k, k + 1)
-        f = lift - tl_compose(lift, tl_compose(ek, lift)) * ratio
+        lift = widen(f, 0, 1)
+        f = lift - lift * e_left(lift, k) * (ctx.qint(k) / ctx.qint(k + 1))
     return f
 
 

@@ -58,7 +58,6 @@ from .diagram_algebra import (
     jw_closed,
     jw_recursive,
     rotation,
-    tl_to_matrix,
 )
 from .fusion_dims import catalan
 from .pa_generators import (
@@ -430,10 +429,11 @@ def _nested_cups(n: int) -> list:
 
 
 @lru_cache(maxsize=None)
-def _checked_cups(n: int) -> tuple:
-    """``_nested_cups(n)``, each vector checked to satisfy E v = F v = 0 as
-    identities in Z[q, 1/q], so at every q = zeta_2p; raises
-    ArithmeticError otherwise."""
+def _check_cups(n: int) -> None:
+    """Raise ArithmeticError unless every vector of ``_nested_cups(n)``
+    satisfies E v = F v = 0 as identities in Z[q, 1/q], so at every
+    q = zeta_2p.  Only the verdict is cached; the vectors are rebuilt
+    where they are used."""
     z = 2 * n
     vecs = _nested_cups(n)
     for rule in (e_terms, f_terms):
@@ -448,7 +448,6 @@ def _checked_cups(n: int) -> tuple:
                     acc[t, e + d] += c
             if any(acc.values()):
                 raise ArithmeticError(f"nested cup {k} of {2 * n} strands is not invariant")
-    return tuple(vecs)
 
 
 def _cup_bounds(p: int, n: int) -> tuple:
@@ -459,7 +458,8 @@ def _cup_bounds(p: int, n: int) -> tuple:
     l, rp = _modular_map(p)
     m = 2 * p
     even, odd = [], []
-    for v in _checked_cups(n):
+    _check_cups(n)
+    for v in _nested_cups(n):
         ev: dict = {}
         od: dict = {}
         for b, (c, e) in v.items():
@@ -1038,8 +1038,7 @@ def _jw_window_sides(ctx: FieldCtx, n: int):
     fixing x_bottom (so nonzero) and killed by every e_i on both sides."""
     p = ctx.p
     for m in range(1, p):
-        recursive = tl_to_matrix(ctx, jw_recursive(ctx, m))
-        yield f"f_{m} closed = recursive", jw_closed(ctx, m), recursive
+        yield f"f_{m} closed = recursive", jw_closed(ctx, m), jw_recursive(ctx, m)
     for m in range(p, n):
         try:
             jw_closed(ctx, m)

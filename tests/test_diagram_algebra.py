@@ -1,4 +1,4 @@
-"""Diagram algebra: abstract composition, matrix realization, JW, rotation."""
+"""Diagram algebra: diagrams, matrix realization, JW, rotation."""
 
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ from uqsl2.cyclo_field import SingularRatio, make_field
 from uqsl2.diagram_algebra import (
     JWUndefined,
     TLDiagram,
-    TLElement,
     all_diagrams,
     cap,
     cap_inputs,
@@ -21,16 +20,12 @@ from uqsl2.diagram_algebra import (
     cup_inputs,
     cup_outputs,
     diagram_to_matrix,
-    e_diagram,
     e_left,
     e_op,
     e_right,
-    identity_diagram,
     jw_closed,
     jw_recursive,
     rotation,
-    tl_compose,
-    tl_to_matrix,
 )
 from uqsl2._elim import rank_of_vectors
 from uqsl2.relation_engine import _gens, _rotation_orbit
@@ -47,6 +42,50 @@ from uqsl2.tensor_space import (
 
 def catalan(n: int) -> int:
     return math.comb(2 * n, n) // (n + 1)
+
+
+def identity_diagram(n: int) -> TLDiagram:
+    return TLDiagram(n, n, [(("t", i), ("b", i)) for i in range(1, n + 1)])
+
+
+def e_diagram(i: int, n: int) -> TLDiagram:
+    pairs = [(("t", i), ("t", i + 1)), (("b", i), ("b", i + 1))]
+    pairs += [(("t", j), ("b", j)) for j in range(1, n + 1) if j not in (i, i + 1)]
+    return TLDiagram(n, n, pairs)
+
+
+def stack(a: TLDiagram, b: TLDiagram) -> tuple[TLDiagram, int]:
+    """Reference composition of a over b (b acts first): the stacked
+    pairing and the number of closed loops it leaves.  a's bottom row and
+    b's top row meet as the middle points ("m", k); each strand is walked
+    through them, alternating between a's and b's arcs."""
+    pa, pb = {}, {}
+    for pairs, side, partner in ((a.pairs, "b", pa), (b.pairs, "t", pb)):
+        for arc in pairs:
+            x, y = (("m", pt[1]) if pt[0] == side else pt for pt in arc)
+            partner[x], partner[y] = y, x
+    seen, pairs = set(), []
+    ends = [(("t", i), (pa, pb)) for i in range(1, a.n_top + 1)]
+    ends += [(("b", j), (pb, pa)) for j in range(1, b.n_bottom + 1)]
+    for start, arcs in ends:
+        if start in seen:
+            continue
+        pt, k = arcs[0][start], 1
+        while pt[0] == "m":
+            seen.add(pt)
+            pt, k = arcs[k % 2][pt], k + 1
+        seen.update((start, pt))
+        pairs.append((start, pt))
+    loops = 0
+    for k in range(1, a.n_bottom + 1):
+        pt = ("m", k)
+        if pt in seen:
+            continue
+        loops += 1
+        while pt not in seen:
+            seen.update((pt, pa[pt]))
+            pt = pb[pa[pt]]
+    return TLDiagram(a.n_top, b.n_bottom, pairs), loops
 
 
 # --- diagrams ----------------------------------------------------------------
@@ -68,8 +107,6 @@ def test_diagram_validation():
     # one point in two pairs, though the points together cover the boundary
     with pytest.raises(ValueError):
         TLDiagram(2, 0, [(("t", 1), ("t", 2)), (("t", 2), ("t", 1))])
-    with pytest.raises(ValueError):
-        e_diagram(3, 3)
 
 
 def test_diagram_rendering():
@@ -85,63 +122,10 @@ def test_diagram_rendering():
 
 def test_diagram_identity_tracking():
     d1 = e_diagram(1, 2)
-    d2 = TLDiagram(2, 2, d1.pairs, loops_removed=1)
-    assert d1 != d2
-    assert hash(d1) != hash(d2)
-    assert d1 == TLDiagram(2, 2, [(("b", 2), ("b", 1)), (("t", 2), ("t", 1))])
-
-
-# --- abstract composition ----------------------------------------------------
-
-@pytest.mark.parametrize("p", [2, 3])
-def test_abstract_tl_relations(p):
-    ctx = make_field(p)
-    delta = ctx.loop_value
-    for n in range(2, 6):
-        for i in range(1, n):
-            ei = TLElement.e(ctx, i, n)
-            assert tl_compose(ei, ei) == ei * delta
-            if i + 1 < n:
-                ej = TLElement.e(ctx, i + 1, n)
-                assert tl_compose(ei, tl_compose(ej, ei)) == ei
-                assert tl_compose(ej, tl_compose(ei, ej)) == ej
-            for j in range(i + 2, n):
-                ej = TLElement.e(ctx, j, n)
-                assert tl_compose(ei, ej) == tl_compose(ej, ei)
-
-
-def test_compose_boundary_mismatch():
-    ctx = make_field(3)
-    with pytest.raises(ValueError):
-        tl_compose(TLElement.identity(ctx, 2), TLElement.identity(ctx, 3))
-
-
-def test_loop_absorption():
-    ctx = make_field(3)
-    d = TLDiagram(2, 2, e_diagram(1, 2).pairs, loops_removed=2)
-    el = TLElement(ctx, 2, 2, {d: ctx.one})
-    (key, coeff), = el.terms.items()
-    assert key.loops_removed == 0
-    assert coeff == ctx.loop_value ** 2
-
-
-def test_loop_vanishes_at_p2():
-    # delta = 0 at p = 2, so a closed loop kills the whole term
-    ctx = make_field(2)
-    e1 = TLElement.e(ctx, 1, 2)
-    assert not tl_compose(e1, e1)
-
-
-def test_element_algebra():
-    ctx = make_field(3)
-    a = TLElement.identity(ctx, 2)
-    b = TLElement.e(ctx, 1, 2)
-    s = a + b
-    assert s - a == b
-    assert (a * 2).terms[identity_diagram(2)] == ctx.scalar(2)
-    assert not (b - b)
-    with pytest.raises(TypeError):
-        a * b
+    d2 = TLDiagram(2, 2, [(("b", 2), ("b", 1)), (("t", 2), ("t", 1))])
+    assert d1 == d2
+    assert hash(d1) == hash(d2)
+    assert d1 != identity_diagram(2)
 
 
 # --- matrix realization ------------------------------------------------------
@@ -308,22 +292,33 @@ def test_e_diagram_matches_e_op(p):
 )
 @settings(max_examples=40, deadline=None)
 def test_realization_is_homomorphism(shape, ia, ib, p):
+    # the matrix of a stacked pair is the product of their matrices, with
+    # each closed loop a factor of delta (0 at p = 2)
     ctx = make_field(p)
     n1, n2, n3 = shape
     das = all_diagrams(n1, n2)
     dbs = all_diagrams(n2, n3)
-    a = TLElement.from_diagram(ctx, das[ia % len(das)])
-    b = TLElement.from_diagram(ctx, dbs[ib % len(dbs)])
-    lhs = tl_to_matrix(ctx, tl_compose(a, b))
-    assert lhs == tl_to_matrix(ctx, a) * tl_to_matrix(ctx, b)
+    a, b = das[ia % len(das)], dbs[ib % len(dbs)]
+    d, loops = stack(a, b)
+    lhs = diagram_to_matrix(ctx, a) * diagram_to_matrix(ctx, b)
+    assert lhs == diagram_to_matrix(ctx, d) * ctx.loop_value ** loops
 
 
-def test_realization_on_combinations():
-    ctx = make_field(3)
-    a = TLElement.identity(ctx, 3) * ctx.q + TLElement.e(ctx, 2, 3) * 2
-    b = TLElement.e(ctx, 1, 3) - TLElement.e(ctx, 2, 3)
-    lhs = tl_to_matrix(ctx, tl_compose(a, b))
-    assert lhs == tl_to_matrix(ctx, a) * tl_to_matrix(ctx, b)
+def test_loop_absorption():
+    # each loop that stacking closes is one factor delta of the realization;
+    # at p = 4 delta is neither 0 nor a sign, so a miscounted loop shows
+    ctx = make_field(4)
+    e1 = e_diagram(1, 2)
+    assert stack(e1, e1) == (e1, 1)
+    assert stack(identity_diagram(3), e_diagram(2, 3)) == (e_diagram(2, 3), 0)
+    closed = []
+    for u in all_diagrams(0, 4):
+        for c in all_diagrams(4, 0):
+            loops = stack(u, c)[1]
+            closed.append(loops)
+            lhs = diagram_to_matrix(ctx, u) * diagram_to_matrix(ctx, c)
+            assert lhs == LinOp.identity(ctx, 0) * ctx.loop_value ** loops
+    assert closed == [2, 1, 1, 2]
 
 
 # --- Jones-Wenzl -------------------------------------------------------------
@@ -331,13 +326,12 @@ def test_realization_on_combinations():
 @pytest.mark.parametrize("p", [3, 4, 5])
 def test_jw_recursive_properties(p):
     ctx = make_field(p)
-    assert jw_recursive(ctx, 1) == TLElement.identity(ctx, 1)
+    assert jw_recursive(ctx, 1) == LinOp.identity(ctx, 1)
     f2 = jw_recursive(ctx, 2)
-    assert f2 == TLElement.identity(ctx, 2) - TLElement.e(ctx, 1, 2) * (
-        ctx.qint(2).inv()
-    )
+    assert f2 == LinOp.identity(ctx, 2) - e_op(ctx, 1, 2) * ctx.qint(2).inv()
     for n in range(1, p):
-        M = tl_to_matrix(ctx, jw_recursive(ctx, n))
+        M = jw_recursive(ctx, n)
+        assert isinstance(M, LinOp)
         assert M * M == M
         for i in range(1, n):
             assert not (M * e_op(ctx, i, n))
@@ -356,7 +350,7 @@ def test_jw_recursion_undefined_from_p(p):
 def test_jw_closed_matches_recursive(p):
     ctx = make_field(p)
     for n in range(1, p):
-        assert jw_closed(ctx, n) == tl_to_matrix(ctx, jw_recursive(ctx, n))
+        assert jw_closed(ctx, n) == jw_recursive(ctx, n)
 
 
 @pytest.mark.parametrize("p", [2, 3, 4])
@@ -369,13 +363,12 @@ def test_jw_closed_singular_window(p):
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_jw_top_projection(p):
+    # idempotence and e_i . F = F . e_i = 0 are jw_window's pairs; a cup or
+    # a cap on any two adjacent strands kills F as well
     ctx = make_field(p)
     n = 2 * p - 1
     F = jw_closed(ctx, n)
-    assert F * F == F
     for i in range(1, n):
-        assert not (F * e_op(ctx, i, n))
-        assert not (e_op(ctx, i, n) * F)
         assert not (cup(ctx, i, n) * F)
         assert not (F * cap(ctx, i, n))
 
@@ -386,7 +379,7 @@ def test_jw_image_is_top_simple(p):
     # one per weight, and E annihilates the weight-0 image vector
     ctx = make_field(p)
     for n, proj in [(2 * p - 1, jw_closed(ctx, 2 * p - 1))] + (
-        [(2, tl_to_matrix(ctx, jw_recursive(ctx, 2)))] if p > 2 else []
+        [(2, jw_recursive(ctx, 2))] if p > 2 else []
     ):
         cols = [proj.column(b).terms for b in all_indices(n)]
         cols = [c for c in cols if c]

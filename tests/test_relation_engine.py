@@ -160,7 +160,7 @@ def test_sigma_split_matches_unsplit_solve(p):
 
 @pytest.fixture
 def fresh_solver_caches():
-    caches = (relation_engine._commutant_dim, relation_engine._checked_cups)
+    caches = (relation_engine._commutant_dim, relation_engine._check_cups)
     for cache in caches:
         cache.cache_clear()
     yield

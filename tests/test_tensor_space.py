@@ -138,17 +138,6 @@ def test_weight_grading(p):
             )
 
 
-@pytest.mark.parametrize("p", [2, 3])
-def test_commutator_identity(p):
-    # EF - FE = (K - K^-1)/(q - q^-1) on X^(tensor z)
-    ctx = CTX[p]
-    for z in range(1, 2 * p + 1):
-        E, F = op_E(ctx, z), op_F(ctx, z)
-        K, Ki = op_K_power(ctx, z, 1), op_K_power(ctx, z, -1)
-        rhs = (K - Ki) * (ctx.q - ctx.q_power(-1)).inv()
-        assert E * F - F * E == rhs
-
-
 # --- closed-form powers -------------------------------------------------------
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -178,14 +167,6 @@ def test_linop_identity_neutral():
     I = LinOp.identity(ctx, 3)
     assert I * E == E
     assert E * I == E
-
-
-def test_linop_tensor_embedding():
-    ctx = CTX[3]
-    E1 = op_E(ctx, 1)
-    I1 = LinOp.identity(ctx, 1)
-    lifted = E1.tensor(op_K_power(ctx, 1, 1)) + I1.tensor(E1)
-    assert lifted == op_E(ctx, 2)
 
 
 @pytest.mark.parametrize("p", [2, 3, 4])
