@@ -9,6 +9,11 @@ ranks and nullspaces are exact.  The one CycloNum in this module is the
 field inverse behind each new pivot value.  There is no pivoting
 heuristic beyond smallest column key, which keeps results deterministic.
 
+``nullspace`` first strikes singleton rows, the first step of structured
+Gaussian elimination: a row with one nonzero entry forces its column to
+0, so that column is deleted from every row, and the rule repeats until
+no row has a single entry.  Only the rows left go through ``SparseRref``.
+
 ``residue_rank`` runs the same reduction loop over a prime field F_l, on
 rows of int residues: only the multiply-subtract and the pivot inverse
 differ.  It can stop once the rank reaches a given value, which is how a
@@ -119,14 +124,59 @@ def rank_of_vectors(ctx: FieldCtx, vectors) -> int:
     return _rref(ctx, vectors).rank
 
 
+def _strike_singletons(rows: list) -> set:
+    """Strike single-entry rows in place; returns the columns they force to 0.
+
+    A row with one nonzero entry forces its column to 0, so the column is
+    deleted from every row; a row left with one entry strikes in turn and
+    a row left with none is emptied.  Rows with two or more entries stay.
+    """
+    stack = [r for r in rows if len(r) == 1]
+    forced: set = set()
+    if not stack:
+        return forced
+    where: dict = {}
+    for r in rows:
+        for k in r:
+            where.setdefault(k, []).append(r)
+    while stack:
+        r = stack.pop()
+        if len(r) != 1:  # emptied after it was stacked
+            continue
+        (c,) = r
+        forced.add(c)
+        for s in where[c]:  # r among them; each still holds c
+            del s[c]
+            if len(s) == 1:
+                stack.append(s)
+    return forced
+
+
 def nullspace(ctx: FieldCtx, rows, columns) -> list[dict]:
     """Exact nullspace basis of {row . x = 0 for every row}.
 
     ``columns`` fixes the order of the free variables, so the basis is
     deterministic: one vector per free column, with that coordinate 1.
     Rows and returned vectors are id rows; the rows are not modified.
+
+    Singleton rows are struck first and only the rows left are reduced.
+    The basis is the one full elimination gives: the forced columns and
+    the leading columns of the rows left are the leading columns of the
+    full row space, and the reduced basis is unique once the column order
+    is fixed.
     """
-    rr = _rref(ctx, rows)
+    live = []  # copies without zero ids, so a singleton has one nonzero entry
+    for row in rows:
+        r = dict(row)
+        if 0 in r.values():
+            r = {k: i for k, i in r.items() if i}
+        if r:
+            live.append(r)
+    forced = _strike_singletons(live)
+    rr = SparseRref(ctx)
+    for r in live:
+        if r:
+            rr.add_row(r)
     table = rr.table
     pivs = rr.pivots
     for pc in sorted(pivs, reverse=True):
@@ -138,7 +188,7 @@ def nullspace(ctx: FieldCtx, rows, columns) -> list[dict]:
     basis = []
     negs = table.neg
     for f in columns:
-        if f in pivs:
+        if f in pivs or f in forced:
             continue
         vec = {f: ONE}
         for pc, row in pivs.items():

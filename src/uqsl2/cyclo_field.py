@@ -53,7 +53,8 @@ def _poly_div_exact(num: tuple[int, ...], den: tuple[int, ...]) -> tuple[int, ..
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Integer coefficients (ascending) of the n-th cyclotomic polynomial."""
-    assert n >= 1
+    if n < 1:
+        raise ValueError(f"cyclotomic polynomials need n >= 1, got {n}")
     if n == 1:
         return (-1, 1)
     prod = (1,)
@@ -259,14 +260,15 @@ class QFactProduct:
     __slots__ = ("numerator_indices", "denominator_indices")
 
     def __init__(self, numerator_indices=(), denominator_indices=()):
-        assert all(i >= 0 for i in numerator_indices)
-        assert all(i >= 0 for i in denominator_indices)
+        if any(i < 0 for i in (*numerator_indices, *denominator_indices)):
+            raise ValueError("quantum integer indices must be nonnegative")
         self.numerator_indices = tuple(sorted(numerator_indices))
         self.denominator_indices = tuple(sorted(denominator_indices))
 
     @staticmethod
     def factorial_indices(m: int) -> tuple[int, ...]:
-        assert m >= 0, "factorial of a negative quantum integer"
+        if m < 0:
+            raise ValueError("factorial of a negative quantum integer")
         return tuple(range(1, m + 1))
 
     @classmethod
@@ -401,7 +403,8 @@ class FieldCtx:
 
     def qfact(self, n: int) -> CycloNum:
         """Quantum factorial [n]! = [1][2]...[n]; zero iff n >= p."""
-        assert n >= 0
+        if n < 0:
+            raise ValueError("factorial of a negative quantum integer")
         top = max(self._qfact_cache)
         while top < n:
             top += 1
@@ -446,13 +449,15 @@ class FieldCtx:
 
     def lambda_coeff(self, i: int, k: int) -> CycloNum:
         """Coproduct-power coefficient q^(i^2-ik) [k]!/([i]![k-i]!)."""
-        assert 0 <= i <= k
+        if not 0 <= i <= k:
+            raise ValueError(f"lambda coefficients need 0 <= i <= k, got i={i}, k={k}")
         ratio = QFactProduct.from_factorials(num=(k,), den=(i, k - i))
         return self.q_power(i * i - i * k) * self.eval_ratio(ratio)
 
     def xi(self, n: int, z: int) -> CycloNum:
         """Weight sum xi(n,z) = q^(-n-nz) [z]!/([n]![z-n]!)."""
-        assert 0 <= n <= z
+        if not 0 <= n <= z:
+            raise ValueError(f"weight sums need 0 <= n <= z, got n={n}, z={z}")
         ratio = QFactProduct.from_factorials(num=(z,), den=(n, z - n))
         return self.q_power(-n - n * z) * self.eval_ratio(ratio)
 

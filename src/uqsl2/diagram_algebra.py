@@ -316,7 +316,8 @@ def diagram_to_matrix(ctx: FieldCtx, d: TLDiagram) -> LinOp:
 
 def jw_recursive(ctx: FieldCtx, n: int) -> LinOp:
     """f_n by the recursion f_(k+1) = L - ([k]/[k+1]) L e_k L, L = f_k x 1."""
-    assert n >= 1
+    if n < 1:
+        raise ValueError(f"Jones-Wenzl projections need n >= 1, got {n}")
     f = LinOp.identity(ctx, 1)
     for k in range(1, n):
         if not ctx.qint(k + 1):
@@ -336,7 +337,8 @@ def jw_closed(ctx: FieldCtx, n: int) -> LinOp:
     Finite for n <= p-1 and n = 2p-1; raises SingularRatio inside the
     window p <= n <= 2p-2 where the projection does not exist.
     """
-    assert n >= 1
+    if n < 1:
+        raise ValueError(f"Jones-Wenzl projections need n >= 1, got {n}")
     lowered = {}
     for k in range(0, n + 1):
         ratio = QFactProduct.from_factorials(num=(n - k, k), den=(n,))

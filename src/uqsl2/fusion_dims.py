@@ -18,7 +18,8 @@ CONVENTIONS = ("floor-euclidean", "truncate-toward-zero", "zero-for-negative-ind
 
 
 def catalan(n: int) -> int:
-    assert n >= 0
+    if n < 0:
+        raise ValueError(f"Catalan numbers need n >= 0, got {n}")
     return math.comb(2 * n, n) // (n + 1)
 
 
@@ -52,7 +53,8 @@ def tensor_step(counts: dict[Label, int], p: int) -> dict[Label, int]:
 
 
 def multiplicities(n: int, p: int) -> dict[Label, int]:
-    assert n >= 0 and p >= 2
+    if n < 0 or p < 2:
+        raise ValueError(f"multiplicities need n >= 0 and p >= 2, got n={n}, p={p}")
     counts = {("X", 1, 1): 1}
     for _ in range(n):
         counts = tensor_step(counts, p)

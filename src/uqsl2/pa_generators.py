@@ -164,7 +164,8 @@ def partial_trace_comparison(ctx: FieldCtx) -> LinOp:
 
 def nested_cap(ctx: FieldCtx, z: int) -> TensorVector:
     """z nested caps, built by actually inserting one cap at a time."""
-    assert z >= 1
+    if z < 1:
+        raise ValueError(f"nested caps need z >= 1, got {z}")
     op = LinOp.identity(ctx, 0)
     for j in range(1, z + 1):
         op = cap_outputs(op, j)
@@ -175,7 +176,8 @@ def nested_cap_closed(ctx: FieldCtx, z: int) -> TensorVector:
     """The closed-form expansion of the z-fold nested cap: occupied slots
     r_1..r_n on the left half and the reflected complement on the right,
     weighted by (-1)^(z-n) q^(-n)."""
-    assert z >= 1
+    if z < 1:
+        raise ValueError(f"nested caps need z >= 1, got {z}")
     terms = {}
     for n in range(z + 1):
         for r in combinations(range(1, z + 1), n):
@@ -188,7 +190,8 @@ def nested_cap_closed(ctx: FieldCtx, z: int) -> TensorVector:
 
 def nested_cup(ctx: FieldCtx, z: int) -> LinOp:
     """z nested cups as a functional X^(tensor 2z) -> X^(tensor 0)."""
-    assert z >= 1
+    if z < 1:
+        raise ValueError(f"nested cups need z >= 1, got {z}")
     op = LinOp.identity(ctx, 2 * z)
     for j in range(z, 0, -1):
         op = cup_outputs(op, j)

@@ -170,7 +170,8 @@ class CoefficientVector:
             sign = ctx.one if i % 2 == 0 else -ctx.one
             ks.append(sign * (ctx.qint(i - 2) * k1 + ctx.qint(i - 1) * k2))
         self.k = tuple(ks)
-        assert self.k[1] == k1 and self.k[2] == k2
+        if (self.k[1], self.k[2]) != (k1, k2):
+            raise ArithmeticError("the coefficient recursion does not reproduce its seeds")
 
     def recurrence_holds(self) -> bool:
         m = len(self.k)

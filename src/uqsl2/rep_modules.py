@@ -1,40 +1,37 @@
-"""Indecomposable modules as explicit matrices, plus the intertwiner solver.
+"""Indecomposable modules and the intertwiner solver, on scalar ids.
 
 Simple modules X(sign, s) of dimension s for 1 <= s <= p, and projective
 modules P(sign, s) of dimension 2p for 1 <= s <= p-1, with the K/E/F
-action in the standard bases.  Matrices are row-major tuples of CycloNum;
-column j is the image of basis vector j.  The intertwiner solver computes
-an exact nullspace basis of the commutation constraints and reproduces the
-hom-space dimension table.  K is diagonal, so it solves only for the
-entries between equal K eigenvalues, under the E and F constraints.
-Each module's K eigenvalues and E/F nonzero entries are read from its
-matrices once, on first use, as ids of the field's ``Scalars`` table,
-and reused by every pair.  The solver and the intertwiner and span
-checks build id rows with the table's memos, hand them to
-``uqsl2._elim``, and wrap each solved map into CycloNum once.
+action in the standard bases.  A module holds the nonzero entries of K, E
+and F as ids of its field's ``Scalars`` table, read once when it is
+built; ``K_matrix``, ``E_matrix`` and ``F_matrix`` are the dense grids
+(row-major tuples of CycloNum, column j the image of basis vector j),
+derived on demand.  The intertwiner solver computes an exact nullspace
+basis of the commutation constraints and reproduces the hom-space
+dimension table.  K is diagonal, so it solves only for the entries
+between equal K eigenvalues, under the E and F constraints, and builds
+those constraint rows by scattering each such unknown's E and F terms.
+A hom space is kept as the solver's id vectors, keyed i * ds + j for
+entry (i, j), beside the same maps as CycloNum grids; the intertwiner and
+span checks run on id vectors.
 """
 
 from __future__ import annotations
 
 from uqsl2 import _elim
-from uqsl2._kernel import scalars
+from uqsl2._kernel import ONE, scalars
 from uqsl2.cyclo_field import CycloNum, FieldCtx
 
 
 class ModuleData:
-    """One module: label, basis names, and the three action matrices."""
+    """One module: label, basis names, and the three action matrices.
+
+    K, E and F are given as dense dimension x dimension grids or as dicts
+    {(row, column): value} of their nonzero entries, with CycloNum values.
+    """
 
     __slots__ = (
-        "ctx",
-        "kind",
-        "sign",
-        "s",
-        "dimension",
-        "basis_names",
-        "K_matrix",
-        "E_matrix",
-        "F_matrix",
-        "_sparse",
+        "ctx", "kind", "sign", "s", "dimension", "basis_names", "label", "_ids", "_sparse"
     )
 
     def __init__(self, ctx, kind, sign, s, dimension, basis_names, K, E, F):
@@ -44,36 +41,56 @@ class ModuleData:
         self.s = s
         self.dimension = dimension
         self.basis_names = tuple(basis_names)
-        self.K_matrix = K
-        self.E_matrix = E
-        self.F_matrix = F
+        self.label = f"{kind}{'+' if sign > 0 else '-'}_{s}"
+        id_of = scalars(ctx.red).id_of
+
+        def ids(M):
+            cells = M.items() if isinstance(M, dict) else (
+                ((i, j), c) for i, row in enumerate(M) for j, c in enumerate(row))
+            return {ij: x for ij, c in cells if (x := id_of(c.nums, c.den))}
+
+        self._ids = (ids(K), ids(E), ids(F))
         self._sparse = None
 
-    def sparse(self) -> tuple:
-        """(K eigenvalues, E entries, F entries) as scalar ids, read once.
+    def _dense(self, g: int):
+        d, vals, ctx = self.dimension, scalars(self.ctx.red).vals, self.ctx
+        M = self._ids[g]
+        return tuple(tuple(CycloNum(ctx, *vals[M[i, j]]) if (i, j) in M else ctx.zero
+                           for j in range(d)) for i in range(d))
 
-        The eigenvalues come one per basis vector; each of E and F comes as
-        (the nonzero (row, id) of every column, the negated nonzero
-        (column, id) of every row), indices ascending.  Raises
-        ArithmeticError, on every call, if K is not diagonal.
+    K_matrix = property(lambda self: self._dense(0))
+    E_matrix = property(lambda self: self._dense(1))
+    F_matrix = property(lambda self: self._dense(2))
+
+    def sparse(self) -> tuple:
+        """(K eigenvalues, K eigenspaces, E entries, F entries) as scalar ids.
+
+        The eigenvalues come one per basis vector, and the eigenspaces map
+        each eigenvalue to its basis indices; each of E and F comes as (the
+        nonzero (row, id) of every column, the negated nonzero (column, id)
+        of every row), indices ascending.  Raises ArithmeticError, on every
+        call, if K is not diagonal.
         """
         if self._sparse is None:
-            K, d = self.K_matrix, self.dimension
-            if any(c for i, row in enumerate(K) for j, c in enumerate(row) if i != j):
+            K, E, F = self._ids
+            if any(i != j for i, j in K):
                 raise ArithmeticError(f"K of {self.label} is not diagonal")
-            id_of = scalars(self.ctx.red).id_of
-            cid = lambda c: id_of(c.nums, c.den)
-            ef = tuple(
-                ([[(k, cid(c)) for k in range(d) if (c := M[k][j])] for j in range(d)],
-                 [[(k, cid(-c)) for k, c in enumerate(M[i]) if c] for i in range(d)])
-                for M in (self.E_matrix, self.F_matrix)
-            )
-            self._sparse = (tuple(cid(K[i][i]) for i in range(d)), *ef)
+            d = self.dimension
+            table = scalars(self.ctx.red)
+            negs = table.neg
+            ef = []
+            for M in (E, F):
+                cols, rows = [[] for _ in range(d)], [[] for _ in range(d)]
+                for (i, j), x in sorted(M.items()):
+                    cols[j].append((i, x))
+                    rows[i].append((j, negs.get(x) or table.negation(x)))
+                ef.append((cols, rows))
+            ks = tuple(K.get((i, i), 0) for i in range(d))
+            spaces: dict = {}
+            for i, k in enumerate(ks):
+                spaces.setdefault(k, []).append(i)
+            self._sparse = (ks, spaces, *ef)
         return self._sparse
-
-    @property
-    def label(self) -> str:
-        return f"{self.kind}{'+' if self.sign > 0 else '-'}_{self.s}"
 
     def as_dict(self) -> dict:
         """JSON-ready dump with matrices as textual grids."""
@@ -92,29 +109,34 @@ class ModuleData:
 
 
 class HomBasis:
-    """Basis of the intertwiner space between two modules."""
+    """Basis of the intertwiner space between two modules.
 
-    __slots__ = ("source", "target", "maps")
+    ``vectors`` are the solver's id vectors {i * ds + j: id} and ``maps``
+    the same maps as dense CycloNum grids, in the same order.
+    """
 
-    def __init__(self, source: str, target: str, maps):
+    __slots__ = ("source", "target", "maps", "vectors")
+
+    def __init__(self, source: str, target: str, maps, vectors):
         self.source = source
         self.target = target
         self.maps = tuple(maps)
+        self.vectors = tuple(vectors)
 
     @property
     def dimension(self) -> int:
-        return len(self.maps)
+        return len(self.vectors)
 
     def __repr__(self):
         return f"HomBasis({self.source} -> {self.target}, dim={self.dimension})"
 
 
-def _zeros(ctx: FieldCtx, n: int):
-    return [[ctx.zero] * n for _ in range(n)]
-
-
 def _freeze(rows):
     return tuple(tuple(r) for r in rows)
+
+
+def _signed(sign: int):
+    return (lambda c: c) if sign > 0 else (lambda c: -c)
 
 
 def simple_module(ctx: FieldCtx, sign: int, s: int) -> ModuleData:
@@ -123,15 +145,16 @@ def simple_module(ctx: FieldCtx, sign: int, s: int) -> ModuleData:
         raise ValueError(f"sign must be 1 or -1, got {sign}")
     if not 1 <= s <= ctx.p:
         raise ValueError(f"simple modules need 1 <= s <= p, got s={s}")
-    K, E, F = _zeros(ctx, s), _zeros(ctx, s), _zeros(ctx, s)
+    sg = _signed(sign)
+    K, E, F = {}, {}, {}
     for n in range(s):
-        K[n][n] = ctx.q_power(s - 1 - 2 * n) * sign
+        K[n, n] = sg(ctx.q_power(s - 1 - 2 * n))
         if n >= 1:
-            E[n - 1][n] = ctx.qint(n) * ctx.qint(s - n) * sign
+            E[n - 1, n] = sg(ctx.qint(n) * ctx.qint(s - n))
         if n + 1 < s:
-            F[n + 1][n] = ctx.one
+            F[n + 1, n] = ctx.one
     names = [f"nu{n}" for n in range(s)]
-    return ModuleData(ctx, "X", sign, s, s, names, *map(_freeze, (K, E, F)))
+    return ModuleData(ctx, "X", sign, s, s, names, K, E, F)
 
 
 def projective_module(ctx: FieldCtx, sign: int, s: int) -> ModuleData:
@@ -147,37 +170,38 @@ def projective_module(ctx: FieldCtx, sign: int, s: int) -> ModuleData:
     ib = lambda i: s + i
     ix = lambda j: 2 * s + j
     iy = lambda j: 2 * s + t + j
-    K, E, F = _zeros(ctx, dim), _zeros(ctx, dim), _zeros(ctx, dim)
+    sg, opp = _signed(sign), _signed(-sign)
+    K, E, F = {}, {}, {}
     for i in range(s):
-        K[ia(i)][ia(i)] = K[ib(i)][ib(i)] = ctx.q_power(s - 1 - 2 * i) * sign
+        K[ia(i), ia(i)] = K[ib(i), ib(i)] = sg(ctx.q_power(s - 1 - 2 * i))
     for j in range(t):
-        K[ix(j)][ix(j)] = K[iy(j)][iy(j)] = ctx.q_power(t - 1 - 2 * j) * -sign
+        K[ix(j), ix(j)] = K[iy(j), iy(j)] = opp(ctx.q_power(t - 1 - 2 * j))
     for i in range(1, s):
-        c = ctx.qint(i) * ctx.qint(s - i) * sign
-        E[ia(i - 1)][ia(i)] = c
-        E[ib(i - 1)][ib(i)] = c
-        E[ia(i - 1)][ib(i)] = ctx.one
-    E[ix(t - 1)][ib(0)] = ctx.one
+        c = sg(ctx.qint(i) * ctx.qint(s - i))
+        E[ia(i - 1), ia(i)] = c
+        E[ib(i - 1), ib(i)] = c
+        E[ia(i - 1), ib(i)] = ctx.one
+    E[ix(t - 1), ib(0)] = ctx.one
     for j in range(1, t):
-        c = ctx.qint(j) * ctx.qint(t - j) * -sign
-        E[ix(j - 1)][ix(j)] = c
-        E[iy(j - 1)][iy(j)] = c
-    E[ia(s - 1)][iy(0)] = ctx.one
+        c = opp(ctx.qint(j) * ctx.qint(t - j))
+        E[ix(j - 1), ix(j)] = c
+        E[iy(j - 1), iy(j)] = c
+    E[ia(s - 1), iy(0)] = ctx.one
     for i in range(s - 1):
-        F[ia(i + 1)][ia(i)] = ctx.one
-        F[ib(i + 1)][ib(i)] = ctx.one
-    F[iy(0)][ib(s - 1)] = ctx.one
+        F[ia(i + 1), ia(i)] = ctx.one
+        F[ib(i + 1), ib(i)] = ctx.one
+    F[iy(0), ib(s - 1)] = ctx.one
     for j in range(t - 1):
-        F[ix(j + 1)][ix(j)] = ctx.one
-        F[iy(j + 1)][iy(j)] = ctx.one
-    F[ia(0)][ix(t - 1)] = ctx.one
+        F[ix(j + 1), ix(j)] = ctx.one
+        F[iy(j + 1), iy(j)] = ctx.one
+    F[ia(0), ix(t - 1)] = ctx.one
     names = (
         [f"a{i}" for i in range(s)]
         + [f"b{i}" for i in range(s)]
         + [f"x{j}" for j in range(t)]
         + [f"y{j}" for j in range(t)]
     )
-    return ModuleData(ctx, "P", sign, s, dim, names, *map(_freeze, (K, E, F)))
+    return ModuleData(ctx, "P", sign, s, dim, names, K, E, F)
 
 
 def mat_mul(ctx: FieldCtx, A, B):
@@ -198,7 +222,15 @@ def mat_mul(ctx: FieldCtx, A, B):
 
 
 def is_intertwiner(M, src: ModuleData, tgt: ModuleData) -> bool:
-    """Does M satisfy M g_src = g_tgt M for g in {K, E, F}?
+    """Does the dense grid M satisfy M g_src = g_tgt M for g in {K, E, F}?"""
+    ds, id_of = src.dimension, scalars(src.ctx.red).id_of
+    vec = {i * ds + j: x for i, row in enumerate(M) for j, c in enumerate(row)
+           if (x := id_of(c.nums, c.den))}
+    return _commutes(vec, src, tgt)
+
+
+def _commutes(vec, src: ModuleData, tgt: ModuleData) -> bool:
+    """Does the id vector {i * ds + j: id} of a map src -> tgt commute?
 
     Both K are diagonal, so K commutes iff every nonzero M[i][j] joins equal
     eigenvalues.  For E and F, g_tgt M - M g_src is summed over the nonzeros
@@ -206,9 +238,8 @@ def is_intertwiner(M, src: ModuleData, tgt: ModuleData) -> bool:
     """
     table = scalars(src.ctx.red)
     muls, product, acc = table.mul, table.product, table.accumulate
-    (ks, *src_ef), (kt, *tgt_ef) = src.sparse(), tgt.sparse()
-    nonzeros = [(i, j, table.id_of(c.nums, c.den))
-                for i, row in enumerate(M) for j, c in enumerate(row) if c]
+    (ks, _, *src_ef), (kt, _, *tgt_ef) = src.sparse(), tgt.sparse()
+    nonzeros = [(*divmod(key, src.dimension), x) for key, x in vec.items()]
     if any(kt[i] != ks[j] for i, j, _ in nonzeros):
         return False
     for (_, srows), (tcols, _) in zip(src_ef, tgt_ef):
@@ -229,39 +260,46 @@ def intertwiner_space(src: ModuleData, tgt: ModuleData) -> HomBasis:
     Both K matrices are diagonal, so the K constraint at entry (i, j) is
     M[i][j] (K_tgt[i] - K_src[j]) = 0: only the entries between equal K
     eigenvalues are unknowns, and the E and F constraints are solved on
-    them alone.
+    them alone.  Row (a, b) of g is entry (a, b) of g_tgt M - M g_src, so
+    unknown M[i][j] adds g_tgt[k][i] to row (k, j) and -g_src[j][l] to
+    row (i, l); a pair without unknowns builds no rows.
     """
     ctx = src.ctx
     if ctx != tgt.ctx:
         raise ValueError(f"modules over different fields: {ctx} and {tgt.ctx}")
     ds, dt = src.dimension, tgt.dimension
-    (ks, *src_ef), (kt, *tgt_ef) = src.sparse(), tgt.sparse()
-    by_value: dict = {}
-    for j, k in enumerate(ks):
-        by_value.setdefault(k, []).append(j)
-    live = {i * ds + j for i, k in enumerate(kt) for j in by_value.get(k, ())}
+    (_, spaces, *src_ef), (kt, _, *tgt_ef) = src.sparse(), tgt.sparse()
+    live = [i * ds + j for i, k in enumerate(kt) for j in spaces.get(k, ())]
+    if not live:
+        return HomBasis(src.label, tgt.label, (), ())
     table = scalars(ctx.red)
     acc = table.accumulate
     rows = []
-    for (scols, _), (_, trows) in zip(src_ef, tgt_ef):
-        for i in range(dt):
-            for j in range(ds):
-                row = {}
-                for k, c in scols[j]:
-                    if (key := i * ds + k) in live:
-                        row[key] = c  # these keys are distinct
-                for k, c in trows[i]:
-                    if (key := k * ds + j) in live:
-                        acc(row, key, c)
-                if row:
-                    rows.append(row)
-    maps = []
-    for v in _elim.nullspace(ctx, rows, sorted(live)):
+    for (_, srows), (tcols, _) in zip(src_ef, tgt_ef):
+        g: dict = {}
+        for key in live:
+            i, j = divmod(key, ds)
+            for k, c in tcols[i]:
+                r = g.get(at := k * ds + j)
+                if r is None:
+                    g[at] = {key: c}
+                else:
+                    r[key] = c  # the first term of this unknown in row (k, j)
+            for l, c in srows[j]:
+                r = g.get(at := i * ds + l)
+                if r is None:
+                    g[at] = {key: c}
+                else:
+                    acc(r, key, c)
+        rows += g.values()
+    vectors = _elim.nullspace(ctx, rows, live)
+    vals, maps = table.vals, []
+    for v in vectors:
         M = [[ctx.zero] * ds for _ in range(dt)]
         for key, c in v.items():
-            M[key // ds][key % ds] = CycloNum(ctx, *table.vals[c])
+            M[key // ds][key % ds] = CycloNum(ctx, *vals[c])
         maps.append(_freeze(M))
-    return HomBasis(src.label, tgt.label, maps)
+    return HomBasis(src.label, tgt.label, maps, vectors)
 
 
 def _expected_hom_dim(p: int, src: ModuleData, tgt: ModuleData) -> int | None:
@@ -278,15 +316,12 @@ def _expected_hom_dim(p: int, src: ModuleData, tgt: ModuleData) -> int | None:
     return None
 
 
-def _in_span(ctx: FieldCtx, basis_maps, M) -> bool:
-    id_of = scalars(ctx.red).id_of
-    vec = lambda A: {
-        (i, j): id_of(c.nums, c.den) for i, row in enumerate(A) for j, c in enumerate(row) if c
-    }
+def _in_span(ctx: FieldCtx, hom: HomBasis, vec) -> bool:
+    """Is the id vector ``vec`` in the span of ``hom.vectors``?"""
     rr = _elim.SparseRref(ctx)
-    for B in basis_maps:
-        rr.add_row(vec(B))
-    return not rr.add_row(vec(M))
+    for v in hom.vectors:
+        rr.add_row(dict(v))  # add_row consumes its argument
+    return not rr.add_row(dict(vec))
 
 
 def all_modules(ctx: FieldCtx) -> list[ModuleData]:
@@ -330,15 +365,16 @@ def verify_hom_forms(ctx: FieldCtx) -> dict:
                 )
     entries = []
 
-    def check(src, tgt, M, name):
-        hom = hom_space(src, tgt)
+    def check(src, tgt, cells, name):
+        """Check the map that sends basis vector j to i for each (i, j)."""
+        vec = {i * src.dimension + j: ONE for i, j in cells}
         entries.append(
             {
                 "map": name,
                 "source": src.label,
                 "target": tgt.label,
-                "intertwiner": is_intertwiner(M, src, tgt),
-                "in_span": _in_span(ctx, hom.maps, M),
+                "intertwiner": _commutes(vec, src, tgt),
+                "in_span": _in_span(ctx, hom_space(src, tgt), vec),
             }
         )
 
@@ -346,36 +382,17 @@ def verify_hom_forms(ctx: FieldCtx) -> dict:
         for s in range(1, p):
             X, P, Pop = mod["X", sign, s], mod["P", sign, s], mod["P", -sign, p - s]
             t = p - s
-            # P -> X: b_i |-> nu_i
-            M = [[ctx.zero] * (2 * p) for _ in range(s)]
-            for i in range(s):
-                M[i][s + i] = ctx.one
-            check(P, X, _freeze(M), "b->nu")
-            # X -> P: nu_i |-> a_i
-            M = [[ctx.zero] * s for _ in range(2 * p)]
-            for i in range(s):
-                M[i][i] = ctx.one
-            check(X, P, _freeze(M), "nu->a")
-            # P -> P: b_i |-> a_i
-            M = [[ctx.zero] * (2 * p) for _ in range(2 * p)]
-            for i in range(s):
-                M[i][s + i] = ctx.one
-            check(P, P, _freeze(M), "b->a")
-            # P(sign, s) -> P(-sign, p-s), basis choices (f1,f2)=(1,0),(0,1)
-            for f1, f2, name in ((1, 0, "f1"), (0, 1, "f2")):
-                M = [[ctx.zero] * (2 * p) for _ in range(2 * p)]
-                for i in range(s):
-                    # target x index 2t + i, y index 2t + s + i
-                    if f1:
-                        M[2 * t + i][s + i] = ctx.one
-                    if f2:
-                        M[2 * t + s + i][s + i] = ctx.one
-                for j in range(t):
-                    if f2:
-                        M[j][2 * s + j] = ctx.one
-                    if f1:
-                        M[j][2 * s + t + j] = ctx.one
-                check(P, Pop, _freeze(M), f"b->x,y ({name})")
+            b = range(s, 2 * s)
+            check(P, X, zip(range(s), b), "b->nu")  # b_i |-> nu_i
+            check(X, P, zip(range(s), range(s)), "nu->a")  # nu_i |-> a_i
+            check(P, P, zip(range(s), b), "b->a")  # b_i |-> a_i
+            # P(sign, s) -> P(-sign, p-s), basis choices (f1,f2)=(1,0),(0,1):
+            # f1 sends b_i to x_i and y_j to a_j, f2 sends b_i to y_i and x_j
+            # to a_j (target x_i is 2t + i, target y_i is 2t + s + i)
+            x, y = range(2 * s, 2 * s + t), range(2 * s + t, 2 * p)
+            tx, ty = range(2 * t, 2 * t + s), range(2 * t + s, 2 * p)
+            check(P, Pop, [*zip(tx, b), *zip(range(t), y)], "b->x,y (f1)")
+            check(P, Pop, [*zip(ty, b), *zip(range(t), x)], "b->x,y (f2)")
 
     ok = not table_failures and all(
         e["intertwiner"] and e["in_span"] for e in entries

@@ -52,13 +52,15 @@ def basis_index(z: int, occupancy: Iterable[int] = ()) -> BasisIndex:
     """BasisIndex from 1-based occupied positions."""
     mask = 0
     for j in occupancy:
-        assert 1 <= j <= z
+        if not 1 <= j <= z:
+            raise ValueError(f"position {j} is not among the {z} strands")
         mask |= 1 << (j - 1)
     return BasisIndex(z, mask)
 
 
 def from_word(word: str) -> BasisIndex:
-    assert set(word) <= {"0", "1"}
+    if not set(word) <= {"0", "1"}:
+        raise ValueError(f"a basis word is made of 0 and 1, got {word!r}")
     mask = 0
     for j, ch in enumerate(word):
         if ch == "1":
@@ -117,7 +119,8 @@ class TensorVector:
             table = scalars(ctx.red)
             for b, c in terms.items():
                 if c:
-                    assert b.z == z
+                    if b.z != z:
+                        raise ValueError(f"basis index {b} is not on {z} strands")
                     self.terms[b.mask] = table.id_of(c.nums, c.den)
 
     @classmethod
@@ -125,7 +128,8 @@ class TensorVector:
         return _vec(ctx, b.z, {b.mask: ONE})
 
     def __add__(self, other: "TensorVector") -> "TensorVector":
-        assert self.z == other.z
+        if self.z != other.z:
+            raise ValueError(f"cannot add vectors on {self.z} and {other.z} strands")
         out = dict(self.terms)
         krow_add(out, other.terms, ONE, scalars(self.ctx.red))
         return _vec(self.ctx, self.z, out)
@@ -224,7 +228,8 @@ class LinOp:
         if columns:
             for b, v in columns.items():
                 if v:
-                    assert b.z == z_in and v.z == z_out
+                    if b.z != z_in or v.z != z_out:
+                        raise ValueError(f"column {b} is not a map from {z_in} to {z_out} strands")
                     self.columns[b.mask] = v
 
     @classmethod
@@ -254,13 +259,15 @@ class LinOp:
         return acc
 
     def apply(self, vec: TensorVector) -> TensorVector:
-        assert vec.z == self.z_in
+        if vec.z != self.z_in:
+            raise ValueError(f"cannot apply {self!r} to a vector on {vec.z} strands")
         return _vec(self.ctx, self.z_out, self._apply(vec.terms, scalars(self.ctx.red)))
 
     def __mul__(self, other):
         """Composition self . other (apply other first)."""
         if isinstance(other, LinOp):
-            assert other.z_out == self.z_in
+            if other.z_out != self.z_in:
+                raise ValueError(f"cannot compose {self!r} after {other!r}")
             table, ctx, z = scalars(self.ctx.red), self.ctx, self.z_out
             cols = {}
             for b, col in other.columns.items():
@@ -279,7 +286,8 @@ class LinOp:
         return self.scale(c)
 
     def __add__(self, other: "LinOp") -> "LinOp":
-        assert (self.z_in, self.z_out) == (other.z_in, other.z_out)
+        if (self.z_in, self.z_out) != (other.z_in, other.z_out):
+            raise ValueError(f"cannot add {self!r} and {other!r}")
         cols = dict(self.columns)
         for b, col in other.columns.items():
             s = cols.get(b)
@@ -297,7 +305,8 @@ class LinOp:
         return self + (-other)
 
     def __pow__(self, n: int) -> "LinOp":
-        assert n >= 0 and self.z_in == self.z_out
+        if n < 0 or self.z_in != self.z_out:
+            raise ValueError(f"{self!r} has no power {n}")
         out = LinOp.identity(self.ctx, self.z_in)
         for _ in range(n):
             out = self * out
@@ -437,7 +446,8 @@ def e_power(ctx: FieldCtx, k: int, z: int) -> LinOp:
     E^k rho_S = [k]! sum over k-subsets U of S of
     q^(kz - sum(U) - 2*sum_u |S cap (u,z]| + k(k-1)/2) rho_(S minus U).
     """
-    assert k >= 0
+    if k < 0:
+        raise ValueError(f"E^k needs k >= 0, got {k}")
     fact = _cid(ctx, ctx.qfact(k))
     base = k * z + k * (k - 1) // 2
     cols = {}
@@ -464,7 +474,8 @@ def f_power(ctx: FieldCtx, k: int, z: int) -> LinOp:
     F^k rho_S = [k]! sum over k-subsets V of the complement of S of
     q^(2*sum_v |S cap [1,v)| - sum(V) + k + k(k-1)/2) rho_(S union V).
     """
-    assert k >= 0
+    if k < 0:
+        raise ValueError(f"F^k needs k >= 0, got {k}")
     fact = _cid(ctx, ctx.qfact(k))
     base = k + k * (k - 1) // 2
     cols = {}

@@ -16,15 +16,20 @@ from uqsl2.cyclo_field import CycloNum, make_field
 CTX = {p: make_field(p) for p in (2, 3)}
 
 
+def _scalars(ctx):
+    """Nonzero kernel pairs with small numerators and denominators."""
+    return st.builds(
+        knorm, st.tuples(*[st.integers(-3, 3)] * ctx.degree), st.integers(1, 3)
+    ).filter(lambda k: any(k[0]))
+
+
 @st.composite
 def systems(draw, p=None):
     """(ctx, column count, rows): a few sparse rows of small kernel pairs,
     sometimes with a sum of two rows appended so the rank drops."""
     ctx = CTX[p or draw(st.sampled_from(sorted(CTX)))]
     ncols = draw(st.integers(1, 6))
-    scalar = st.builds(
-        knorm, st.tuples(*[st.integers(-3, 3)] * ctx.degree), st.integers(1, 3)
-    ).filter(lambda k: any(k[0]))
+    scalar = _scalars(ctx)
     row = st.dictionaries(st.integers(0, ncols - 1), scalar, max_size=ncols)
     rows = draw(st.lists(row, max_size=6))
     if len(rows) >= 2 and draw(st.booleans()):
@@ -36,6 +41,26 @@ def systems(draw, p=None):
                 total[col] = s
         rows.append(total)
     return ctx, ncols, rows
+
+
+@st.composite
+def peeled_systems(draw):
+    """(ctx, column count, rows): a system from ``systems`` shuffled with
+    rows that singleton striking resolves: a cascade {c0}, {c0, c1},
+    {c1, c2}, ... in which each strike leaves the next singleton, a row on
+    the cascade's columns that the strikes empty, a singleton padded with a
+    zero entry, and a new column that only a singleton row touches."""
+    ctx, ncols, rows = draw(systems())
+    scalar = _scalars(ctx)
+    zero = ((0,) * ctx.degree, 1)
+    extra, ncols = ncols, ncols + 1
+    chain = draw(st.lists(st.integers(0, ncols - 1), min_size=1, max_size=4, unique=True))
+    cascade = [{chain[0]: draw(scalar)}]
+    cascade += [{a: draw(scalar), b: draw(scalar)} for a, b in zip(chain, chain[1:])]
+    emptied = {c: draw(scalar) for c in chain}
+    padded = {draw(st.integers(0, ncols - 1)): draw(scalar), extra: zero}
+    new = cascade + [emptied, {**padded}, {extra: draw(scalar)}]
+    return ctx, ncols, draw(st.permutations(rows + new))
 
 
 def _ids(ctx, row):
@@ -163,6 +188,35 @@ def test_nullspace_basis(system):
     for f, vec in zip(free, basis):
         assert vec[f] == ONE
         assert not set(vec) & (set(free) - {f})
+
+
+@given(peeled_systems())
+@settings(max_examples=150, deadline=None)
+def test_nullspace_strikes_singletons(system):
+    """Striking singleton rows first gives the reference's basis, and the
+    caller's rows are left as they were."""
+    ctx, ncols, rows = system
+    id_rows = [_ids(ctx, row) for row in rows]
+    before = copy.deepcopy(id_rows)
+    basis = nullspace(ctx, id_rows, range(ncols))
+    assert id_rows == before
+    assert [_pairs(ctx, vec) for vec in basis] == _ref_nullspace(ctx, rows, range(ncols))
+
+
+def test_forced_columns_skip_elimination(monkeypatch):
+    """A system whose strikes force every column never reaches SparseRref:
+    {0} forces 0, which leaves {0, 1} and {0, 2} single, and the strikes
+    that follow force 1 and 2 and empty {1, 2}."""
+    ctx = CTX[3]
+    q, two = ctx.qid(1), scalars(ctx.red).id_of((2,) + (0,) * (ctx.degree - 1), 1)
+    rows = [{1: q, 2: two}, {0: two}, {0: q, 2: ONE}, {0: ONE, 1: q}]
+    calls = []
+    add_row = SparseRref.add_row
+    monkeypatch.setattr(SparseRref, "add_row", lambda rr, row: calls.append(row) or add_row(rr, row))
+    assert nullspace(ctx, rows, range(3)) == []
+    assert nullspace(ctx, rows, range(4)) == [{3: ONE}]
+    assert calls == []
+    assert rank_of_vectors(ctx, rows) == 3 and len(calls) == 4
 
 
 @given(systems(p=2), systems(p=3))

@@ -1,6 +1,8 @@
 """Import hygiene: every uqsl2 module imports cleanly with warnings as
 errors, none keeps a module-level import it never references, and only
-the scalar kernel and the field compute on kernel pairs.
+the scalar kernel and the field compute on kernel pairs.  Every assert
+left in the package is an internal invariant on an allowlist: argument
+guards raise, so they survive ``python -O``.
 
 ``__init__.py`` is exempt from the unused-import check; its imports are
 the package's re-exports.
@@ -91,3 +93,26 @@ def test_pair_arithmetic_stays_in_kernel_and_field(module):
         for alias in node.names
     }
     assert not imported & PAIR_FUNCTIONS, f"uqsl2.{module} imports {imported & PAIR_FUNCTIONS}"
+
+
+# Every assert statement in the package, by module and source text, with why
+# it is an internal invariant and not an argument guard.
+ASSERTS = {
+    ("cyclo_field", "assert den[-1] == 1"):
+        "_poly_div_exact is private and divides only by products of cyclotomic "
+        "polynomials, which are monic",
+    ("cyclo_field", 'assert c != 0, "modulus is not coprime to a nonzero element"'):
+        "the cyclotomic modulus is irreducible, so Euclid ends on a nonzero constant "
+        "for any nonzero element, which inv has already checked",
+}
+
+
+def test_asserts_are_listed_invariants():
+    found = set()
+    for module in MODULES:
+        text = (PKG / f"{module}.py").read_text(encoding="utf-8")
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Assert):
+                found.add((module, ast.get_source_segment(text, node)))
+    assert found == set(ASSERTS), (
+        f"unlisted: {sorted(found - set(ASSERTS))}; gone: {sorted(set(ASSERTS) - found)}")

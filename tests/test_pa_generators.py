@@ -290,12 +290,20 @@ _GUARDS = {
                                "rm.intertwiner_space(rm.ModuleData(ctx, 'X', 1, 2, 2, "
                                "x.basis_names, k, x.E_matrix, x.F_matrix), x)",
                                "ArithmeticError"),
+    "linop_compose": ("ts.LinOp.identity(ctx, 2) * ts.LinOp.identity(ctx, 3)", "ValueError"),
+    "linop_add": ("ts.LinOp.identity(ctx, 2) + ts.LinOp.identity(ctx, 3)", "ValueError"),
+    "linop_apply": ("ts.LinOp.identity(ctx, 2).apply(ts.TensorVector(ctx, 3))", "ValueError"),
+    "jw_recursive": ("da.jw_recursive(ctx, 0)", "ValueError"),
+    "jw_closed": ("da.jw_closed(ctx, 0)", "ValueError"),
+    # every quantum integer one index off: k_1 and k_2 miss their seeds
+    "coefficient_seeds": ("ctx.qint = lambda n, f=ctx.qint: f(n + 1); "
+                          "rel.CoefficientVector(ctx, 1, 0)", "ArithmeticError"),
 }
 
 _UNDER_O = """
 import sys
 from uqsl2 import diagram_algebra as da, pa_generators as pg, relation_engine as rel
-from uqsl2 import rep_modules as rm
+from uqsl2 import rep_modules as rm, tensor_space as ts
 from uqsl2.cyclo_field import make_field
 if not sys.flags.optimize:
     sys.exit(4)
@@ -318,3 +326,36 @@ def test_guard_survives_optimize(case):
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, timeout=120,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_argument_guards_raise():
+    """The argument guards that were asserts raise ValueError in any mode."""
+    from uqsl2 import cyclo_field as cf, fusion_dims as fd, pa_generators as pg
+    from uqsl2 import tensor_space as ts
+
+    ctx = make_field(2)
+    one = ts.LinOp.identity(ctx, 1)
+    calls = [
+        lambda: pg.nested_cap(ctx, 0),
+        lambda: pg.nested_cap_closed(ctx, 0),
+        lambda: pg.nested_cup(ctx, 0),
+        lambda: ts.basis_index(2, [3]),
+        lambda: ts.from_word("012"),
+        lambda: ts.TensorVector(ctx, 2, {ts.basis_index(3, [1]): ctx.one}),
+        lambda: ts.TensorVector(ctx, 2) + ts.TensorVector(ctx, 3),
+        lambda: ts.LinOp(ctx, 2, 2, {ts.basis_index(2): one.column(ts.basis_index(1))}),
+        lambda: one ** -1,
+        lambda: ts.e_power(ctx, -1, 2),
+        lambda: ts.f_power(ctx, -1, 2),
+        lambda: fd.catalan(-1),
+        lambda: fd.multiplicities(1, 1),
+        lambda: cf.cyclotomic_polynomial(0),
+        lambda: QFactProduct((-1,)),
+        lambda: QFactProduct.factorial_indices(-1),
+        lambda: ctx.qfact(-1),
+        lambda: ctx.lambda_coeff(3, 2),
+        lambda: ctx.xi(3, 2),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()

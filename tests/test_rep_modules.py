@@ -3,10 +3,13 @@
 import pytest
 
 from uqsl2 import _elim
-from uqsl2._kernel import kadd, kneg, scalars
+from uqsl2._kernel import ONE, kadd, kneg, scalars
 from uqsl2.cyclo_field import CycloNum, make_field
 from uqsl2.rep_modules import (
+    HomBasis,
     ModuleData,
+    _commutes,
+    _in_span,
     all_modules,
     intertwiner_space,
     is_intertwiner,
@@ -223,6 +226,40 @@ def test_weight_matched_solve_matches_full_system(p):
         for tgt in mods:
             got = intertwiner_space(src, tgt).maps
             assert list(got) == _full_system_basis(src, tgt), (src.label, tgt.label)
+
+
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_hom_vectors_match_maps(p):
+    """Each solved id vector {i * ds + j: id} holds exactly the nonzero
+    entries of the map beside it."""
+    ctx = CTX[p]
+    vals = scalars(ctx.red).vals
+    mods = all_modules(ctx)
+    for src in mods:
+        for tgt in mods:
+            hom = intertwiner_space(src, tgt)
+            assert len(hom.vectors) == len(hom.maps) == hom.dimension
+            ds = src.dimension
+            for vec, M in zip(hom.vectors, hom.maps):
+                nonzero = {i * ds + j: (c.nums, c.den)
+                           for i, row in enumerate(M) for j, c in enumerate(row) if c}
+                assert {k: vals[x] for k, x in vec.items()} == nonzero, (src.label, tgt.label)
+
+
+def test_in_span_rejects_map_outside_span():
+    """End(P+_1) is spanned by the identity and b->a; the span of b->a
+    alone holds b->a but not the identity, which is an intertwiner."""
+    ctx = CTX[3]
+    P = projective_module(ctx, 1, 1)
+    d = P.dimension
+    identity = {i * d + i: ONE for i in range(d)}
+    b_to_a = {0 * d + 1: ONE}  # s = 1: b_0 is basis vector 1, a_0 is 0
+    assert _commutes(identity, P, P) and _commutes(b_to_a, P, P)
+    full = intertwiner_space(P, P)
+    assert _in_span(ctx, full, identity) and _in_span(ctx, full, b_to_a)
+    alone = HomBasis(P.label, P.label, (), [b_to_a])
+    assert alone.dimension == 1 and _in_span(ctx, alone, {1: ctx.qid(1)})
+    assert not _in_span(ctx, alone, identity)
 
 
 def test_off_diagonal_k_is_rejected():
