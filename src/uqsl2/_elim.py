@@ -10,7 +10,7 @@ field inverse behind each new pivot value.  There is no pivoting
 heuristic beyond smallest column key, which keeps results deterministic.
 
 ``nullspace`` first strikes singleton rows, the first step of structured
-Gaussian elimination: a row with one nonzero entry forces its column to
+Gaussian elimination (LaMacchia and Odlyzko, CRYPTO '90): a row with one nonzero entry forces its column to
 0, so that column is deleted from every row, and the rule repeats until
 no row has a single entry.  Only the rows left go through ``SparseRref``.
 
@@ -127,9 +127,8 @@ def rank_of_vectors(ctx: FieldCtx, vectors) -> int:
 def _strike_singletons(rows: list) -> set:
     """Strike single-entry rows in place; returns the columns they force to 0.
 
-    A row with one nonzero entry forces its column to 0, so the column is
-    deleted from every row; a row left with one entry strikes in turn and
-    a row left with none is emptied.  Rows with two or more entries stay.
+    Each forced column is deleted from every row, so a row left with one
+    entry strikes in turn; the rows left hold none or two or more entries.
     """
     stack = [r for r in rows if len(r) == 1]
     forced: set = set()

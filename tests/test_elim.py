@@ -59,7 +59,7 @@ def peeled_systems(draw):
     cascade += [{a: draw(scalar), b: draw(scalar)} for a, b in zip(chain, chain[1:])]
     emptied = {c: draw(scalar) for c in chain}
     padded = {draw(st.integers(0, ncols - 1)): draw(scalar), extra: zero}
-    new = cascade + [emptied, {**padded}, {extra: draw(scalar)}]
+    new = cascade + [emptied, padded, {extra: draw(scalar)}]
     return ctx, ncols, draw(st.permutations(rows + new))
 
 
