@@ -2,12 +2,13 @@
 
 Rows and returned vectors map column keys (any comparable, hashable
 values) to nonzero int ids of the field's ``uqsl2._kernel.Scalars``
-table; callers build id rows and wrap ids into CycloNum at their own
-boundary.  The elimination runs on those ids with the table's memoised
-arithmetic; every id stands for the exact value the kernel computes, so
-ranks and nullspaces are exact.  The one CycloNum in this module is the
-field inverse behind each new pivot value.  There is no pivoting
-heuristic beyond smallest column key, which keeps results deterministic.
+table; callers build id rows and wrap ids into CycloNum handles at their
+own boundary.  The elimination runs on those ids with the table's
+memoised arithmetic; every id stands for the exact value the kernel
+computes, so ranks and nullspaces are exact.  Each new pivot value is
+inverted by ``CycloNum.inv``, the field's one inverse, memoised in the
+table.  There is no pivoting heuristic beyond smallest column key, which
+keeps results deterministic.
 
 ``nullspace`` first strikes singleton rows, the first step of structured
 Gaussian elimination (LaMacchia and Odlyzko, CRYPTO '90): a row with one nonzero entry forces its column to
@@ -23,7 +24,7 @@ caller certifies a nullity against a lower bound it holds.
 from __future__ import annotations
 
 from uqsl2._kernel import ONE, krow_axpy, scalars
-from uqsl2.cyclo_field import CycloNum, FieldCtx
+from uqsl2.cyclo_field import FieldCtx
 
 
 class SparseRref:
@@ -57,11 +58,7 @@ class SparseRref:
         c = _reduce(r, self.pivots, krow_axpy, table)
         if c is None:
             return False
-        a = r[c]
-        inv = table.inv.get(a)
-        if inv is None:
-            x = CycloNum(self.ctx, *table.vals[a]).inv()
-            inv = table.inv[a] = table.intern(x.nums, x.den)
+        inv = self.ctx.wrap(r[c]).inv().id
         mul, vals = table.mul, table.vals
         for k, v in r.items():
             w = r[k] = mul.get((v, inv)) or table.product(v, inv)

@@ -7,22 +7,23 @@ positive integer, with gcd(*nums, den) == 1.  ``red`` holds the reduction
 rows of the field: red[k][j] is the integer coefficient of q^j in
 q^(deg+k) reduced modulo the minimal polynomial.  Integers stay Python
 ints throughout; exactness requires arbitrary precision.  Only this
-module and ``uqsl2.cyclo_field`` (``CycloNum``) call them.
+module calls them.
 
-Below ``CycloNum`` every module holds a scalar as a small int id of its
-field's ``Scalars`` table, which interns canonical pairs (0 is zero, 1
-is one) and memoises sums, products, differences and negations on ids,
-computing each miss once on the pairs; equal values have equal ids.
-``scalars(red)`` holds one table per field, found by its reduction rows,
-for the whole process.  Only the field asked for last keeps its memos; a
-new field's table empties the previous one's.  Operators
-(``uqsl2.tensor_space``), the elimination (``krow_axpy``) and the
-intertwiner solver all run on these ids.
+A scalar has one form: a small int id of its field's ``Scalars`` table,
+which interns canonical pairs (0 is zero, 1 is one) and memoises sums,
+products, differences, negations and inverses on ids, computing each
+miss once on the pairs; equal values have equal ids.  A
+``uqsl2.cyclo_field.CycloNum`` is a handle on one id, and its arithmetic
+is the table's.  ``scalars(red)`` holds one table per field, found by
+its reduction rows, for the whole process.  Only the field asked for
+last keeps its memos; a new field's table empties the previous one's.
+Operators (``uqsl2.tensor_space``), the elimination (``krow_axpy``) and
+the intertwiner solver all run on these ids.
 
-``kmul`` is the one pair product, for ``CycloNum`` and the table's
-product misses alike.  Sums of two integral pairs (both denominators 1,
-most sums in practice) add the numerators and skip ``knorm``: the gcd
-with 1 is 1, so the pair is the one the general formula gives.
+``kmul`` is the one pair product, behind every product miss.  Sums of
+two integral pairs (both denominators 1, most sums in practice) add the
+numerators and skip ``knorm``: the gcd with 1 is 1, so the pair is the
+one the general formula gives.
 """
 
 from __future__ import annotations
@@ -107,8 +108,8 @@ class Scalars:
     ``vals[i]`` is the canonical pair of id ``i`` and ``ids`` maps each pair
     back; id 0 is zero and id 1 is one.  ``add``, ``mul``, ``sub`` and
     ``neg`` map id operands to the id of the exact result (a sum or
-    difference that is zero gives 0), and ``inv`` holds the inverses its
-    users have computed.  Every value is interned in canonical form, so
+    difference that is zero gives 0), and ``inv`` holds the inverses
+    that ``CycloNum.inv`` has computed.  Every value is interned in canonical form, so
     equal values have equal ids and a memo hit is the id of the pair a
     fresh computation would give.
     """

@@ -1,6 +1,6 @@
 """Command-line reports over the exact verification engine.
 
-Subcommands: verify (relation and proposition checks), dims (dimension
+Commands: verify (relation and proposition checks), dims (dimension
 counts against the end-space solver), conjecture (the closed dimension
 formula under each division convention, side by side with the fusion
 count), hom (the Hom-space table and explicit maps), basis (the
@@ -54,56 +54,62 @@ class RunConfig(NamedTuple):
     floor_convention: str | None = None
 
 
+_DESCRIPTION = """\
+Exact reports for the planar algebra of U_q(sl2) at a root of unity.
+
+commands:
+  verify      run relation and proposition checks
+  dims        tabulate dimension counts against the end-space solver
+  conjecture  evaluate the closed dimension formula per convention
+  hom         check the Hom-space table and the explicit maps
+  basis       run the spanning check on 2p strands
+  all         run every section
+"""
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """One parser: the command, then options that every command accepts."""
     parser = argparse.ArgumentParser(
         prog="uqsl2",
-        description="Exact reports for the planar algebra of U_q(sl2) at a root of unity.",
+        description=_DESCRIPTION,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("verify", "run relation and proposition checks"),
-        ("dims", "tabulate dimension counts against the end-space solver"),
-        ("conjecture", "evaluate the closed dimension formula per convention"),
-        ("hom", "check the Hom-space table and the explicit maps"),
-        ("basis", "run the spanning check on 2p strands"),
-        ("all", "run every section"),
-    ):
-        cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument(
-            "--p",
-            dest="ps",
-            action="append",
-            type=int,
-            metavar="P",
-            help="root order, repeatable (default: 2 and 3)",
-        )
-        cmd.add_argument(
-            "--max-n",
-            dest="max_n",
-            type=int,
-            default=None,
-            help="largest strand count in dimension tables",
-        )
-        cmd.add_argument(
-            "--relations",
-            default="all",
-            help="comma-separated relation ids, or 'all'",
-        )
-        cmd.add_argument(
-            "--budget",
-            type=int,
-            default=DEFAULT_BUDGET,
-            help="state-space budget; larger checks are skipped, not run",
-        )
-        cmd.add_argument("--format", dest="fmt", choices=FORMATS, default="markdown")
-        cmd.add_argument("--out", default=None, help="write the report to this path")
-        cmd.add_argument(
-            "--floor-convention",
-            dest="floor_convention",
-            choices=CONVENTIONS,
-            default=None,
-            help="restrict the conjecture columns to one convention",
-        )
+    parser.add_argument("command", choices=COMMANDS, help="the report to run")
+    parser.add_argument(
+        "--p",
+        dest="ps",
+        action="append",
+        type=int,
+        metavar="P",
+        help="root order, repeatable (default: 2 and 3)",
+    )
+    parser.add_argument(
+        "--max-n",
+        dest="max_n",
+        type=int,
+        default=None,
+        help="largest strand count in dimension tables",
+    )
+    parser.add_argument(
+        "--relations",
+        default="all",
+        help="comma-separated relation ids, or 'all'",
+    )
+    parser.add_argument(
+        "--budget",
+        type=int,
+        default=DEFAULT_BUDGET,
+        help="state-space budget; larger checks are skipped, not run",
+    )
+    parser.add_argument("--format", dest="fmt", choices=FORMATS, default="markdown")
+    parser.add_argument("--out", default=None, help="write the report to this path")
+    parser.add_argument(
+        "--floor-convention",
+        dest="floor_convention",
+        choices=CONVENTIONS,
+        default=None,
+        help="restrict the conjecture columns to one convention",
+    )
     return parser
 
 

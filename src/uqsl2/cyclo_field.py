@@ -1,11 +1,14 @@
 """Exact arithmetic in Q(q) for q a primitive 2p-th root of unity.
 
 Elements are polynomials in q reduced modulo the 2p-th cyclotomic
-polynomial, held as integer numerator tuples over a common positive
-denominator.  On top of the field sit the quantum-combinatorial scalars:
-quantum integers [n], factorials [n]!, the coproduct coefficients
-lambda_{i,k}, the weight sums xi(n,z), and formal factorial ratios
-(QFactProduct) that cancel vanishing factors before evaluation.
+polynomial.  The field's ``uqsl2._kernel.Scalars`` table interns each as
+an int id of its canonical pair, integer numerators over a common
+positive denominator, and a CycloNum is a handle (ctx, id) whose
+arithmetic is the table's; inverses come from the Galois norm.  On top
+of the field sit the quantum-combinatorial scalars: quantum integers
+[n], factorials [n]!, the coproduct coefficients lambda_{i,k}, the
+weight sums xi(n,z), and formal factorial ratios (QFactProduct) that
+cancel vanishing factors before evaluation.
 """
 
 from __future__ import annotations
@@ -15,9 +18,9 @@ import math
 import re
 from collections import Counter
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
-from uqsl2._kernel import kadd, kmul, kneg, knorm, ksub, scalars
+from uqsl2._kernel import ONE, scalars
 
 
 class SingularRatio(ArithmeticError):
@@ -66,28 +69,37 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 
 
 class CycloNum:
-    """An element of Q(q), fully reduced modulo the cyclotomic modulus.
+    """An element of Q(q): a handle on one id of its field's intern table.
 
-    Immutable.  Arithmetic mixes with int and Fraction.  Equality is
-    coefficient-wise; str() is the canonical rendering parsed back by
-    :func:`parse_cyclo`.
+    Immutable.  ``id`` is the value's id in ``uqsl2._kernel.scalars(ctx.red)``,
+    and every operation is that table's memoised arithmetic on ids; ``nums``
+    and ``den`` read the table's canonical pair.  Arithmetic mixes with int
+    and Fraction.  Equal values have equal ids; str() is the canonical
+    rendering parsed back by :func:`parse_cyclo`.
     """
 
-    __slots__ = ("ctx", "nums", "den")
+    __slots__ = ("ctx", "id")
 
     def __init__(self, ctx: "FieldCtx", nums: tuple[int, ...], den: int):
+        """The value sum(nums[j] q^j) / den; the pair need not be canonical."""
         self.ctx = ctx
-        self.nums = nums
-        self.den = den
+        self.id = scalars(ctx.red).id_of(tuple(nums), den)
+
+    @property
+    def nums(self) -> tuple[int, ...]:
+        return scalars(self.ctx.red).vals[self.id][0]
+
+    @property
+    def den(self) -> int:
+        return scalars(self.ctx.red).vals[self.id][1]
 
     @property
     def coefficients(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(a, self.den) for a in self.nums)
+        nums, den = scalars(self.ctx.red).vals[self.id]
+        return tuple(Fraction(a, den) for a in nums)
 
     def _coerce(self, other):
-        if isinstance(other, CycloNum):
-            return other
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (CycloNum, int, Fraction)):
             return self.ctx.scalar(other)
         return None
 
@@ -95,7 +107,9 @@ class CycloNum:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CycloNum(self.ctx, *kadd(self.nums, self.den, o.nums, o.den))
+        t = scalars(self.ctx.red)
+        r = t.add.get((self.id, o.id))
+        return self.ctx.wrap(t.addition(self.id, o.id) if r is None else r)
 
     __radd__ = __add__
 
@@ -103,21 +117,23 @@ class CycloNum:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CycloNum(self.ctx, *ksub(self.nums, self.den, o.nums, o.den))
+        t = scalars(self.ctx.red)
+        r = t.sub.get((self.id, o.id))
+        return self.ctx.wrap(t.difference(self.id, o.id) if r is None else r)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CycloNum(self.ctx, *ksub(o.nums, o.den, self.nums, self.den))
+        return o - self
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CycloNum(
-            self.ctx, *kmul(self.nums, self.den, o.nums, o.den, self.ctx.red)
-        )
+        t = scalars(self.ctx.red)
+        r = t.mul.get((self.id, o.id))
+        return self.ctx.wrap(t.product(self.id, o.id) if r is None else r)
 
     __rmul__ = __mul__
 
@@ -134,7 +150,9 @@ class CycloNum:
         return o * self.inv()
 
     def __neg__(self):
-        return CycloNum(self.ctx, *kneg(self.nums, self.den))
+        t = scalars(self.ctx.red)
+        r = t.neg.get(self.id)
+        return self.ctx.wrap(t.negation(self.id) if r is None else r)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -147,46 +165,60 @@ class CycloNum:
         return out
 
     def inv(self) -> "CycloNum":
-        """Multiplicative inverse via the extended Euclidean algorithm."""
-        if not self:
-            raise ZeroDivisionError("division by zero in Q(q)")
-        a = [Fraction(n, self.den) for n in self.nums]
-        r0 = [Fraction(c) for c in self.ctx.cyclotomic_modulus]
-        r1, s0, s1 = a, [Fraction(0)], [Fraction(1)]
-        while _fdeg(r1) > 0:
-            q, r = _fdivmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _fsub(s0, _fmul(q, s1))
-        c = r1[0]
-        assert c != 0, "modulus is not coprime to a nonzero element"
-        inv_coeffs = [x / c for x in s1]
-        deg = self.ctx.degree
-        inv_coeffs += [Fraction(0)] * (deg - len(inv_coeffs))
-        den = math.lcm(*(f.denominator for f in inv_coeffs))
-        nums = tuple(int(f * den) for f in inv_coeffs[:deg])
-        return CycloNum(self.ctx, *knorm(nums, den))
+        """Multiplicative inverse, memoised in the table's ``inv``.
+
+        For a != 0, a * P is the norm N(a), where P is the product of the
+        conjugates sigma_k(a), q -> q^k for every unit k != 1 mod 2p; N(a)
+        is rational, so 1/a = P / N(a) (Cohen, GTM 138, ch. 4).  Raises
+        ArithmeticError if the norm is not a nonzero rational.
+        """
+        ctx, a = self.ctx, self.id
+        t = scalars(ctx.red)
+        r = t.inv.get(a)
+        if r is None:
+            if not a:
+                raise ZeroDivisionError("division by zero in Q(q)")
+            nums, den = t.vals[a]
+            qpow = [t.vals[i][0] for i in ctx.qids]
+            m, rest = 2 * ctx.p, ONE
+            for k in ctx.galois:  # sigma_k(a) sends each q^j of a to q^(jk)
+                conj = [0] * ctx.degree
+                for j, c in enumerate(nums):
+                    if c:
+                        for i, x in enumerate(qpow[j * k % m]):
+                            conj[i] += c * x
+                s = t.id_of(tuple(conj), den)
+                rest = t.mul.get((rest, s)) or t.product(rest, s)
+            (n0, *irrational), nd = t.vals[t.product(a, rest)]
+            if any(irrational) or not n0:
+                raise ArithmeticError(f"the Galois norm of {self} is not a nonzero rational")
+            scale = t.id_of((nd,) + (0,) * (ctx.degree - 1), n0)
+            r = t.inv[a] = t.product(rest, scale)
+        return ctx.wrap(r)
 
     def __bool__(self):
-        return any(self.nums)
+        return self.id != 0
 
     def __eq__(self, other):
-        o = self._coerce(other) if not isinstance(other, CycloNum) else other
-        if o is None or not isinstance(o, CycloNum):
+        o = self._coerce(other)
+        if o is None:
             return NotImplemented
-        return self.ctx.p == o.ctx.p and self.nums == o.nums and self.den == o.den
+        return self.ctx.p == o.ctx.p and self.id == o.id
 
     def __hash__(self):
-        return hash((self.nums, self.den))
+        return hash(self.id)
 
     def __complex__(self):
         """Floating approximation; diagnostics only, never verification."""
         w = cmath.exp(1j * math.pi / self.ctx.p)
-        return sum((n / self.den) * w**j for j, n in enumerate(self.nums))
+        nums, den = scalars(self.ctx.red).vals[self.id]
+        return sum((n / den) * w**j for j, n in enumerate(nums))
 
     def __str__(self):
+        nums, den = scalars(self.ctx.red).vals[self.id]
         terms = []
         for e in range(self.ctx.degree - 1, -1, -1):
-            c = Fraction(self.nums[e], self.den)
+            c = Fraction(nums[e], den)
             if not c:
                 continue
             if e == 0:
@@ -211,43 +243,6 @@ class CycloNum:
 
 def _rat_str(c: Fraction) -> str:
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-
-
-def _fdeg(a: list[Fraction]) -> int:
-    for i in range(len(a) - 1, -1, -1):
-        if a[i]:
-            return i
-    return -1
-
-
-def _fsub(a, b):
-    n = max(len(a), len(b))
-    a = a + [Fraction(0)] * (n - len(a))
-    b = b + [Fraction(0)] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
-
-
-def _fmul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _fdivmod(a, b):
-    db = _fdeg(b)
-    rem = list(a)
-    quot = [Fraction(0)] * max(_fdeg(a) - db + 1, 1)
-    lead = b[db]
-    for k in range(_fdeg(a) - db, -1, -1):
-        c = rem[k + db] / lead
-        if c:
-            quot[k] = c
-            for j in range(db + 1):
-                rem[k + j] -= c * b[j]
-    return quot, rem[:db] if db > 0 else [Fraction(0)]
 
 
 class QFactProduct:
@@ -349,41 +344,37 @@ class FieldCtx:
         # The field's intern table keeps the one copy of red that every
         # FieldCtx(p) shares, so a table lookup is an identity test.
         self.red = scalars(tuple(rows)).red
-        self.zero = CycloNum(self, (0,) * deg, 1)
-        self.one = CycloNum(self, (1,) + (0,) * (deg - 1), 1)
-        # q^m table for m = 0 .. 2p-1
+        self.zero = self.wrap(0)
+        self.one = self.wrap(ONE)
+        # q^m table for m = 0 .. 2p-1, and the ids of its entries
+        q = CycloNum(self, (0, 1) + (0,) * (deg - 2), 1)
         powers = [self.one]
         for _ in range(2 * p - 1):
-            powers.append(powers[-1] * self._q_monomial())
+            powers.append(powers[-1] * q)
         self._qpow = tuple(powers)
-        self.q = self._qpow[1]
+        self.qids = tuple(c.id for c in powers)
+        self.q = q
+        # the Galois automorphisms q -> q^k other than the identity, by k
+        self.galois = tuple(k for k in range(3, 2 * p, 2) if math.gcd(k, 2 * p) == 1)
         self._qint_cache: dict[int, CycloNum] = {}
         self._qfact_cache: dict[int, CycloNum] = {0: self.one}
         self.loop_value = self.qint(2)
 
-    def _q_monomial(self) -> CycloNum:
-        nums = [0] * self.degree
-        if self.degree > 1:
-            nums[1] = 1
-            return CycloNum(self, tuple(nums), 1)
-        raise AssertionError("degree >= 2 for all p >= 2")
+    def wrap(self, i: int) -> CycloNum:
+        """The CycloNum of id ``i`` of this field's table, made without __init__."""
+        c = object.__new__(CycloNum)
+        c.ctx, c.id = self, i
+        return c
 
     def scalar(self, r) -> CycloNum:
-        """Embed an int or Fraction into the field."""
+        """Embed an int or Fraction into the field; a CycloNum is returned as it is."""
+        if isinstance(r, CycloNum):
+            return r
         fr = Fraction(r)
-        nums = (fr.numerator,) + (0,) * (self.degree - 1)
-        return CycloNum(self, *knorm(nums, fr.denominator))
+        return CycloNum(self, (fr.numerator,) + (0,) * (self.degree - 1), fr.denominator)
 
     def q_power(self, m: int) -> CycloNum:
         return self._qpow[m % (2 * self.p)]
-
-    # Interned on first use: a solve that never asks keeps the ids in the
-    # order its elimination interns them.  Interning the powers up front
-    # raised the peak RSS of commutant_dim(5, 7) by 0.6 MB.
-    @cached_property
-    def qids(self) -> tuple[int, ...]:
-        table = scalars(self.red)
-        return tuple(table.intern(c.nums, c.den) for c in self._qpow)
 
     def qid(self, m: int) -> int:
         """Id of q^m in the field's intern table; -1 is q^p and -q is q^(p+1)."""

@@ -72,7 +72,7 @@ from .pa_generators import (
     partial_trace_right,
 )
 from .tensor_space import (
-    BasisIndex, LinOp, TensorVector, _cid, _op, _vec, basis_index, e_power, e_terms, f_power,
+    BasisIndex, LinOp, TensorVector, _op, _vec, basis_index, e_power, e_terms, f_power,
     f_terms, from_word, op_E, op_F, op_K, op_K_power, widen, x_bottom, x_top,
 )
 
@@ -158,10 +158,7 @@ class CoefficientVector:
     __slots__ = ("ctx", "seed", "k")
 
     def __init__(self, ctx: FieldCtx, k1, k2):
-        if not isinstance(k1, CycloNum):
-            k1 = ctx.scalar(k1)
-        if not isinstance(k2, CycloNum):
-            k2 = ctx.scalar(k2)
+        k1, k2 = ctx.scalar(k1), ctx.scalar(k2)
         self.ctx = ctx
         self.seed = (k1, k2)
         m = 4 * ctx.p
@@ -186,6 +183,12 @@ class CoefficientVector:
         p = self.ctx.p
         sign = self.ctx.scalar((-1) ** (p + 1))
         return all(self.k[(i + p) % m] == sign * self.k[i] for i in range(m))
+
+
+@lru_cache(maxsize=None)
+def _coefficients(p: int, seed: tuple) -> CoefficientVector:
+    """The coefficient vector of seed (k1, k2) at p, built once per (p, seed)."""
+    return CoefficientVector(_gens(p).ctx, *seed)
 
 
 @lru_cache(maxsize=None)
@@ -671,22 +674,20 @@ def _cap_kill(g, n):
             yield f"cup_{i}.{name} = 0", cup_outputs(gen, i), LinOp.zero(ctx, n, n - 2)
 
 
-def _cap_slide(g, n, name):
-    gen = getattr(g, name)
-    yield (
-        f"{name}_2.cap_1 = {name}_1.cap_{n - 1}",
-        cap_inputs(embed(gen, 2, n), 1),
-        cap_inputs(embed(gen, 1, n), n - 1),
-    )
+# The side of a slide or e-chain identity, as data: the map that closes a
+# cap or cup on a generator or multiplies it by e_i, and the identity's
+# text, formatted with the generator's name and last = n - 1.
+_CAP = (cap_inputs, "{name}_2.cap_1 = {name}_1.cap_{last}")
+_CUP = (cup_outputs, "cup_1.{name}_2 = cup_{last}.{name}_1")
+_E_LEFT = (e_left, "e_1.{name}_2 = e_1..e_{last}.{name}_1")
+_E_RIGHT = (e_right, "{name}_2.e_1 = {name}_1.e_{last}..e_1")
 
 
-def _cup_slide(g, n, name):
+def _slide(g, n, name, side):
+    close, text = side
     gen = getattr(g, name)
-    yield (
-        f"cup_1.{name}_2 = cup_{n - 1}.{name}_1",
-        cup_outputs(embed(gen, 2, n), 1),
-        cup_outputs(embed(gen, 1, n), n - 1),
-    )
+    yield (text.format(name=name, last=n - 1),
+           close(embed(gen, 2, n), 1), close(embed(gen, 1, n), n - 1))
 
 
 def _rotation_fixed(g, n, name):
@@ -707,9 +708,8 @@ def _rotation_sum(g, n, name):
     for seed in ((1, 0), (0, 1)):
         # sum k_i R^i(g x 1), accumulated column by column in one pass
         table, cols = scalars(ctx.red), {}
-        for ki, op in zip(CoefficientVector(ctx, *seed).k, ops):
-            a = table.id_of(ki.nums, ki.den)
-            if a:
+        for ki, op in zip(_coefficients(g.p, seed).k, ops):
+            if a := ki.id:
                 for m, col in op.columns.items():
                     krow_add(cols.setdefault(m, {}), col.terms, a, table)
         total = _op(ctx, n, n, {m: _vec(ctx, n, t) for m, t in cols.items() if t})
@@ -727,20 +727,13 @@ def _e_kill(g, n):
                 yield f"{name}_{j}.e_{i} = 0", e_right(gj, i), zero
 
 
-def _e_chain_left(g, n, name):
+def _e_chain(g, n, name, side):
+    times, text = side
     gen = getattr(g, name)
     rhs = embed(gen, 1, n)
     for t in range(n - 1, 0, -1):
-        rhs = e_left(rhs, t)
-    yield f"e_1.{name}_2 = e_1..e_{n - 1}.{name}_1", e_left(embed(gen, 2, n), 1), rhs
-
-
-def _e_chain_right(g, n, name):
-    gen = getattr(g, name)
-    rhs = embed(gen, 1, n)
-    for t in range(n - 1, 0, -1):
-        rhs = e_right(rhs, t)
-    yield f"{name}_2.e_1 = {name}_1.e_{n - 1}..e_1", e_right(embed(gen, 2, n), 1), rhs
+        rhs = times(rhs, t)
+    yield text.format(name=name, last=n - 1), times(embed(gen, 2, n), 1), rhs
 
 
 def _pt_vanishes(g, n, name):
@@ -905,7 +898,7 @@ def _check_rot_rank(p, budget):
             for pos, c in op.flat().items():
                 rows_by_pos[pos][i] = c
         null = nullspace(ctx, rows_by_pos.values(), range(m))
-        seeds = [{i: _cid(ctx, c) for i, c in enumerate(CoefficientVector(ctx, *seed).k) if c}
+        seeds = [{i: c.id for i, c in enumerate(_coefficients(p, seed).k) if c}
                  for seed in ((1, 0), (0, 1))]
         if len(null) != 2 or rank_of_vectors(ctx, null + seeds) != 2:
             return n, False, {"identity": f"nullspace of {name} orbit matches seed span",
@@ -916,11 +909,10 @@ def _check_rot_rank(p, budget):
 def _check_kp(p, budget):
     n = 2 * p
     _require_strands(n, budget)
-    ctx = _gens(p).ctx
     # the seeds (1, 0) and (0, 1) give the two coefficient streams of the
     # closed form, hence the law for arbitrary seeds
     for seed in ((1, 0), (0, 1)):
-        kv = CoefficientVector(ctx, *seed)
+        kv = _coefficients(p, seed)
         if not (kv.recurrence_holds() and kv.periodicity_holds()):
             return n, False, {"identity": "seed coefficient vector invariants", "seed": list(seed)}
     ok, details = capping_pattern(p, budget)
@@ -1088,19 +1080,19 @@ _CHECKS = {
     "eq6": Identity("3p-1", _far_commute, ("beta",)),
     "eq7": Identity("2p-1", _anticommutator),
     "eq8": Identity("2p-1", _cap_kill),
-    "eq9": Identity("2p", _cap_slide, ("alpha",)),
-    "eq10": Identity("2p", _cap_slide, ("beta",)),
-    "eq11": Identity("2p", _cup_slide, ("alpha",)),
-    "eq12": Identity("2p", _cup_slide, ("beta",)),
+    "eq9": Identity("2p", _slide, ("alpha", _CAP)),
+    "eq10": Identity("2p", _slide, ("beta", _CAP)),
+    "eq11": Identity("2p", _slide, ("alpha", _CUP)),
+    "eq12": Identity("2p", _slide, ("beta", _CUP)),
     "eq13": Identity("2p-1", _rotation_fixed, ("alpha",)),
     "eq14": Identity("2p-1", _rotation_fixed, ("beta",)),
     "eq15": Identity("2p", _rotation_sum, ("alpha",)),
     "eq16": Identity("2p", _rotation_sum, ("beta",)),
     "eq17": Identity("2p", _e_kill),
-    "eq18": Identity("2p", _e_chain_left, ("alpha",)),
-    "eq19": Identity("2p", _e_chain_right, ("alpha",)),
-    "eq20": Identity("2p", _e_chain_left, ("beta",)),
-    "eq21": Identity("2p", _e_chain_right, ("beta",)),
+    "eq18": Identity("2p", _e_chain, ("alpha", _E_LEFT)),
+    "eq19": Identity("2p", _e_chain, ("alpha", _E_RIGHT)),
+    "eq20": Identity("2p", _e_chain, ("beta", _E_LEFT)),
+    "eq21": Identity("2p", _e_chain, ("beta", _E_RIGHT)),
     "prop2": _check_prop2,
     "prop3": _check_prop3,
     "prop4": _check_prop4,

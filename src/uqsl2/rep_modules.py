@@ -6,21 +6,22 @@ action in the standard bases.  A module holds the nonzero entries of K, E
 and F as ids of its field's ``Scalars`` table, read once when it is
 built; ``K_matrix``, ``E_matrix`` and ``F_matrix`` are the dense grids
 (row-major tuples of CycloNum, column j the image of basis vector j),
-derived on demand.  The intertwiner solver computes an exact nullspace
-basis of the commutation constraints and reproduces the hom-space
-dimension table.  K is diagonal, so it solves only for the entries
-between equal K eigenvalues, under the E and F constraints, and builds
-those constraint rows by scattering each such unknown's E and F terms.
-A hom space is kept as the solver's id vectors, keyed i * ds + j for
-entry (i, j), beside the same maps as CycloNum grids; the intertwiner and
-span checks run on id vectors.
+derived on demand as CycloNum handles on those ids.  The intertwiner
+solver computes an exact nullspace basis of the commutation constraints
+and reproduces the hom-space dimension table.  K is diagonal, so it
+solves only for the entries between equal K eigenvalues, under the E
+and F constraints, and builds those constraint rows by scattering each
+such unknown's E and F terms.  A hom space is kept as the solver's id
+vectors, keyed i * ds + j for entry (i, j), and its dense CycloNum grids
+are derived from them on demand; the intertwiner and span checks run on
+id vectors.
 """
 
 from __future__ import annotations
 
 from uqsl2 import _elim
 from uqsl2._kernel import ONE, scalars
-from uqsl2.cyclo_field import CycloNum, FieldCtx
+from uqsl2.cyclo_field import FieldCtx
 
 
 class ModuleData:
@@ -42,21 +43,18 @@ class ModuleData:
         self.dimension = dimension
         self.basis_names = tuple(basis_names)
         self.label = f"{kind}{'+' if sign > 0 else '-'}_{s}"
-        id_of = scalars(ctx.red).id_of
 
         def ids(M):
             cells = M.items() if isinstance(M, dict) else (
                 ((i, j), c) for i, row in enumerate(M) for j, c in enumerate(row))
-            return {ij: x for ij, c in cells if (x := id_of(c.nums, c.den))}
+            return {ij: c.id for ij, c in cells if c}
 
         self._ids = (ids(K), ids(E), ids(F))
         self._sparse = None
 
     def _dense(self, g: int):
-        d, vals, ctx = self.dimension, scalars(self.ctx.red).vals, self.ctx
-        M = self._ids[g]
-        return tuple(tuple(CycloNum(ctx, *vals[M[i, j]]) if (i, j) in M else ctx.zero
-                           for j in range(d)) for i in range(d))
+        d, wrap, M = self.dimension, self.ctx.wrap, self._ids[g]
+        return tuple(tuple(wrap(M.get((i, j), 0)) for j in range(d)) for i in range(d))
 
     K_matrix = property(lambda self: self._dense(0))
     E_matrix = property(lambda self: self._dense(1))
@@ -111,28 +109,30 @@ class ModuleData:
 class HomBasis:
     """Basis of the intertwiner space between two modules.
 
-    ``vectors`` are the solver's id vectors {i * ds + j: id} and ``maps``
-    the same maps as dense CycloNum grids, in the same order.
+    ``vectors`` are the solver's id vectors {i * ds + j: id} for entry
+    (i, j); ``maps`` derives the same maps as dense CycloNum grids, in the
+    same order.
     """
 
-    __slots__ = ("source", "target", "maps", "vectors")
+    __slots__ = ("source", "target", "vectors")
 
-    def __init__(self, source: str, target: str, maps, vectors):
+    def __init__(self, source: ModuleData, target: ModuleData, vectors):
         self.source = source
         self.target = target
-        self.maps = tuple(maps)
         self.vectors = tuple(vectors)
 
     @property
     def dimension(self) -> int:
         return len(self.vectors)
 
+    @property
+    def maps(self) -> tuple:
+        ds, dt, wrap = self.source.dimension, self.target.dimension, self.source.ctx.wrap
+        return tuple(tuple(tuple(wrap(v.get(i * ds + j, 0)) for j in range(ds))
+                           for i in range(dt)) for v in self.vectors)
+
     def __repr__(self):
-        return f"HomBasis({self.source} -> {self.target}, dim={self.dimension})"
-
-
-def _freeze(rows):
-    return tuple(tuple(r) for r in rows)
+        return f"HomBasis({self.source.label} -> {self.target.label}, dim={self.dimension})"
 
 
 def _signed(sign: int):
@@ -218,14 +218,13 @@ def mat_mul(ctx: FieldCtx, A, B):
                     b = Bt[j]
                     if b:
                         row[j] = row[j] + a * b
-    return _freeze(out)
+    return tuple(map(tuple, out))
 
 
 def is_intertwiner(M, src: ModuleData, tgt: ModuleData) -> bool:
     """Does the dense grid M satisfy M g_src = g_tgt M for g in {K, E, F}?"""
-    ds, id_of = src.dimension, scalars(src.ctx.red).id_of
-    vec = {i * ds + j: x for i, row in enumerate(M) for j, c in enumerate(row)
-           if (x := id_of(c.nums, c.den))}
+    ds = src.dimension
+    vec = {i * ds + j: c.id for i, row in enumerate(M) for j, c in enumerate(row) if c}
     return _commutes(vec, src, tgt)
 
 
@@ -267,13 +266,12 @@ def intertwiner_space(src: ModuleData, tgt: ModuleData) -> HomBasis:
     ctx = src.ctx
     if ctx != tgt.ctx:
         raise ValueError(f"modules over different fields: {ctx} and {tgt.ctx}")
-    ds, dt = src.dimension, tgt.dimension
+    ds = src.dimension
     (_, spaces, *src_ef), (kt, _, *tgt_ef) = src.sparse(), tgt.sparse()
     live = [i * ds + j for i, k in enumerate(kt) for j in spaces.get(k, ())]
     if not live:
-        return HomBasis(src.label, tgt.label, (), ())
-    table = scalars(ctx.red)
-    acc = table.accumulate
+        return HomBasis(src, tgt, ())
+    acc = scalars(ctx.red).accumulate
     rows = []
     for (_, srows), (tcols, _) in zip(src_ef, tgt_ef):
         g: dict = {}
@@ -292,14 +290,7 @@ def intertwiner_space(src: ModuleData, tgt: ModuleData) -> HomBasis:
                 else:
                     acc(r, key, c)
         rows += g.values()
-    vectors = _elim.nullspace(ctx, rows, live)
-    vals, maps = table.vals, []
-    for v in vectors:
-        M = [[ctx.zero] * ds for _ in range(dt)]
-        for key, c in v.items():
-            M[key // ds][key % ds] = CycloNum(ctx, *vals[c])
-        maps.append(_freeze(M))
-    return HomBasis(src.label, tgt.label, maps, vectors)
+    return HomBasis(src, tgt, _elim.nullspace(ctx, rows, live))
 
 
 def _expected_hom_dim(p: int, src: ModuleData, tgt: ModuleData) -> int | None:

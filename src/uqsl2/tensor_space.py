@@ -7,15 +7,16 @@ K-eigenvalue there is q^(z-2n).  On top of the basis sit sparse vectors
 (TensorVector), sparse column operators (LinOp), the coproduct-lifted
 K/E/F actions, and their closed-form k-th powers.
 
-There is one scalar representation below the API: a TensorVector holds
-{int mask: int id} with ids of its field's ``uqsl2._kernel.Scalars``
-table, and a LinOp {int mask: TensorVector}.  Every FieldCtx of one p
-shares that table, so equal values have equal ids and equality of
-vectors and operators is equality of id dicts.  Sums, negations,
+A scalar has one form, an int id of its field's ``uqsl2._kernel.Scalars``
+table, and a CycloNum is a handle on one: a TensorVector holds
+{int mask: int id} and a LinOp {int mask: TensorVector}.  Every FieldCtx
+of one p shares that table, so equal values have equal ids and equality
+of vectors and operators is equality of id dicts.  Sums, negations,
 products, composition and the index maps are memoised id lookups.
-CycloNum and BasisIndex appear only at the boundary: the constructors,
-``unit``, ``scale``, ``column``, ``coeff`` and ``str``.  ``LinOp.flat``
-hands the entries to ``uqsl2._elim`` as one id row, as they are held.
+CycloNum handles and BasisIndex appear only at the boundary: the
+constructors, ``unit``, ``scale``, ``column``, ``coeff`` and ``str``
+read or make a handle's id.  ``LinOp.flat`` hands the entries to
+``uqsl2._elim`` as one id row, as they are held.
 """
 
 from __future__ import annotations
@@ -82,13 +83,6 @@ def x_top(z: int) -> BasisIndex:
     return BasisIndex(z, (1 << z) - 1)
 
 
-def _cid(ctx: FieldCtx, c) -> int:
-    """Id of a CycloNum, int or Fraction in the field's table (0 for zero)."""
-    if not isinstance(c, CycloNum):
-        c = ctx.scalar(c)
-    return scalars(ctx.red).id_of(c.nums, c.den)
-
-
 # _vec and _op wrap terms and columns already in id form, without __init__.
 _new = object.__new__
 
@@ -116,12 +110,11 @@ class TensorVector:
         self.z = z
         self.terms: dict[int, int] = {}
         if terms:
-            table = scalars(ctx.red)
             for b, c in terms.items():
                 if c:
                     if b.z != z:
                         raise ValueError(f"basis index {b} is not on {z} strands")
-                    self.terms[b.mask] = table.id_of(c.nums, c.den)
+                    self.terms[b.mask] = c.id
 
     @classmethod
     def unit(cls, ctx: FieldCtx, b: BasisIndex) -> "TensorVector":
@@ -144,7 +137,7 @@ class TensorVector:
         return self + (-other)
 
     def scale(self, c) -> "TensorVector":
-        return self._times(_cid(self.ctx, c))
+        return self._times(self.ctx.scalar(c).id)
 
     def _times(self, a: int) -> "TensorVector":
         """This vector times the scalar id ``a``."""
@@ -170,10 +163,7 @@ class TensorVector:
         return _vec(self.ctx, self.z + other.z, out)
 
     def coeff(self, b: BasisIndex) -> CycloNum:
-        c = self.terms.get(b.mask)
-        if c is None:
-            return self.ctx.zero
-        return CycloNum(self.ctx, *scalars(self.ctx.red).vals[c])
+        return self.ctx.wrap(self.terms.get(b.mask, 0))
 
     def homogeneous_weight(self) -> int | None:
         """The common weight of all terms, or None if mixed or zero."""
@@ -194,10 +184,9 @@ class TensorVector:
     def __str__(self):
         if not self.terms:
             return "0"
-        vals = scalars(self.ctx.red).vals
         parts = []
         for b in sorted((BasisIndex(self.z, m) for m in self.terms), key=BasisIndex.word):
-            cs = str(CycloNum(self.ctx, *vals[self.terms[b.mask]]))
+            cs = str(self.ctx.wrap(self.terms[b.mask]))
             if cs == "1":
                 parts.append(str(b))
             elif cs == "-1":
@@ -278,7 +267,7 @@ class LinOp:
         return self.scale(other)
 
     def scale(self, c) -> "LinOp":
-        a = _cid(self.ctx, c)
+        a = self.ctx.scalar(c).id
         return _op(self.ctx, self.z_in, self.z_out,
                    {b: col._times(a) for b, col in self.columns.items()} if a else {})
 
@@ -448,7 +437,7 @@ def e_power(ctx: FieldCtx, k: int, z: int) -> LinOp:
     """
     if k < 0:
         raise ValueError(f"E^k needs k >= 0, got {k}")
-    fact = _cid(ctx, ctx.qfact(k))
+    fact = ctx.qfact(k).id
     base = k * z + k * (k - 1) // 2
     cols = {}
     for b in all_indices(z):
@@ -476,7 +465,7 @@ def f_power(ctx: FieldCtx, k: int, z: int) -> LinOp:
     """
     if k < 0:
         raise ValueError(f"F^k needs k >= 0, got {k}")
-    fact = _cid(ctx, ctx.qfact(k))
+    fact = ctx.qfact(k).id
     base = k + k * (k - 1) // 2
     cols = {}
     for b in all_indices(z):

@@ -18,7 +18,7 @@ from uqsl2.cyclo_field import (
     parse_cyclo,
 )
 
-CTX = {p: make_field(p) for p in (2, 3, 4, 5)}
+CTX = {p: make_field(p) for p in range(2, 9)}
 
 
 def _random_cyclo(ctx, nums, den):
@@ -238,13 +238,32 @@ def test_field_axioms_p3(a, b, c, d):
     assert x * x.inv() == ctx.one
 
 
-@given(nums=st.tuples(*([small_ints] * 4)), den=st.integers(1, 7))
+@pytest.mark.parametrize("p", range(2, 9))  # field degrees 2, 4, 6 and 8
+@given(data=st.data())
 @settings(max_examples=40)
-def test_inverse_p4(nums, den):
-    ctx = CTX[4]
-    x = _random_cyclo(ctx, nums, den)
+def test_inverse(p, data):
+    ctx = CTX[p]
+    nums = data.draw(st.tuples(*([small_ints] * ctx.degree)))
+    x = _random_cyclo(ctx, nums, data.draw(st.integers(1, 7)))
     assume(x)
     assert x * x.inv() == ctx.one
+    assert x.inv().inv() == x
+
+
+@pytest.mark.parametrize("p", [3, 4, 7])
+@given(data=st.data())
+@settings(max_examples=40)
+def test_noncanonical_pair_is_one_value(p, data):
+    """(c*nums, c*den) interns to the id of the canonical pair, and the two
+    have one inverse id."""
+    ctx = CTX[p]
+    nums = data.draw(st.tuples(*([small_ints] * ctx.degree)))
+    den = data.draw(st.integers(1, 7))
+    c = data.draw(st.sampled_from([2, 3, -1, -2]))
+    x, y = CycloNum(ctx, nums, den), CycloNum(ctx, tuple(c * a for a in nums), c * den)
+    assert x.id == y.id and (y.nums, y.den) == knorm(nums, den)
+    assume(x)
+    assert x.inv().id == y.inv().id
 
 
 # --- rendering and parsing -------------------------------------------------

@@ -1,6 +1,6 @@
 """Import hygiene: every uqsl2 module imports cleanly with warnings as
 errors, none keeps a module-level import it never references, and only
-the scalar kernel and the field compute on kernel pairs.  Every assert
+the scalar kernel computes on kernel pairs.  Every assert
 left in the package is an internal invariant on an allowlist: argument
 guards raise, so they survive ``python -O``.
 
@@ -78,9 +78,9 @@ def test_no_unused_imports(module):
     assert not unused, f"uqsl2.{module}: unused imports {unused}"
 
 
-# The kernel's pair arithmetic; every module but these two works on scalar ids.
+# The kernel's pair arithmetic; every other module works on scalar ids.
 PAIR_FUNCTIONS = {"knorm", "kadd", "ksub", "kneg", "kmul"}
-PAIR_MODULES = ("_kernel", "cyclo_field")
+PAIR_MODULES = ("_kernel",)
 
 
 @pytest.mark.parametrize("module", [m for m in MODULES if m not in PAIR_MODULES])
@@ -101,9 +101,6 @@ ASSERTS = {
     ("cyclo_field", "assert den[-1] == 1"):
         "_poly_div_exact is private and divides only by products of cyclotomic "
         "polynomials, which are monic",
-    ("cyclo_field", 'assert c != 0, "modulus is not coprime to a nonzero element"'):
-        "the cyclotomic modulus is irreducible, so Euclid ends on a nonzero constant "
-        "for any nonzero element, which inv has already checked",
 }
 
 

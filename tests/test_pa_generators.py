@@ -295,6 +295,9 @@ _GUARDS = {
     "linop_apply": ("ts.LinOp.identity(ctx, 2).apply(ts.TensorVector(ctx, 3))", "ValueError"),
     "jw_recursive": ("da.jw_recursive(ctx, 0)", "ValueError"),
     "jw_closed": ("da.jw_closed(ctx, 0)", "ValueError"),
+    # the one Galois conjugate at p = 2 replaced by the identity: the
+    # "norm" of q + 2 is (q + 2)^2 = 3 + 4q, which is not rational
+    "galois_norm": ("ctx.galois = (1,); (ctx.q + 2).inv()", "ArithmeticError"),
     # every quantum integer one index off: k_1 and k_2 miss their seeds
     "coefficient_seeds": ("ctx.qint = lambda n, f=ctx.qint: f(n + 1); "
                           "rel.CoefficientVector(ctx, 1, 0)", "ArithmeticError"),

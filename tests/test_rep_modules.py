@@ -257,7 +257,7 @@ def test_in_span_rejects_map_outside_span():
     assert _commutes(identity, P, P) and _commutes(b_to_a, P, P)
     full = intertwiner_space(P, P)
     assert _in_span(ctx, full, identity) and _in_span(ctx, full, b_to_a)
-    alone = HomBasis(P.label, P.label, (), [b_to_a])
+    alone = HomBasis(P, P, [b_to_a])
     assert alone.dimension == 1 and _in_span(ctx, alone, {1: ctx.qid(1)})
     assert not _in_span(ctx, alone, identity)
 
