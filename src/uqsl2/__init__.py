@@ -3,7 +3,6 @@
 from uqsl2.cyclo_field import (
     CycloNum,
     FieldCtx,
-    QFactProduct,
     SingularRatio,
     make_field,
     parse_cyclo,
@@ -14,7 +13,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CycloNum",
     "FieldCtx",
-    "QFactProduct",
     "SingularRatio",
     "make_field",
     "parse_cyclo",

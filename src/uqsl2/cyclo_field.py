@@ -6,9 +6,10 @@ an int id of its canonical pair, integer numerators over a common
 positive denominator, and a CycloNum is a handle (ctx, id) whose
 arithmetic is the table's; inverses come from the Galois norm.  On top
 of the field sit the quantum-combinatorial scalars: quantum integers
-[n], factorials [n]!, the coproduct coefficients lambda_{i,k}, the
-weight sums xi(n,z), and formal factorial ratios (QFactProduct) that
-cancel vanishing factors before evaluation.
+[n], factorials [n]!, the coproduct coefficients lambda_{i,k} and the
+weight sums xi(n,z).  A ratio of quantum integers is two tuples of
+indices (``factorials`` lists those of [m_1]! [m_2]! ...), and
+``FieldCtx.eval_ratio`` cancels its vanishing factors before evaluating.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ class CycloNum:
     Immutable.  ``id`` is the value's id in ``uqsl2._kernel.scalars(ctx.red)``,
     and every operation is that table's memoised arithmetic on ids; ``nums``
     and ``den`` read the table's canonical pair.  Arithmetic mixes with int
-    and Fraction.  Equal values have equal ids; str() is the canonical
+    and Fraction, and raises ValueError on a CycloNum of another field.  Equal values have equal ids; str() is the canonical
     rendering parsed back by :func:`parse_cyclo`.
     """
 
@@ -93,13 +94,12 @@ class CycloNum:
     def den(self) -> int:
         return scalars(self.ctx.red).vals[self.id][1]
 
-    @property
-    def coefficients(self) -> tuple[Fraction, ...]:
-        nums, den = scalars(self.ctx.red).vals[self.id]
-        return tuple(Fraction(a, den) for a in nums)
-
     def _coerce(self, other):
-        if isinstance(other, (CycloNum, int, Fraction)):
+        if isinstance(other, CycloNum):
+            if other.ctx.p != self.ctx.p:
+                raise ValueError(f"operands over different fields: {self.ctx} and {other.ctx}")
+            return other
+        if isinstance(other, (int, Fraction)):
             return self.ctx.scalar(other)
         return None
 
@@ -200,10 +200,12 @@ class CycloNum:
         return self.id != 0
 
     def __eq__(self, other):
+        if isinstance(other, CycloNum):
+            return self.ctx.p == other.ctx.p and self.id == other.id
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.ctx.p == o.ctx.p and self.id == o.id
+        return self.id == o.id
 
     def __hash__(self):
         return hash(self.id)
@@ -245,75 +247,11 @@ def _rat_str(c: Fraction) -> str:
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
-class QFactProduct:
-    """Formal ratio of quantum integers, Π[n_i] / Π[d_j], kept by index.
-
-    Carried symbolically so vanishing factors cancel before evaluation;
-    see :meth:`FieldCtx.eval_ratio`.
-    """
-
-    __slots__ = ("numerator_indices", "denominator_indices")
-
-    def __init__(self, numerator_indices=(), denominator_indices=()):
-        if any(i < 0 for i in (*numerator_indices, *denominator_indices)):
-            raise ValueError("quantum integer indices must be nonnegative")
-        self.numerator_indices = tuple(sorted(numerator_indices))
-        self.denominator_indices = tuple(sorted(denominator_indices))
-
-    @staticmethod
-    def factorial_indices(m: int) -> tuple[int, ...]:
-        if m < 0:
-            raise ValueError("factorial of a negative quantum integer")
-        return tuple(range(1, m + 1))
-
-    @classmethod
-    def from_factorials(cls, num=(), den=()) -> "QFactProduct":
-        """Ratio of factorials: num/den are tuples of factorial arguments."""
-        ni: list[int] = []
-        di: list[int] = []
-        for m in num:
-            ni.extend(cls.factorial_indices(m))
-        for m in den:
-            di.extend(cls.factorial_indices(m))
-        return cls(ni, di)
-
-    def times(self, other: "QFactProduct") -> "QFactProduct":
-        return QFactProduct(
-            self.numerator_indices + other.numerator_indices,
-            self.denominator_indices + other.denominator_indices,
-        )
-
-    def over(self, other: "QFactProduct") -> "QFactProduct":
-        return QFactProduct(
-            self.numerator_indices + other.denominator_indices,
-            self.denominator_indices + other.numerator_indices,
-        )
-
-    def cancelled(self) -> "QFactProduct":
-        """Cancel equal indices between numerator and denominator."""
-        num = Counter(self.numerator_indices)
-        den = Counter(self.denominator_indices)
-        for idx in set(num) & set(den):
-            c = min(num[idx], den[idx])
-            num[idx] -= c
-            den[idx] -= c
-        return QFactProduct(
-            tuple(num.elements()), tuple(den.elements())
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, QFactProduct):
-            return NotImplemented
-        return (
-            self.numerator_indices == other.numerator_indices
-            and self.denominator_indices == other.denominator_indices
-        )
-
-    def __hash__(self):
-        return hash((self.numerator_indices, self.denominator_indices))
-
-    def __repr__(self):
-        return f"QFactProduct({self.numerator_indices}, {self.denominator_indices})"
+def factorials(*ms: int) -> tuple[int, ...]:
+    """Indices of the quantum integers in [m_1]! [m_2]! ..., for eval_ratio."""
+    if any(m < 0 for m in ms):
+        raise ValueError("factorial of a negative quantum integer")
+    return tuple(i for m in ms for i in range(1, m + 1))
 
 
 class FieldCtx:
@@ -402,8 +340,9 @@ class FieldCtx:
             self._qfact_cache[top] = self._qfact_cache[top - 1] * self.qint(top)
         return self._qfact_cache[n]
 
-    def eval_ratio(self, r: QFactProduct) -> CycloNum:
-        """Evaluate a formal ratio, cancelling vanishing factors first.
+    def eval_ratio(self, num, den=()) -> CycloNum:
+        """Evaluate prod [num] / prod [den], indices given as tuples,
+        cancelling vanishing factors first.
 
         After index-level cancellation the zero factors (index divisible
         by p) must not outnumber those in the numerator; balanced zero
@@ -411,17 +350,19 @@ class FieldCtx:
         is the identically-zero quantum integer: it forces value 0 in a
         numerator and is never cancellable in a denominator.
         """
-        c = r.cancelled()
-        num, den = list(c.numerator_indices), list(c.denominator_indices)
-        if any(i == 0 for i in den):
-            raise SingularRatio(f"denominator contains [0]: {r!r}")
-        if any(i == 0 for i in num):
+        if any(i < 0 for i in (*num, *den)):
+            raise ValueError("quantum integer indices must be nonnegative")
+        n, d = Counter(num), Counter(den)
+        num, den = sorted((n - d).elements()), sorted((d - n).elements())
+        if 0 in den:
+            raise SingularRatio(f"denominator contains [0]: {num} / {den}")
+        if 0 in num:
             return self.zero
         p = self.p
         znum = [i for i in num if i % p == 0]
         zden = [i for i in den if i % p == 0]
         if len(znum) < len(zden):
-            raise SingularRatio(f"uncancellable zero denominator: {r!r}")
+            raise SingularRatio(f"uncancellable zero denominator: {num} / {den}")
         if len(znum) > len(zden):
             return self.zero
         rat = Fraction(1)
@@ -442,15 +383,13 @@ class FieldCtx:
         """Coproduct-power coefficient q^(i^2-ik) [k]!/([i]![k-i]!)."""
         if not 0 <= i <= k:
             raise ValueError(f"lambda coefficients need 0 <= i <= k, got i={i}, k={k}")
-        ratio = QFactProduct.from_factorials(num=(k,), den=(i, k - i))
-        return self.q_power(i * i - i * k) * self.eval_ratio(ratio)
+        return self.q_power(i * i - i * k) * self.eval_ratio(factorials(k), factorials(i, k - i))
 
     def xi(self, n: int, z: int) -> CycloNum:
         """Weight sum xi(n,z) = q^(-n-nz) [z]!/([n]![z-n]!)."""
         if not 0 <= n <= z:
             raise ValueError(f"weight sums need 0 <= n <= z, got n={n}, z={z}")
-        ratio = QFactProduct.from_factorials(num=(z,), den=(n, z - n))
-        return self.q_power(-n - n * z) * self.eval_ratio(ratio)
+        return self.q_power(-n - n * z) * self.eval_ratio(factorials(z), factorials(n, z - n))
 
     def __eq__(self, other):
         return isinstance(other, FieldCtx) and other.p == self.p

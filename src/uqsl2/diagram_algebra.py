@@ -29,7 +29,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from uqsl2._kernel import krow_add, scalars
-from uqsl2.cyclo_field import FieldCtx, QFactProduct
+from uqsl2.cyclo_field import FieldCtx, factorials
 from uqsl2.tensor_space import (
     BasisIndex,
     LinOp,
@@ -129,25 +129,27 @@ class TLDiagram:
         return f"TLDiagram({self.n_top}<-{self.n_bottom}, {self.to_parens()})"
 
 
+def noncrossing(points):
+    """Every noncrossing perfect matching of ``points``, a sequence read in
+    order, as a tuple of pairs: the first point with each possible partner
+    in turn, then the matchings inside and outside that arc."""
+    if not points:
+        yield ()
+        return
+    first = points[0]
+    for k in range(1, len(points), 2):
+        for inner in noncrossing(points[1:k]):
+            for outer in noncrossing(points[k + 1:]):
+                yield ((first, points[k]),) + inner + outer
+
+
 def all_diagrams(n_top: int, n_bottom: int) -> list[TLDiagram]:
     """Every planar pairing, enumerated deterministically."""
     if (n_top + n_bottom) % 2:
         raise ValueError(f"{n_top} + {n_bottom} boundary points cannot be paired")
     seq = [("t", i) for i in range(1, n_top + 1)]
     seq += [("b", j) for j in range(n_bottom, 0, -1)]
-
-    def match(points):
-        if not points:
-            yield []
-            return
-        first = points[0]
-        for k in range(1, len(points), 2):
-            inner, outer = points[1:k], points[k + 1 :]
-            for mi in match(inner):
-                for mo in match(outer):
-                    yield [(first, points[k])] + mi + mo
-
-    return [TLDiagram(n_top, n_bottom, pairs) for pairs in match(seq)]
+    return [TLDiagram(n_top, n_bottom, pairs) for pairs in noncrossing(seq)]
 
 
 # --- matrix realization -----------------------------------------------------
@@ -341,8 +343,7 @@ def jw_closed(ctx: FieldCtx, n: int) -> LinOp:
         raise ValueError(f"Jones-Wenzl projections need n >= 1, got {n}")
     lowered = {}
     for k in range(0, n + 1):
-        ratio = QFactProduct.from_factorials(num=(n - k, k), den=(n,))
-        scalar = ctx.eval_ratio(ratio)
+        scalar = ctx.eval_ratio(factorials(n - k, k), factorials(n))
         if ctx.qfact(k):
             col = f_power(ctx, k, n).column(x_bottom(n))
             lowered[k] = col * (ctx.qfact(k).inv() * scalar)

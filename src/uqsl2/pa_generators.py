@@ -25,10 +25,10 @@ from uqsl2.tensor_space import (
     _op,
     _vec,
     all_indices,
-    apply_e,
-    apply_f,
     basis_index,
     f_power,
+    op_E,
+    op_F,
     widen,
     x_bottom,
     x_top,
@@ -62,11 +62,12 @@ def make_generators(p) -> GeneratorSet:
     bottom = x_bottom(z)
     # E^m applied to the fully occupied vector, F^m to the empty one,
     # by honest iteration
+    E, F = op_E(ctx, z), op_F(ctx, z)
     e_tops = [TensorVector.unit(ctx, top)]
     f_bots = [TensorVector.unit(ctx, bottom)]
     for _ in range(p):
-        e_tops.append(apply_e(ctx, e_tops[-1]))
-        f_bots.append(apply_f(ctx, f_bots[-1]))
+        e_tops.append(E.apply(e_tops[-1]))
+        f_bots.append(F.apply(f_bots[-1]))
     alpha_cols = {}
     beta_cols = {}
     e_scalars = {}
@@ -78,7 +79,7 @@ def make_generators(p) -> GeneratorSet:
             # E^k x lands on the empty vector; read off e_x
             v = TensorVector.unit(ctx, b)
             for _ in range(k):
-                v = apply_e(ctx, v)
+                v = E.apply(v)
             e_x = v.coeff(bottom)
             e_scalars[b] = e_x
             explicit = e_tops[p - k - 1] * (base * ctx.qfact(k))
@@ -90,7 +91,7 @@ def make_generators(p) -> GeneratorSet:
             # F^(z-k) x lands on the full vector; read off f_x
             v = TensorVector.unit(ctx, b)
             for _ in range(z - k):
-                v = apply_f(ctx, v)
+                v = F.apply(v)
             f_x = v.coeff(top)
             f_scalars[b] = f_x
             explicit = f_bots[k - p] * (base * ctx.qfact(z - k))

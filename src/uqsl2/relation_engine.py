@@ -46,7 +46,7 @@ from typing import Callable, NamedTuple
 
 from ._elim import nullspace, rank_of_vectors, residue_rank
 from ._kernel import krow_add, scalars
-from .cyclo_field import CycloNum, FieldCtx, QFactProduct, SingularRatio, cyclotomic_polynomial
+from .cyclo_field import CycloNum, FieldCtx, SingularRatio, cyclotomic_polynomial, factorials
 from .diagram_algebra import (
     all_diagrams,
     cap_inputs,
@@ -57,6 +57,7 @@ from .diagram_algebra import (
     e_right,
     jw_closed,
     jw_recursive,
+    noncrossing,
     rotation,
 )
 from .fusion_dims import catalan
@@ -202,20 +203,21 @@ def _rotation_orbit(p: int, generator: str) -> tuple:
     return tuple(ops)
 
 
-def gamma_factorial_ratio(p: int, k: int) -> QFactProduct:
-    """The factorial ratio that collapses to the loop constant gamma.
+def gamma_factorial_ratio(p: int, k: int) -> tuple:
+    """The factorial ratio, as (numerator, denominator) indices for
+    ``FieldCtx.eval_ratio``, that collapses to the loop constant gamma.
 
     Both weight ranges of the composite generator reduce to the same
     scalar; the [p]^2 in the denominator pairs against the two vanishing
     top factorial indices, so the limit evaluation is finite.
     """
     if 0 <= k < p:
-        base = QFactProduct.from_factorials(num=(2 * p - k - 1, k + p), den=(k, p - k - 1))
+        num, den = factorials(2 * p - k - 1, k + p), factorials(k, p - k - 1)
     elif p <= k < 2 * p:
-        base = QFactProduct.from_factorials(num=(3 * p - k - 1, k), den=(k - p, 2 * p - k - 1))
+        num, den = factorials(3 * p - k - 1, k), factorials(k - p, 2 * p - k - 1)
     else:
         raise ValueError(f"k={k} outside 0..{2 * p - 1}")
-    return base.times(QFactProduct((), (p, p)))
+    return num, den + (p, p)
 
 
 def coefficient_identity_failures(ctx: FieldCtx) -> list:
@@ -412,18 +414,8 @@ def _nested_cups(n: int) -> list:
     Each arc (i < j) sets strand i with coefficient 1 or strand j with
     coefficient -q, the cup factors of ``cup_outputs``.
     """
-    def matchings(points):
-        if not points:
-            yield ()
-            return
-        i = points[0]
-        for k in range(1, len(points), 2):
-            for inner in matchings(points[1:k]):
-                for outer in matchings(points[k + 1:]):
-                    yield ((i, points[k]),) + inner + outer
-
     vecs = []
-    for arcs in matchings(tuple(range(2 * n))):
+    for arcs in noncrossing(range(2 * n)):
         v = {0: (1, 0)}
         for i, j in arcs:
             v = {**{b | 1 << i: (c, e) for b, (c, e) in v.items()},
@@ -793,7 +785,7 @@ def _check_prop4(p, budget):
     a, b = g.alpha, g.beta
     ab, ba = a * b, b * a
     for k in range(2 * p):
-        if ctx.eval_ratio(gamma_factorial_ratio(p, k)) != g.gamma:
+        if ctx.eval_ratio(*gamma_factorial_ratio(p, k)) != g.gamma:
             return n, False, {"identity": "gamma factorial ratio", "k": k}
     inv = g.gamma.inv()
     u, v = ab.scale(inv), ba.scale(inv)

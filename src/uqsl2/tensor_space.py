@@ -5,14 +5,17 @@ leftmost factor first) carries nu_1 when bit j of the mask is set.  The
 weight-n space is spanned by the states with n occupied positions; the
 K-eigenvalue there is q^(z-2n).  On top of the basis sit sparse vectors
 (TensorVector), sparse column operators (LinOp), the coproduct-lifted
-K/E/F actions, and their closed-form k-th powers.
+K/E/F operators, whose columns are read from the one E/F rule
+(``e_terms``, ``f_terms``), and their closed-form k-th powers.
 
 A scalar has one form, an int id of its field's ``uqsl2._kernel.Scalars``
 table, and a CycloNum is a handle on one: a TensorVector holds
 {int mask: int id} and a LinOp {int mask: TensorVector}.  Every FieldCtx
 of one p shares that table, so equal values have equal ids and equality
-of vectors and operators is equality of id dicts.  Sums, negations,
-products, composition and the index maps are memoised id lookups.
+of vectors and operators is equality of p and of id dicts.  Sums,
+negations, products, composition and the index maps are memoised id
+lookups; sums, composition, ``apply`` and ``tensor`` raise ValueError on
+operands of two fields, whose ids would be read in the wrong table.
 CycloNum handles and BasisIndex appear only at the boundary: the
 constructors, ``unit``, ``scale``, ``column``, ``coeff`` and ``str``
 read or make a handle's id.  ``LinOp.flat`` hands the entries to
@@ -99,6 +102,12 @@ def _op(ctx: FieldCtx, z_in: int, z_out: int, columns: dict) -> "LinOp":
     return out
 
 
+def _same_field(a, b) -> None:
+    """Raise ValueError unless a and b hold ids of the same field's table."""
+    if a.ctx.p != b.ctx.p:
+        raise ValueError(f"operands over different fields: {a.ctx} and {b.ctx}")
+
+
 class TensorVector:
     """Sparse element of X^(tensor z): occupancy mask -> scalar id."""
 
@@ -121,6 +130,7 @@ class TensorVector:
         return _vec(ctx, b.z, {b.mask: ONE})
 
     def __add__(self, other: "TensorVector") -> "TensorVector":
+        _same_field(self, other)
         if self.z != other.z:
             raise ValueError(f"cannot add vectors on {self.z} and {other.z} strands")
         out = dict(self.terms)
@@ -154,6 +164,7 @@ class TensorVector:
     __rmul__ = __mul__
 
     def tensor(self, other: "TensorVector") -> "TensorVector":
+        _same_field(self, other)
         table, shift = scalars(self.ctx.red), self.z
         muls = table.mul
         out = {}
@@ -176,7 +187,7 @@ class TensorVector:
     def __eq__(self, other):
         if not isinstance(other, TensorVector):
             return NotImplemented
-        return self.z == other.z and self.terms == other.terms
+        return self.z == other.z and self.ctx.p == other.ctx.p and self.terms == other.terms
 
     def __hash__(self):
         return hash((self.z, frozenset(self.terms.items())))
@@ -248,6 +259,7 @@ class LinOp:
         return acc
 
     def apply(self, vec: TensorVector) -> TensorVector:
+        _same_field(self, vec)
         if vec.z != self.z_in:
             raise ValueError(f"cannot apply {self!r} to a vector on {vec.z} strands")
         return _vec(self.ctx, self.z_out, self._apply(vec.terms, scalars(self.ctx.red)))
@@ -255,6 +267,7 @@ class LinOp:
     def __mul__(self, other):
         """Composition self . other (apply other first)."""
         if isinstance(other, LinOp):
+            _same_field(self, other)
             if other.z_out != self.z_in:
                 raise ValueError(f"cannot compose {self!r} after {other!r}")
             table, ctx, z = scalars(self.ctx.red), self.ctx, self.z_out
@@ -275,6 +288,7 @@ class LinOp:
         return self.scale(c)
 
     def __add__(self, other: "LinOp") -> "LinOp":
+        _same_field(self, other)
         if (self.z_in, self.z_out) != (other.z_in, other.z_out):
             raise ValueError(f"cannot add {self!r} and {other!r}")
         cols = dict(self.columns)
@@ -303,6 +317,7 @@ class LinOp:
 
     def tensor(self, other: "LinOp") -> "LinOp":
         """Kronecker product: self on the left strands, other on the right."""
+        _same_field(self, other)
         shift = self.z_in
         cols = {}
         for b1, c1 in self.columns.items():
@@ -328,6 +343,7 @@ class LinOp:
         return (
             self.z_in == other.z_in
             and self.z_out == other.z_out
+            and self.ctx.p == other.ctx.p
             and self.columns == other.columns
         )
 
@@ -349,7 +365,7 @@ def widen(op: LinOp, left: int, right: int) -> LinOp:
     return _op(op.ctx, zi + w, zo + w, cols)
 
 
-# --- the lifted E/F rule and lazy single-operator appliers -------------------
+# --- the lifted E/F rule ------------------------------------------------------
 
 def e_terms(z: int, mask: int):
     """Lifted E on one occupancy word: for each occupied position j,
@@ -369,52 +385,30 @@ def f_terms(z: int, mask: int):
             yield mask | bit, 2 * (mask & (bit - 1)).bit_count() - (j - 1)
 
 
-def _lift(ctx: FieldCtx, vec: TensorVector, rule) -> TensorVector:
-    table, qid = scalars(ctx.red), ctx.qid
-    acc: dict[int, int] = {}
-    for b, c in vec.terms.items():
-        krow_add(acc, {nb: qid(e) for nb, e in rule(vec.z, b)}, c, table)
-    return _vec(ctx, vec.z, acc)
-
-
-def apply_k(ctx: FieldCtx, vec: TensorVector) -> TensorVector:
-    z, table = vec.z, scalars(ctx.red)
-    muls = table.mul
-    out = {}
-    for b, c in vec.terms.items():
-        k = ctx.qid(z - 2 * b.bit_count())
-        out[b] = muls.get((c, k)) or table.product(c, k)
-    return _vec(ctx, z, out)
-
-
-def apply_e(ctx: FieldCtx, vec: TensorVector) -> TensorVector:
-    """Coproduct-lifted E: clear one occupied position per term."""
-    return _lift(ctx, vec, e_terms)
-
-
-def apply_f(ctx: FieldCtx, vec: TensorVector) -> TensorVector:
-    """Coproduct-lifted F: fill one empty position per term."""
-    return _lift(ctx, vec, f_terms)
-
-
 # --- materialized operators -------------------------------------------------
 
+def _lifted(ctx: FieldCtx, z: int, rule) -> LinOp:
+    """The operator whose column m is sum q^e t over ``rule(z, m)``."""
+    qid, cols = ctx.qid, {}
+    for m in range(1 << z):
+        terms = {t: qid(e) for t, e in rule(z, m)}
+        if terms:
+            cols[m] = _vec(ctx, z, terms)
+    return _op(ctx, z, z, cols)
+
+
 def op_K(ctx: FieldCtx, z: int) -> LinOp:
-    return LinOp.from_applier(
-        ctx, z, z, lambda b: apply_k(ctx, TensorVector.unit(ctx, b))
-    )
+    return op_K_power(ctx, z, 1)
 
 
 def op_E(ctx: FieldCtx, z: int) -> LinOp:
-    return LinOp.from_applier(
-        ctx, z, z, lambda b: apply_e(ctx, TensorVector.unit(ctx, b))
-    )
+    """Coproduct-lifted E: clear one occupied position per term."""
+    return _lifted(ctx, z, e_terms)
 
 
 def op_F(ctx: FieldCtx, z: int) -> LinOp:
-    return LinOp.from_applier(
-        ctx, z, z, lambda b: apply_f(ctx, TensorVector.unit(ctx, b))
-    )
+    """Coproduct-lifted F: fill one empty position per term."""
+    return _lifted(ctx, z, f_terms)
 
 
 def op_K_power(ctx: FieldCtx, z: int, e: int) -> LinOp:

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from uqsl2._kernel import kmul, knorm, scalars
 from uqsl2.cyclo_field import (
     CycloNum,
-    QFactProduct,
     SingularRatio,
     cyclotomic_polynomial,
+    factorials,
     make_field,
     parse_cyclo,
 )
@@ -124,8 +124,31 @@ def test_factorial_reflection_identity(p):
 
 def test_eval_ratio_trivial_cancel():
     ctx = CTX[3]
-    r = QFactProduct.from_factorials(num=(4,), den=(4,))
-    assert ctx.eval_ratio(r) == ctx.one
+    assert ctx.eval_ratio(factorials(4), factorials(4)) == ctx.one
+
+
+def test_factorials_lists_indices():
+    assert factorials() == ()
+    assert factorials(3, 0, 2) == (1, 2, 3, 1, 2)
+
+
+@given(st.sampled_from(sorted(CTX)), st.data())
+@settings(max_examples=60, deadline=None)
+def test_eval_ratio_is_the_product_ratio(p, data):
+    # with no [0] and no multiple of p below, the ratio is the plain
+    # quotient of products, and a factor shared by both sides cancels
+    ctx = CTX[p]
+    num = data.draw(st.lists(st.integers(0, 3 * p), max_size=4))
+    den = data.draw(st.lists(st.integers(1, 3 * p).filter(lambda i: i % p), max_size=4))
+    top, bottom = ctx.one, ctx.one
+    for i in num:
+        top = top * ctx.qint(i)
+    for i in den:
+        bottom = bottom * ctx.qint(i)
+    value = ctx.eval_ratio(tuple(num), tuple(den))
+    assert value == top / bottom
+    x = data.draw(st.integers(0, 3 * p))
+    assert ctx.eval_ratio((*num, x), (x, *den)) == value
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -133,8 +156,7 @@ def test_eval_ratio_jw_coefficients_finite(p):
     # ([2p-1-k]! [k]!)/([2p-1]!): the single vanishing factor cancels
     ctx = CTX[p]
     for k in range(0, 2 * p):
-        r = QFactProduct.from_factorials(num=(2 * p - 1 - k, k), den=(2 * p - 1,))
-        val = ctx.eval_ratio(r)
+        val = ctx.eval_ratio(factorials(2 * p - 1 - k, k), factorials(2 * p - 1))
         assert val  # nonzero, in particular finite
 
 
@@ -142,33 +164,32 @@ def test_eval_ratio_jw_coefficients_finite(p):
 def test_eval_ratio_singular_window(p):
     ctx = CTX[p]
     for k in range(1, p):
-        r = QFactProduct.from_factorials(num=(p - k, k), den=(p,))
         with pytest.raises(SingularRatio):
-            ctx.eval_ratio(r)
+            ctx.eval_ratio(factorials(p - k, k), factorials(p))
 
 
 def test_eval_ratio_limit_pairs():
     # lim [ap]/[bp] = (-1)^(a+b) a/b
     ctx = CTX[3]
     p = 3
-    assert ctx.eval_ratio(QFactProduct((2 * p,), (p,))) == ctx.scalar(-2)
-    assert ctx.eval_ratio(QFactProduct((3 * p,), (p,))) == ctx.scalar(3)
-    assert ctx.eval_ratio(QFactProduct((2 * p, 3 * p), (p, p))) == ctx.scalar(-6)
+    assert ctx.eval_ratio((2 * p,), (p,)) == ctx.scalar(-2)
+    assert ctx.eval_ratio((3 * p,), (p,)) == ctx.scalar(3)
+    assert ctx.eval_ratio((2 * p, 3 * p), (p, p)) == ctx.scalar(-6)
 
 
 def test_eval_ratio_excess_zeros():
     ctx = CTX[3]
-    assert ctx.eval_ratio(QFactProduct((3,), ())) == ctx.zero
-    assert ctx.eval_ratio(QFactProduct((3, 1), (2,))) == ctx.zero
+    assert ctx.eval_ratio((3,)) == ctx.zero
+    assert ctx.eval_ratio((3, 1), (2,)) == ctx.zero
     with pytest.raises(SingularRatio):
-        ctx.eval_ratio(QFactProduct((), (3,)))
+        ctx.eval_ratio((), (3,))
 
 
 def test_eval_ratio_index_zero():
     ctx = CTX[3]
-    assert ctx.eval_ratio(QFactProduct((0,), ())) == ctx.zero
+    assert ctx.eval_ratio((0,)) == ctx.zero
     with pytest.raises(SingularRatio):
-        ctx.eval_ratio(QFactProduct((), (0,)))
+        ctx.eval_ratio((), (0,))
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -176,19 +197,9 @@ def test_eval_ratio_reflection_invariance(p):
     # rewriting a nonzero index x as p-x leaves the value unchanged
     ctx = CTX[p]
     for x in range(1, p):
-        a = QFactProduct((p - x, 1), (2,)) if p > 2 else QFactProduct((p - x,), ())
-        b = QFactProduct((x, 1), (2,)) if p > 2 else QFactProduct((x,), ())
-        assert ctx.eval_ratio(a) == ctx.eval_ratio(b)
-
-
-def test_qfactproduct_algebra():
-    a = QFactProduct.from_factorials(num=(3,), den=(2,))
-    b = QFactProduct((2,), (5,))
-    assert a.times(b).numerator_indices == (1, 2, 2, 3)
-    assert a.over(b).denominator_indices == (1, 2, 2)
-    c = QFactProduct((1, 2, 2, 3), (2, 3, 3)).cancelled()
-    assert c.numerator_indices == (1, 2)
-    assert c.denominator_indices == (3,)
+        a = ((p - x, 1), (2,)) if p > 2 else ((p - x,), ())
+        b = ((x, 1), (2,)) if p > 2 else ((x,), ())
+        assert ctx.eval_ratio(*a) == ctx.eval_ratio(*b)
 
 
 # --- lambda and xi --------------------------------------------------------
@@ -400,6 +411,16 @@ def test_every_product_matches_reference(p, data):
     assert _products(ctx, a, b) == (want,) * 3
     # the table's memo hit gives the same pair
     assert _products(ctx, a, b) == (want,) * 3
+
+
+def test_two_fields_are_refused():
+    # a p = 2 id read in the p = 3 table names some other value
+    one2, one3 = CTX[2].one, CTX[3].one
+    for call in (lambda: one3 + one2, lambda: one3 - one2, lambda: CTX[3].q * -one2,
+                 lambda: one3 / one2, lambda: one2 * CTX[3].q_power(4)):
+        with pytest.raises(ValueError):
+            call()
+    assert one2 != one3 and one3 == 1
 
 
 @given(data=st.data())

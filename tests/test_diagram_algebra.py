@@ -25,6 +25,7 @@ from uqsl2.diagram_algebra import (
     e_right,
     jw_closed,
     jw_recursive,
+    noncrossing,
     rotation,
 )
 from uqsl2._elim import rank_of_vectors
@@ -95,6 +96,26 @@ def test_diagram_counts():
         assert len(all_diagrams(n, n)) == catalan(n)
     assert len(all_diagrams(3, 1)) == catalan(2)
     assert len(all_diagrams(0, 4)) == catalan(2)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_noncrossing_matchings(n):
+    matchings = list(noncrossing(range(2 * n)))
+    assert len(set(matchings)) == len(matchings) == catalan(n)
+    for m in matchings:
+        assert sorted(x for arc in m for x in arc) == list(range(2 * n))
+        for a, b in m:
+            assert a < b
+            assert not any(a < c < b < d or c < a < d < b for c, d in m)
+    tops = [tuple((("t", a + 1), ("t", b + 1)) for a, b in m) for m in matchings]
+    assert tops == [d.pairs for d in all_diagrams(2 * n, 0)]
+
+
+def test_noncrossing_order():
+    # the first point's partner in increasing order, then inside before outside
+    assert list(noncrossing(range(6))) == [
+        ((0, 1), (2, 3), (4, 5)), ((0, 1), (2, 5), (3, 4)), ((0, 3), (1, 2), (4, 5)),
+        ((0, 5), (1, 2), (3, 4)), ((0, 5), (1, 4), (2, 3))]
 
 
 def test_diagram_validation():

@@ -2,7 +2,9 @@
 errors, none keeps a module-level import it never references, and only
 the scalar kernel computes on kernel pairs.  Every assert
 left in the package is an internal invariant on an allowlist: argument
-guards raise, so they survive ``python -O``.
+guards raise, so they survive ``python -O``.  Every function, class and
+method is referenced by some code in the package, or listed with what
+uses it from outside.
 
 ``__init__.py`` is exempt from the unused-import check; its imports are
 the package's re-exports.
@@ -113,3 +115,44 @@ def test_asserts_are_listed_invariants():
                 found.add((module, ast.get_source_segment(text, node)))
     assert found == set(ASSERTS), (
         f"unlisted: {sorted(found - set(ASSERTS))}; gone: {sorted(set(ASSERTS) - found)}")
+
+
+# Functions, classes and methods whose name no code in the package
+# references (docstrings and comments do not count), with what uses them.
+UNREFERENCED = {
+    "mat_mul": "perfbench's layer trace wraps it as rep.matmul_s",
+    "is_intertwiner": "the tests' dense reference for the Hom solver",
+    "TensorVector.homogeneous_weight": "the tests check weight grading with it",
+    "TLDiagram.to_json": "the tests' rendering of a diagram",
+    "ModuleData.as_dict": "the tests' rendering of a module",
+    "HomBasis.maps": "the tests check each basis map as a matrix",
+    "cup": "the tests' cup matrix, checked against the composition it closes",
+    "cap": "the tests' cap matrix, checked against the composition it opens",
+    "parse_cyclo": "re-exported by the package; the tests parse renderings back",
+}
+
+
+def _definitions(tree: ast.Module, prefix: str = ""):
+    """(qualified name, bare name) of every function, class and method;
+    dunder methods are left out."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if not (node.name.startswith("__") and node.name.endswith("__")):
+                yield prefix + node.name, node.name
+            yield from _definitions(node, prefix + node.name + ".")
+
+
+def test_every_name_is_used():
+    uses: set = set()
+    defined = []
+    for module in MODULES:
+        tree = ast.parse((PKG / f"{module}.py").read_text(encoding="utf-8"))
+        uses |= _referenced(tree)
+        uses |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        defined += [(module, qual, name) for qual, name in _definitions(tree)]
+    unused = sorted(f"{module}.{qual}" for module, qual, name in defined
+                    if name not in uses and qual not in UNREFERENCED)
+    assert not unused, f"defined but never used in uqsl2: {unused}"
+    stale = sorted(qual for qual in UNREFERENCED
+                   if all(q != qual or name in uses for _, q, name in defined))
+    assert not stale, f"listed but used, or gone: {stale}"

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import uqsl2
-from uqsl2.cyclo_field import QFactProduct, make_field
+from uqsl2.cyclo_field import factorials, make_field
 from uqsl2.diagram_algebra import cap, cup
 from uqsl2.pa_generators import (
     embed,
@@ -26,9 +26,9 @@ from uqsl2.tensor_space import (
     LinOp,
     TensorVector,
     all_indices,
-    apply_e,
-    apply_f,
     from_word,
+    op_E,
+    op_F,
     op_K,
     x_top,
 )
@@ -119,6 +119,7 @@ def test_gamma_composition_identities(gens):
 def test_lowering_iterates_of_alpha(gens):
     # F^j alpha(x) = e_x ([k+j]! [2p-k-1]!)/([k]! [2p-k-j-1]!) E^(p-k-j-1) x_top
     ctx, p, z = gens.ctx, gens.p, 2 * gens.p - 1
+    E, F = op_E(ctx, z), op_F(ctx, z)
     for b in all_indices(z):
         k = b.weight
         if k >= p:
@@ -127,15 +128,12 @@ def test_lowering_iterates_of_alpha(gens):
         for j in range(p - k):
             lhs = gens.alpha.column(b)
             for _ in range(j):
-                lhs = apply_f(ctx, lhs)
-            ratio = ctx.eval_ratio(
-                QFactProduct.from_factorials(
-                    num=(k + j, 2 * p - k - 1), den=(k, 2 * p - k - j - 1)
-                )
-            )
+                lhs = F.apply(lhs)
+            ratio = ctx.eval_ratio(factorials(k + j, 2 * p - k - 1),
+                                   factorials(k, 2 * p - k - j - 1))
             rhs = TensorVector.unit(ctx, x_top(z))
             for _ in range(p - k - j - 1):
-                rhs = apply_e(ctx, rhs)
+                rhs = E.apply(rhs)
             assert lhs == rhs * (e_x * ratio), (gens.p, b, j)
 
 
@@ -248,7 +246,8 @@ def test_nested_pairing_closes_loops(gens):
 # Each guard must raise under python -O, where an assert would vanish:
 # case -> (statements that trip it, the exception they must raise).
 _GUARDS = {
-    "make_generators": ("pg.apply_e = lambda ctx, v, e=pg.apply_e: e(ctx, v) * 2; "
+    # the iterated E doubled: e_x no longer matches the explicit column
+    "make_generators": ("pg.op_E = lambda ctx, z, e=pg.op_E: e(ctx, z) * 2; "
                         "pg.make_generators(2)", "ArithmeticError"),
     "diagram_parity": ("da.TLDiagram(1, 2, [])", "ValueError"),
     "diagram_self_pair": ('da.TLDiagram(1, 1, [(("t", 1), ("t", 1))])', "ValueError"),
@@ -293,6 +292,17 @@ _GUARDS = {
     "linop_compose": ("ts.LinOp.identity(ctx, 2) * ts.LinOp.identity(ctx, 3)", "ValueError"),
     "linop_add": ("ts.LinOp.identity(ctx, 2) + ts.LinOp.identity(ctx, 3)", "ValueError"),
     "linop_apply": ("ts.LinOp.identity(ctx, 2).apply(ts.TensorVector(ctx, 3))", "ValueError"),
+    # operands of two fields: the right one's ids read in the left one's table
+    "vector_field_add": ("ts.TensorVector(make_field(3), 2) + ts.TensorVector(ctx, 2)",
+                         "ValueError"),
+    "vector_field_tensor": ("ts.TensorVector(make_field(3), 1).tensor(ts.TensorVector(ctx, 1))",
+                            "ValueError"),
+    "cyclonum_field": ("make_field(3).q * -ctx.one", "ValueError"),
+    "linop_field_compose": ("ts.op_K(make_field(3), 2) * ts.op_K(ctx, 2)", "ValueError"),
+    "linop_field_add": ("ts.op_K(make_field(3), 2) + ts.op_K(ctx, 2)", "ValueError"),
+    "linop_field_apply": ("ts.op_K(make_field(3), 2).apply(ts.TensorVector(ctx, 2))",
+                          "ValueError"),
+    "linop_field_tensor": ("ts.op_K(make_field(3), 1).tensor(ts.op_K(ctx, 1))", "ValueError"),
     "jw_recursive": ("da.jw_recursive(ctx, 0)", "ValueError"),
     "jw_closed": ("da.jw_closed(ctx, 0)", "ValueError"),
     # the one Galois conjugate at p = 2 replaced by the identity: the
@@ -353,8 +363,8 @@ def test_argument_guards_raise():
         lambda: fd.catalan(-1),
         lambda: fd.multiplicities(1, 1),
         lambda: cf.cyclotomic_polynomial(0),
-        lambda: QFactProduct((-1,)),
-        lambda: QFactProduct.factorial_indices(-1),
+        lambda: ctx.eval_ratio((-1,), ()),
+        lambda: cf.factorials(-1),
         lambda: ctx.qfact(-1),
         lambda: ctx.lambda_coeff(3, 2),
         lambda: ctx.xi(3, 2),

@@ -257,7 +257,7 @@ def test_gamma_factorial_ratio():
     for p in (2, 3, 4):
         g = make_generators(p)
         for k in range(2 * p):
-            assert g.ctx.eval_ratio(gamma_factorial_ratio(p, k)) == g.gamma
+            assert g.ctx.eval_ratio(*gamma_factorial_ratio(p, k)) == g.gamma
     with pytest.raises(ValueError):
         gamma_factorial_ratio(3, 6)
 

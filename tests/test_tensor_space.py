@@ -13,8 +13,6 @@ from uqsl2.tensor_space import (
     LinOp,
     TensorVector,
     all_indices,
-    apply_f,
-    apply_k,
     basis_index,
     e_power,
     f_power,
@@ -89,13 +87,27 @@ def test_vector_render():
     assert str(TensorVector(ctx2, 2)) == "0"
 
 
+def test_two_fields_are_refused():
+    # a p = 2 id read in the p = 3 table names some other value
+    k2, k3 = op_K(CTX[2], 2), op_K(CTX[3], 2)
+    v2, v3 = unit(CTX[2], "01"), unit(CTX[3], "01")
+    calls = [lambda: k3 * k2, lambda: k2 * k3, lambda: k3 + k2, lambda: k3.apply(v2),
+             lambda: k3.tensor(k2), lambda: v3 + v2, lambda: v3 - v2, lambda: v3.tensor(v2)]
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()
+    assert LinOp.identity(CTX[2], 2) != LinOp.identity(CTX[3], 2)
+    assert TensorVector(CTX[2], 2) != TensorVector(CTX[3], 2)
+    assert LinOp.identity(CTX[3], 2) == LinOp.identity(make_field(3), 2)
+
+
 # --- single operators --------------------------------------------------------
 
 def test_op_k_example():
     # K on the occupancy {1,3} state of three strands: weight 2, q^(3-4)
     ctx = CTX[3]
     v = unit(ctx, "101")
-    assert apply_k(ctx, v) == v * ctx.q_power(-1)
+    assert op_K(ctx, 3).apply(v) == v * ctx.q_power(-1)
 
 
 def test_op_e_example():
@@ -109,8 +121,8 @@ def test_op_e_example():
 def test_op_f_small():
     # F on a single strand fills it with coefficient 1
     ctx = CTX[2]
-    assert apply_f(ctx, unit(ctx, "0")) == unit(ctx, "1")
-    assert not apply_f(ctx, unit(ctx, "1"))
+    assert op_F(ctx, 1).apply(unit(ctx, "0")) == unit(ctx, "1")
+    assert not op_F(ctx, 1).apply(unit(ctx, "1"))
 
 
 @pytest.mark.parametrize("p", [2, 3])
