@@ -12,23 +12,24 @@ the entries of an operator, without building a cup or cap matrix:
 ``cup_outputs`` (cup_i . X) and ``cap_inputs`` (X . cap_i) close two
 strands, ``cap_outputs`` (cap_i . X) and ``cup_inputs`` (X . cup_i) open
 two, e_i . X and X . e_i are a close then an open (``e_left``,
-``e_right``), and ``rotation`` moves each entry to one new place times a
-unit.  ``cup``, ``cap`` and ``e_op`` are these maps applied to the
-identity.
+``e_right``), and ``rotation`` moves each entry of an operator from m
+strands to n (m, n >= 1) to one new place times a unit.  ``cup``,
+``cap`` and ``e_op`` are these maps applied to the identity.
 
 Both zig-zag composites of a plain cup over a plain cap equal minus the
 identity, so realizing a diagram by an arbitrary cup/cap factorization
-is not well defined; ``diagram_to_matrix`` therefore uses internal
-alternating-sign variants (an implementation device only) under which
-the factorization is move-invariant, and which leave every e_i, hence
-the image of the algebra, unchanged.
+is not well defined.  ``diagram_to_matrix`` fixes one sign per arc
+instead: a cup or cap is negated when the through strands left of its
+left end plus the arcs enclosing it are odd in number.  Under this rule
+the realization is a homomorphism of the diagram algebra, and every
+e_i, hence the image of the algebra, is the plain one.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from uqsl2._kernel import krow_add, scalars
+from uqsl2._kernel import ONE, krow_add, scalars
 from uqsl2.cyclo_field import FieldCtx, factorials
 from uqsl2.tensor_space import (
     BasisIndex,
@@ -37,9 +38,7 @@ from uqsl2.tensor_space import (
     _op,
     _vec,
     all_indices,
-    f_power,
     widen,
-    x_bottom,
 )
 
 
@@ -91,13 +90,6 @@ class TLDiagram:
                 stack.append(opens[pos])
             elif not stack or stack.pop() != pos:
                 raise ValueError("crossing pairing")
-
-    def _partner(self) -> dict:
-        out = {}
-        for a, b in self.pairs:
-            out[a] = b
-            out[b] = a
-        return out
 
     def key(self):
         return (self.n_top, self.n_bottom, self.pairs)
@@ -181,7 +173,7 @@ def cup_outputs(op: LinOp, i: int) -> LinOp:
     muls, adds = table.mul, table.add
     cols = {}
     # The sum is inlined rather than krow_add on two split dicts: this is
-    # the closure that kp_periodicity runs 448 times at p = 4.
+    # the closure that kp_periodicity runs on whole rotation orbits.
     for m, col in op.columns.items():
         acc = {}
         for t, x in col.terms.items():
@@ -274,44 +266,45 @@ def e_op(ctx: FieldCtx, i: int, n: int) -> LinOp:
 
 
 def diagram_to_matrix(ctx: FieldCtx, d: TLDiagram) -> LinOp:
-    """Realize one diagram through its cups-then-caps factorization.
+    """Realize one diagram by writing its entries in one pass.
 
-    Uses the alternating-sign cup/cap variants internally so the result
-    does not depend on the factorization chosen; the public cup/cap maps
-    are untouched.
+    A through strand copies its bit; a bottom cup reads 1 on 10 and -q on
+    01, a top cap writes q^-1 as 10 and -1 as 01, and every other reading
+    of a cup is 0.  An arc is negated when the through strands left of its
+    left end plus the arcs enclosing it are odd in number.
     """
-    partner = d._partner()
-    # peel nested cups off the bottom row
-    remaining = list(range(1, d.n_bottom + 1))
-    op = LinOp.identity(ctx, d.n_bottom)
-    while True:
-        hit = None
-        for pos in range(len(remaining) - 1):
-            j, j2 = remaining[pos], remaining[pos + 1]
-            if partner.get(("b", j)) == ("b", j2):
-                hit = pos
-                break
-        if hit is None:
-            break
-        op = cup_outputs(op, hit + 1) if hit % 2 == 0 else -cup_outputs(op, hit + 1)
-        del remaining[hit : hit + 2]
-    # peel nested caps off the top row, recording insertion positions
-    rem_top = list(range(1, d.n_top + 1))
-    inserts = []
-    while True:
-        hit = None
-        for pos in range(len(rem_top) - 1):
-            j, j2 = rem_top[pos], rem_top[pos + 1]
-            if partner.get(("t", j)) == ("t", j2):
-                hit = pos
-                break
-        if hit is None:
-            break
-        inserts.append(hit + 1)
-        del rem_top[hit : hit + 2]
-    for pos in reversed(inserts):
-        op = cap_outputs(op, pos) if pos % 2 else -cap_outputs(op, pos)
-    return op
+    table = scalars(ctx.red)
+    muls, negs = table.mul, table.neg
+    through, arcs = [], {"t": [], "b": []}
+    for a, b in d.pairs:
+        if a[0] == b[0]:
+            arcs[a[0]].append(tuple(sorted((a[1], b[1]))))
+        else:
+            through.append((a[1], b[1]))  # a is on top, first in the cyclic order
+
+    def readings(side: str, ten: int, one: int) -> list:
+        """The mask and value of each reading of all of one side's arcs: one of
+        (10, ten) and (01, one) per arc, signed, their values multiplied."""
+        ends = [t if side == "t" else b for t, b in through]
+        out = [(0, ONE)]
+        for lo, hi in arcs[side]:
+            flip = sum(x < lo for x in ends) + sum(a < lo and hi < b for a, b in arcs[side])
+            pair = [(1 << (lo - 1), ten), (1 << (hi - 1), one)]
+            if flip % 2:
+                pair = [(m, negs.get(x) or table.negation(x)) for m, x in pair]
+            out = [(m | k, muls.get((x, y)) or table.product(x, y)) for m, x in out for k, y in pair]
+        return out
+
+    caps = readings("t", ctx.qid(-1), ctx.qid(ctx.p))
+    bits = [(0, 0)]
+    for i, j in through:
+        bits += [(m | 1 << (j - 1), t | 1 << (i - 1)) for m, t in bits]
+    cols = {}
+    for m, x in readings("b", ONE, ctx.qid(ctx.p + 1)):
+        terms = [(k, muls.get((x, y)) or table.product(x, y)) for k, y in caps]
+        for through_in, through_out in bits:
+            cols[m | through_in] = _vec(ctx, d.n_top, {through_out | k: y for k, y in terms})
+    return _op(ctx, d.n_bottom, d.n_top, cols)
 
 
 # --- Jones-Wenzl projections -------------------------------------------------
@@ -344,19 +337,16 @@ def jw_closed(ctx: FieldCtx, n: int) -> LinOp:
     lowered = {}
     for k in range(0, n + 1):
         scalar = ctx.eval_ratio(factorials(n - k, k), factorials(n))
-        if ctx.qfact(k):
-            col = f_power(ctx, k, n).column(x_bottom(n))
-            lowered[k] = col * (ctx.qfact(k).inv() * scalar)
-        else:
-            # rebuild F^k x_bottom with its vanishing [k]! stripped off
-            base = k + k * (k - 1) // 2
-            terms = {}
-            for occ in combinations(range(1, n + 1), k):
-                mask = 0
-                for v in occ:
-                    mask |= 1 << (v - 1)
-                terms[BasisIndex(n, mask)] = ctx.q_power(base - sum(occ)) * scalar
-            lowered[k] = TensorVector(ctx, n, terms)
+        # F^k x_bottom with its [k]! stripped off: the sum of
+        # q^(k(k+1)/2 - sum S) rho_S over the k-subsets S
+        base = k * (k + 1) // 2
+        terms = {}
+        for occ in combinations(range(1, n + 1), k):
+            mask = 0
+            for v in occ:
+                mask |= 1 << (v - 1)
+            terms[BasisIndex(n, mask)] = ctx.q_power(base - sum(occ)) * scalar
+        lowered[k] = TensorVector(ctx, n, terms)
     cols = {}
     for b in all_indices(n):
         k = b.weight
@@ -368,31 +358,33 @@ def jw_closed(ctx: FieldCtx, n: int) -> LinOp:
 # --- rotation -----------------------------------------------------------------
 
 def rotation(ctx: FieldCtx, f: LinOp) -> LinOp:
-    """One clockwise click of a square operator on n strands:
-    (cup x id^n) (id x f x id) (id^n x cap).
+    """One clockwise click of an operator from m strands to n:
+    (cup x id^n) (id x f x id) (id^m x cap), again from m strands to n.
 
-    An index map: the entry of f at (out t, in m) moves to out
-    t >> 1 with strand n set to 1 - m_n, and in m << 1 (strand n dropped)
-    with strand 1 set to 1 - t_1, times the cup factor (1 where t_1 = 0,
-    -q where t_1 = 1) and the cap factor (q^-1 where m_n = 1, -1 where
-    m_n = 0).  Distinct entries land on distinct places, so nothing is
+    An index map: the entry of f at (out t, in s) moves to out t >> 1
+    with strand n set to 1 - s_m, and in s << 1 (strand m dropped) with
+    strand 1 set to 1 - t_1, times the cup factor (1 where t_1 = 0, -q
+    where t_1 = 1) and the cap factor (q^-1 where s_m = 1, -1 where
+    s_m = 0).  Distinct entries land on distinct places, so nothing is
     summed.
     """
-    n = f.z_in
-    if f.z_out != n:
-        raise ValueError("rotation needs a square operator")
-    top, low = 1 << (n - 1), (1 << (n - 1)) - 1
+    m, n = f.z_in, f.z_out
+    if not (m and n):
+        raise ValueError("rotation needs an input and an output strand")
+    top, low = 1 << (n - 1), (1 << (m - 1)) - 1
     table, q, qinv = scalars(ctx.red), ctx.qid(1), ctx.qid(-1)
     muls, negs = table.mul, table.neg
     cols: dict = {}
-    for m, col in f.columns.items():
-        m_n, shifted = m >> (n - 1), (m & low) << 1
-        gap, unit = (0, qinv) if m_n else (top, q)
+    for s, col in f.columns.items():
+        s_m, shifted = s >> (m - 1), (s & low) << 1
+        gap, unit = (0, qinv) if s_m else (top, q)
+        # t_1 = s_m negates into column shifted | (1 - s_m); the other
+        # half takes the unit into column shifted | s_m
+        same = cols.setdefault(shifted | (1 - s_m), {})
+        other = cols.setdefault(shifted | s_m, {})
         for t, x in col.terms.items():
-            t_1 = t & 1
-            if t_1 == m_n:
-                x = negs.get(x) or table.negation(x)
+            if t & 1 == s_m:
+                same[t >> 1 | gap] = negs.get(x) or table.negation(x)
             else:
-                x = muls.get((x, unit)) or table.product(x, unit)
-            cols.setdefault(shifted | (1 - t_1), {})[t >> 1 | gap] = x
-    return _op(ctx, n, n, {b: _vec(ctx, n, terms) for b, terms in cols.items()})
+                other[t >> 1 | gap] = muls.get((x, unit)) or table.product(x, unit)
+    return _op(ctx, m, n, {b: _vec(ctx, n, terms) for b, terms in cols.items() if terms})

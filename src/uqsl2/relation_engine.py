@@ -517,6 +517,26 @@ def _modular_map(p: int) -> tuple:
 commutant_dim.cache_info = _commutant_dim.cache_info
 
 
+def _capping_pieces(ctx: FieldCtx, ops, from_top: bool) -> dict:
+    """close(ops[s], c) at every position c, as a list over the clicks s
+    keyed by c: cup_outputs on the top side, cap_inputs on the bottom.
+
+    ops is a rotation orbit, ops[s] = R(ops[s - 1]), and closing a strand
+    pair commutes with one click: cup_outputs(R f, c) = R(cup_outputs(f,
+    c + 1)) and cap_inputs(R f, c) = R(cap_inputs(f, c - 1)).  So only
+    one start position (n - 1 on top, 1 below) is closed on every click,
+    and s = 0 at each other position; every other piece is the click of
+    its neighbour one click back, and a zero piece is its own click.
+    """
+    n = ops[0].z_in
+    close, start, step = (cup_outputs, n - 1, 1) if from_top else (cap_inputs, 1, -1)
+    pieces = {start: [close(op, start) for op in ops]}
+    for c in range(n - 2, 0, -1) if from_top else range(2, n):
+        back = pieces[c + step]
+        pieces[c] = [close(ops[0], c)] + [rotation(ctx, f) if f else f for f in back[:-1]]
+    return pieces
+
+
 def capping_pattern(p: int, budget: int = DEFAULT_BUDGET):
     """Close one strand pair of every R^i(g x 1) and match the survivors.
 
@@ -525,6 +545,8 @@ def capping_pattern(p: int, budget: int = DEFAULT_BUDGET):
     a vanishing total forces k_{i-1} + delta k_i + k_{i+1} = 0.  Returns
     (True, centers-per-generator) on success; the centers cover 4p-2
     distinct indices, enough to pin the solution space to nullity two.
+    The pieces come from ``_capping_pieces``, one side at a time, the
+    bottom first, and are checked in ascending position.
     """
     n = 2 * p
     _require_strands(n, budget)
@@ -537,9 +559,7 @@ def capping_pattern(p: int, budget: int = DEFAULT_BUDGET):
         ops = _rotation_orbit(p, name)
         centers = set()
         for from_top in (False, True):
-            close = cup_outputs if from_top else cap_inputs
-            for c in range(1, n):
-                pieces = [close(op, c) for op in ops]
+            for c, pieces in sorted(_capping_pieces(ctx, ops, from_top).items()):
                 center = None
                 for s in range(m):
                     lo, hi = pieces[(s - 1) % m], pieces[(s + 1) % m]
@@ -626,15 +646,25 @@ def _sandwich(g, n, outer, inner):
     yield f"{outer}.{inner}.{outer} = gamma.{outer}", x * y * x, x.scale(g.gamma)
 
 
+def _on_support(tag, lhs, rhs, left: int, right: int) -> tuple:
+    """The pair (tag, I^left x lhs x I^right, I^left x rhs x I^right),
+    compared on the strands its operators occupy: A x 1 = B x 1 exactly
+    when A = B.  A pair that differs there is widened to the identity's
+    strands, so its witness is read where the identity is stated."""
+    if lhs == rhs:
+        return tag, lhs, rhs
+    return tag, widen(lhs, left, right), widen(rhs, left, right)
+
+
 def _near_overlap(g, n):
-    zero = LinOp.zero(g.ctx, n, n)
+    # g_1 and g_(1+gap) occupy the first 2p-1+gap strands between them
     for name in ("alpha", "beta"):
         gen = getattr(g, name)
-        x = embed(gen, 1, n)
         for gap in range(1, g.p):
-            y = embed(gen, 1 + gap, n)
-            yield f"{name}_1.{name}_{1 + gap} = 0", x * y, zero
-            yield f"{name}_{1 + gap}.{name}_1 = 0", y * x, zero
+            w = 2 * g.p - 1 + gap
+            x, y, zero = embed(gen, 1, w), embed(gen, 1 + gap, w), LinOp.zero(g.ctx, w, w)
+            yield _on_support(f"{name}_1.{name}_{1 + gap} = 0", x * y, zero, 0, n - w)
+            yield _on_support(f"{name}_{1 + gap}.{name}_1 = 0", y * x, zero, 0, n - w)
 
 
 def _far_commute(g, n, name):
@@ -709,14 +739,17 @@ def _rotation_sum(g, n, name):
 
 
 def _e_kill(g, n):
-    zero = LinOp.zero(g.ctx, n, n)
+    # e_i.g_j is e_(i-j+1).g placed at j, on the 2p-1 strands of g
+    w = 2 * g.p - 1
+    zero = LinOp.zero(g.ctx, w, w)
     for name in ("alpha", "beta"):
         gen = getattr(g, name)
+        sides = [(e_left(gen, k), e_right(gen, k)) for k in range(1, w)]
         for j in (1, 2):
-            gj = embed(gen, j, n)
-            for i in range(j, j + 2 * g.p - 2):  # 0 <= i - j <= 2p - 3
-                yield f"e_{i}.{name}_{j} = 0", e_left(gj, i), zero
-                yield f"{name}_{j}.e_{i} = 0", e_right(gj, i), zero
+            for i in range(j, j + w - 1):  # 0 <= i - j <= 2p - 3
+                left, right = sides[i - j]
+                yield _on_support(f"e_{i}.{name}_{j} = 0", left, zero, j - 1, n - w - j + 1)
+                yield _on_support(f"{name}_{j}.e_{i} = 0", right, zero, j - 1, n - w - j + 1)
 
 
 def _e_chain(g, n, name, side):

@@ -305,6 +305,47 @@ def test_e_diagram_matches_e_op(p):
             )
 
 
+def peeled_matrix(ctx, d):
+    """Reference realization by peeling: nested cups off the bottom row,
+    then nested caps onto the top, each one peeled at an even position
+    negated -- the alternating-sign variants under which the factorization
+    does not matter."""
+    partner = {}
+    for a, b in d.pairs:
+        partner[a], partner[b] = b, a
+
+    def peel(side, n):
+        remaining, hits = list(range(1, n + 1)), []
+        while True:
+            hit = next((pos for pos in range(len(remaining) - 1)
+                        if partner[(side, remaining[pos])] == (side, remaining[pos + 1])), None)
+            if hit is None:
+                return hits
+            hits.append(hit + 1)
+            del remaining[hit:hit + 2]
+
+    op = LinOp.identity(ctx, d.n_bottom)
+    for i in peel("b", d.n_bottom):
+        op = cup_outputs(op, i) if i % 2 else -cup_outputs(op, i)
+    for i in reversed(peel("t", d.n_top)):
+        op = cap_outputs(op, i) if i % 2 else -cap_outputs(op, i)
+    return op
+
+
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_diagram_entries_match_peeling(p):
+    # the one-pass entries with the arc-parity sign equal the peeled
+    # factorization, entry for entry, on every diagram with <= 6 points a side
+    ctx = make_field(p)
+    shapes = 0
+    for top in range(7):
+        for bottom in range(top % 2, 7, 2):
+            for d in all_diagrams(top, bottom):
+                assert diagram_to_matrix(ctx, d) == peeled_matrix(ctx, d), d
+            shapes += 1
+    assert shapes == 25
+
+
 @given(
     shape=st.sampled_from([(2, 2, 2), (3, 3, 3), (2, 4, 2), (4, 2, 4), (3, 1, 3)]),
     ia=st.integers(min_value=0, max_value=10 ** 6),
@@ -442,20 +483,68 @@ def test_rotation_full_turn_is_identity(p):
 
 @pytest.mark.parametrize("p", [2, 3, 4])
 def test_rotation_matches_composition(p):
-    # reference: cup_1 . (1 x f x 1) . cap_{n+1} on n + 2 strands, on every
-    # click of the alpha x 1 and beta x 1 orbits (the last one closes the turn)
+    # reference: cup_1 . (1 x f x 1) . cap_{m+1} for f from m strands to n,
+    # on every click of the alpha x 1 and beta x 1 orbits (the last one
+    # closes the turn) and on closures of them, which are not square
     g = _gens(p)
     ctx = g.ctx
     one = LinOp.identity(ctx, 1)
-    samples = [LinOp.identity(ctx, 2), e_op(ctx, 2, 3), op_K(ctx, 3), g.alpha, g.beta]
-    samples += _rotation_orbit(p, "alpha") + _rotation_orbit(p, "beta")
+    samples = [LinOp.identity(ctx, 2), e_op(ctx, 2, 3), op_K(ctx, 3), g.alpha, g.beta,
+               cup(ctx, 1, 3), cap(ctx, 2, 3)]
+    orbits = _rotation_orbit(p, "alpha") + _rotation_orbit(p, "beta")
+    samples += orbits
+    samples += [close(f, c) for f in orbits[::3] for close in (cup_outputs, cap_inputs)
+                for c in (1, 2 * p - 1)]
     for f in samples:
-        n = f.z_in
-        ref = cup_matrix(ctx, 1, n + 2) * one.tensor(f).tensor(one) * cap_matrix(ctx, n + 1, n + 2)
-        assert rotation(ctx, f) == ref
+        m, n = f.z_in, f.z_out
+        ref = cup_matrix(ctx, 1, n + 2) * one.tensor(f).tensor(one) * cap_matrix(ctx, m + 1, m + 2)
+        assert rotation(ctx, f) == ref, (m, n)
 
 
 def test_rotation_requires_square():
+    # square or not, a click needs an input and an output strand: the cup
+    # on two strands (2 -> 0) and the cap (0 -> 2) have none to move
     ctx = make_field(2)
     with pytest.raises(ValueError):
         rotation(ctx, cup(ctx, 1, 2))
+    with pytest.raises(ValueError):
+        rotation(ctx, cap(ctx, 1, 2))
+
+
+def assert_closing_commutes_with_a_click(f):
+    """cup_outputs(R f, c) = R(cup_outputs(f, c + 1)) for c <= n - 2 and
+    cap_inputs(R f, c) = R(cap_inputs(f, c - 1)) for c >= 2, f from m
+    strands to n: the identities capping_pattern derives its pieces by."""
+    ctx, m, n = f.ctx, f.z_in, f.z_out
+    rf = rotation(ctx, f)
+    for c in range(1, n - 1):
+        assert cup_outputs(rf, c) == rotation(ctx, cup_outputs(f, c + 1)), ("cup", m, n, c)
+    for c in range(2, m):
+        assert cap_inputs(rf, c) == rotation(ctx, cap_inputs(f, c - 1)), ("cap", m, n, c)
+
+
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_closing_commutes_with_a_click_on_orbits(p):
+    for name in ("alpha", "beta"):
+        for f in _rotation_orbit(p, name):
+            assert_closing_commutes_with_a_click(f)
+
+
+@given(
+    p=st.sampled_from([2, 3, 4]),
+    m=st.integers(min_value=1, max_value=6),
+    n=st.integers(min_value=1, max_value=6),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_closing_commutes_with_a_click_on_sparse_operators(p, m, n, data):
+    ctx = make_field(p)
+    entries = data.draw(st.dictionaries(
+        st.tuples(st.integers(0, (1 << m) - 1), st.integers(0, (1 << n) - 1)),
+        st.integers(min_value=-3, max_value=3).filter(bool), max_size=12))
+    cols = {}
+    for (s, t), c in entries.items():
+        cols.setdefault(s, {})[BasisIndex(n, t)] = ctx.q ** abs(c) * c
+    f = LinOp(ctx, m, n, {BasisIndex(m, s): TensorVector(ctx, n, terms)
+                          for s, terms in cols.items()})
+    assert_closing_commutes_with_a_click(f)

@@ -222,8 +222,10 @@ def test_commutant_reaches_seven_strands():
 
 
 def test_infeasible_raises_and_skips():
-    with pytest.raises(InfeasibleSize):
+    # eq4 is compared on fewer strands, but gated on the 3p - 1 it states
+    with pytest.raises(InfeasibleSize) as refused:
         verify("eq4", 3, budget=2**7)
+    assert refused.value.strands == 8
     with pytest.raises(InfeasibleSize):
         commutant_dim(2, 8, budget=2**16)
     reports, skipped = run_checks(["eq4"], ps=(3,), budget=2**7)
@@ -273,6 +275,20 @@ def test_capping_pattern_centers():
         assert ok
         for name in ("alpha", "beta"):
             assert len(centers[name]) == 4 * p - 2
+
+
+def test_capping_pattern_closes_few_pieces_directly(monkeypatch):
+    # per generator at p = 4: one start position on all 16 clicks and
+    # click 0 at the 6 other positions, on each side: 2 (16 + 6) = 44,
+    # where closing every piece takes 2 * 7 * 16 = 224
+    calls = []
+    for name in ("cup_outputs", "cap_inputs"):
+        close = getattr(relation_engine, name)
+        monkeypatch.setattr(relation_engine, name,
+                            lambda op, c, close=close: calls.append(c) or close(op, c))
+    ok, _ = capping_pattern(4)
+    assert ok
+    assert len(calls) == 2 * 44
 
 
 def test_prop2_injectivity_sizes():

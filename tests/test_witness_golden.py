@@ -15,14 +15,15 @@ catches some fault and that no fault passes them all.
 
 from __future__ import annotations
 
+import re
 from functools import lru_cache
 
 import pytest
 
 from uqsl2 import relation_engine
 from uqsl2.cyclo_field import SingularRatio
-from uqsl2.diagram_algebra import jw_closed
-from uqsl2.pa_generators import GeneratorSet, make_generators, nested_cap_closed
+from uqsl2.diagram_algebra import cap_inputs, cup_outputs, jw_closed
+from uqsl2.pa_generators import GeneratorSet, embed, make_generators, nested_cap_closed
 from uqsl2.relation_engine import RELATION_IDS, verify
 from uqsl2.tensor_space import BasisIndex, LinOp, TensorVector, f_power, op_K
 
@@ -129,6 +130,99 @@ def test_faulted_building_blocks(monkeypatch, fault):
     monkeypatch.setattr(relation_engine, name, stand_in)
     r = verify(rid, 2)
     assert (r.holds, r.witness) == (False, witness)
+
+
+def _all_closures_pattern(p):
+    """Reference for capping_pattern: every piece closed directly, one
+    position at a time, with the same window check in the same order."""
+    g = relation_engine._gens(p)
+    n, m, delta = 2 * p, 4 * p, g.ctx.loop_value
+    all_centers = {}
+    for name in ("alpha", "beta"):
+        ops = relation_engine._rotation_orbit(p, name)
+        centers = set()
+        for from_top in (False, True):
+            close = cup_outputs if from_top else cap_inputs
+            for c in range(1, n):
+                pieces = [close(op, c) for op in ops]
+                center = None
+                for s in range(m):
+                    lo, hi = pieces[(s - 1) % m], pieces[(s + 1) % m]
+                    if not lo or lo != hi or pieces[s] != lo.scale(delta):
+                        continue
+                    window = {(s - 1) % m, s, (s + 1) % m}
+                    if all(not pieces[t] for t in range(m) if t not in window):
+                        center = s
+                        break
+                if center is None:
+                    return False, {"identity": "capping survivor pattern", "generator": name,
+                                   "position": c, "from_top": from_top}
+                centers.add(center)
+        if len(centers) != 4 * p - 2:
+            return False, {"identity": "capping constraint coverage", "generator": name,
+                           "centers": sorted(centers), "expected_count": 4 * p - 2}
+        all_centers[name] = sorted(centers)
+    return True, all_centers
+
+
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_capping_pattern_matches_all_closures(monkeypatch, p):
+    # the pieces derived by clicks give the verdict and witness of closing
+    # every piece, on the real generators and on the faulted set
+    relation_engine._rotation_orbit.cache_clear()
+    want = _all_closures_pattern(p)
+    assert want[0]
+    assert relation_engine.capping_pattern(p) == want
+    monkeypatch.setattr(relation_engine, "_gens", _faulted_gens)
+    relation_engine._rotation_orbit.cache_clear()
+    want = _all_closures_pattern(p)
+    assert relation_engine.capping_pattern(p) == want
+    assert want == (False, {"identity": "capping survivor pattern", "generator": "alpha",
+                            "position": 1, "from_top": False})
+    relation_engine._rotation_orbit.cache_clear()
+
+
+def test_derived_pieces_are_the_closures_under_faults(monkeypatch):
+    # every faulted verdict above stops at the first position, which is
+    # closed directly; here every derived piece is compared with its
+    # direct closure, under the faulted set at p = 2..4 and under each
+    # single-entry fault at p = 2
+    g = make_generators(2)
+    faults = [_faulted_gens(p) for p in (2, 3, 4)]
+    faults += [_bumped(g, name, r, c) for name in ("alpha", "beta")
+               for r in range(8) for c in range(8)]
+    for fg in faults:
+        monkeypatch.setattr(relation_engine, "_gens", lambda p, fg=fg: fg)
+        relation_engine._rotation_orbit.cache_clear()
+        for name in ("alpha", "beta"):
+            ops = relation_engine._rotation_orbit(fg.p, name)
+            for from_top, close in ((False, cap_inputs), (True, cup_outputs)):
+                pieces = relation_engine._capping_pieces(fg.ctx, ops, from_top)
+                assert sorted(pieces) == list(range(1, 2 * fg.p))
+                for c, row in pieces.items():
+                    assert row == [close(op, c) for op in ops], (fg.p, name, from_top, c)
+    relation_engine._rotation_orbit.cache_clear()
+
+
+@pytest.mark.parametrize("p", [3, 4])
+def test_support_witnesses_are_read_on_stated_strands(faulted, p):
+    # eq4 and eq17 compare each pair where its operators act, but a pair
+    # that differs is widened, so the witness is a word on 3p - 1 and 2p
+    # strands, and it is the first difference at full width
+    r = verify("eq4", p)
+    assert not r.holds and r.witness["identity"] == "alpha_1.alpha_2 = 0"
+    assert len(r.witness["basis"]) == 3 * p - 1
+    n = 3 * p - 1
+    g = relation_engine._gens(p)
+    lhs = embed(g.alpha, 1, n) * embed(g.alpha, 2, n)
+    b = BasisIndex(n, min(lhs.columns))
+    assert r.witness == {"identity": "alpha_1.alpha_2 = 0", "basis": b.word(),
+                         "lhs": str(lhs.column(b)), "rhs": "0"}
+    r = verify("eq17", p)
+    assert not r.holds
+    assert re.fullmatch(r"e_\d+\.(alpha|beta)_[12] = 0|(alpha|beta)_[12]\.e_\d+ = 0",
+                        r.witness["identity"])
+    assert len(r.witness["basis"]) == 2 * p
 
 
 def test_single_entry_fault_sweep(monkeypatch):
