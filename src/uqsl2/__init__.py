@@ -4,7 +4,6 @@ from uqsl2.cyclo_field import (
     CycloNum,
     FieldCtx,
     SingularRatio,
-    make_field,
     parse_cyclo,
 )
 
@@ -14,6 +13,5 @@ __all__ = [
     "CycloNum",
     "FieldCtx",
     "SingularRatio",
-    "make_field",
     "parse_cyclo",
 ]

@@ -23,7 +23,7 @@ caller certifies a nullity against a lower bound it holds.
 
 from __future__ import annotations
 
-from uqsl2._kernel import ONE, krow_axpy, scalars
+from uqsl2._kernel import ONE, krow_axpy
 from uqsl2.cyclo_field import FieldCtx
 
 
@@ -36,7 +36,7 @@ class SparseRref:
 
     def __init__(self, ctx: FieldCtx):
         self.ctx = ctx
-        self.table = scalars(ctx.red)
+        self.table = ctx.table
         self.pivots: dict = {}
 
     @property

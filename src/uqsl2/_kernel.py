@@ -14,11 +14,11 @@ which interns canonical pairs (0 is zero, 1 is one) and memoises sums,
 products, differences, negations and inverses on ids, computing each
 miss once on the pairs; equal values have equal ids.  A
 ``uqsl2.cyclo_field.CycloNum`` is a handle on one id, and its arithmetic
-is the table's.  ``scalars(red)`` holds one table per field, found by
-its reduction rows, for the whole process.  Only the field asked for
-last keeps its memos; a new field's table empties the previous one's.
-Operators (``uqsl2.tensor_space``), the elimination (``krow_axpy``) and
-the intertwiner solver all run on these ids.
+is the table's.  Each field has one table, ``FieldCtx(p).table``, built
+with its context and kept for the whole process, so the ids that
+cached operators hold stay valid.  Operators (``uqsl2.tensor_space``),
+the elimination (``krow_axpy``) and the intertwiner solver all run on
+these ids.
 
 ``kmul`` is the one pair product, behind every product miss.  Sums of
 two integral pairs (both denominators 1, most sums in practice) add the
@@ -143,11 +143,6 @@ class Scalars:
             i = self.intern(*knorm(nums, den)) if any(nums) else 0
         return i
 
-    def empty_memos(self) -> None:
-        """Empty every memo in place; the ids, which callers hold, are kept."""
-        for memo in (self.add, self.mul, self.sub, self.neg, self.inv):
-            memo.clear()
-
     # Memo misses: compute on the pairs, intern, and record the id.  A full
     # memo is emptied first.
     def addition(self, a, b) -> int:
@@ -184,28 +179,6 @@ class Scalars:
                 del row[key]
                 return
         row[key] = a
-
-
-# Every field's table, by reduction rows, and the one asked for last: the
-# only one whose memos are kept.
-_tables: dict = {}
-_table = None
-
-
-def scalars(red) -> Scalars:
-    """The intern table of the field with reduction rows ``red``."""
-    global _table
-    t = _table
-    if t is not None and t.red is red:
-        return t
-    t = _tables.get(red)
-    if t is None:
-        t = _tables[red] = Scalars(red)
-    if t is not _table:
-        if _table is not None:
-            _table.empty_memos()
-        _table = t
-    return t
 
 
 def krow_add(dst, src, a, table):

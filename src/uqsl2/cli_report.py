@@ -178,36 +178,41 @@ def _section_verify(config: RunConfig) -> tuple[dict, int]:
     return payload, EXIT_OK
 
 
-def _section_dims(config: RunConfig) -> tuple[dict, int]:
-    max_n = 6 if config.max_n is None else config.max_n
+def _dimension_rows(config: RunConfig, max_n: int, solver=None) -> tuple[list, list]:
+    """Columns and rows p, n, catalan, fusion, then, when ``solver(p, n)``
+    gives the end-space solver's count or None, solver and solver_match,
+    then each convention's conjecture and whether it matches fusion."""
     conventions = _conventions(config)
-    columns = ["p", "n", "catalan", "fusion", "solver", "solver_match"]
+    columns = ["p", "n", "catalan", "fusion"] + (["solver", "solver_match"] if solver else [])
     for conv in conventions:
         columns += [f"conjecture({conv})", f"match({conv})"]
-    rows, skipped = [], []
-    failed = False
+    rows = []
     for p in config.ps:
         for n in range(max_n + 1):
-            try:
-                oracle = commutant_dim(p, n, config.budget)
-            except InfeasibleSize as exc:
-                oracle = None
-                skipped.append({"p": p, "n": n, "skipped": str(exc)})
+            oracle = solver(p, n) if solver else None
             rec = dimension(n, p, oracle=oracle)
-            row = {
-                "p": p,
-                "n": n,
-                "catalan": rec.catalan,
-                "fusion": rec.fusion,
-                "solver": rec.oracle,
-                "solver_match": None if oracle is None else oracle == rec.fusion,
-            }
+            row = {"p": p, "n": n, "catalan": rec.catalan, "fusion": rec.fusion}
+            if solver:
+                row["solver"] = rec.oracle
+                row["solver_match"] = None if oracle is None else oracle == rec.fusion
             for conv in conventions:
                 row[f"conjecture({conv})"] = rec.conjectures[conv]
                 row[f"match({conv})"] = rec.conjectures[conv] == rec.fusion
             rows.append(row)
-            if oracle is not None and oracle != rec.fusion:
-                failed = True
+    return columns, rows
+
+
+def _section_dims(config: RunConfig) -> tuple[dict, int]:
+    skipped = []
+
+    def solve(p, n):
+        try:
+            return commutant_dim(p, n, config.budget)
+        except InfeasibleSize as exc:
+            skipped.append({"p": p, "n": n, "skipped": str(exc)})
+            return None
+
+    columns, rows = _dimension_rows(config, 6 if config.max_n is None else config.max_n, solve)
     payload = {
         "section": "dims",
         "columns": columns,
@@ -215,24 +220,12 @@ def _section_dims(config: RunConfig) -> tuple[dict, int]:
         "skipped": skipped,
         "notes": ["Conjecture mismatches are reported, not failed."],
     }
+    failed = any(row["solver_match"] is False for row in rows)
     return payload, EXIT_FAILED if failed else EXIT_OK
 
 
 def _section_conjecture(config: RunConfig) -> tuple[dict, int]:
-    max_n = 10 if config.max_n is None else config.max_n
-    conventions = _conventions(config)
-    columns = ["p", "n", "catalan", "fusion"]
-    for conv in conventions:
-        columns += [f"conjecture({conv})", f"match({conv})"]
-    rows = []
-    for p in config.ps:
-        for n in range(max_n + 1):
-            rec = dimension(n, p)
-            row = {"p": p, "n": n, "catalan": rec.catalan, "fusion": rec.fusion}
-            for conv in conventions:
-                row[f"conjecture({conv})"] = rec.conjectures[conv]
-                row[f"match({conv})"] = rec.conjectures[conv] == rec.fusion
-            rows.append(row)
+    columns, rows = _dimension_rows(config, 10 if config.max_n is None else config.max_n)
     payload = {
         "section": "conjecture",
         "columns": columns,

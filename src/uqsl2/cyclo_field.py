@@ -1,9 +1,10 @@
 """Exact arithmetic in Q(q) for q a primitive 2p-th root of unity.
 
 Elements are polynomials in q reduced modulo the 2p-th cyclotomic
-polynomial.  The field's ``uqsl2._kernel.Scalars`` table interns each as
+polynomial.  ``FieldCtx(p)`` is the one context of the field, and its
+``uqsl2._kernel.Scalars`` table, ``ctx.table``, interns each element as
 an int id of its canonical pair, integer numerators over a common
-positive denominator, and a CycloNum is a handle (ctx, id) whose
+positive denominator; a CycloNum is a handle (ctx, id) whose
 arithmetic is the table's; inverses come from the Galois norm.  On top
 of the field sit the quantum-combinatorial scalars: quantum integers
 [n], factorials [n]!, the coproduct coefficients lambda_{i,k} and the
@@ -21,7 +22,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
-from uqsl2._kernel import ONE, scalars
+from uqsl2._kernel import ONE, Scalars
 
 
 class SingularRatio(ArithmeticError):
@@ -72,11 +73,12 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 class CycloNum:
     """An element of Q(q): a handle on one id of its field's intern table.
 
-    Immutable.  ``id`` is the value's id in ``uqsl2._kernel.scalars(ctx.red)``,
-    and every operation is that table's memoised arithmetic on ids; ``nums``
-    and ``den`` read the table's canonical pair.  Arithmetic mixes with int
-    and Fraction, and raises ValueError on a CycloNum of another field.  Equal values have equal ids; str() is the canonical
-    rendering parsed back by :func:`parse_cyclo`.
+    Immutable.  ``id`` is the value's id in ``ctx.table``, and every
+    operation is that table's memoised arithmetic on ids; ``nums`` and
+    ``den`` read the table's canonical pair.  Arithmetic mixes with int
+    and Fraction, and raises ValueError on a CycloNum of another field.
+    Equal values have equal ids; str() is the canonical rendering parsed
+    back by :func:`parse_cyclo`.
     """
 
     __slots__ = ("ctx", "id")
@@ -84,19 +86,19 @@ class CycloNum:
     def __init__(self, ctx: "FieldCtx", nums: tuple[int, ...], den: int):
         """The value sum(nums[j] q^j) / den; the pair need not be canonical."""
         self.ctx = ctx
-        self.id = scalars(ctx.red).id_of(tuple(nums), den)
+        self.id = ctx.table.id_of(tuple(nums), den)
 
     @property
     def nums(self) -> tuple[int, ...]:
-        return scalars(self.ctx.red).vals[self.id][0]
+        return self.ctx.table.vals[self.id][0]
 
     @property
     def den(self) -> int:
-        return scalars(self.ctx.red).vals[self.id][1]
+        return self.ctx.table.vals[self.id][1]
 
     def _coerce(self, other):
         if isinstance(other, CycloNum):
-            if other.ctx.p != self.ctx.p:
+            if other.ctx is not self.ctx:
                 raise ValueError(f"operands over different fields: {self.ctx} and {other.ctx}")
             return other
         if isinstance(other, (int, Fraction)):
@@ -107,7 +109,7 @@ class CycloNum:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        t = scalars(self.ctx.red)
+        t = self.ctx.table
         r = t.add.get((self.id, o.id))
         return self.ctx.wrap(t.addition(self.id, o.id) if r is None else r)
 
@@ -117,7 +119,7 @@ class CycloNum:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        t = scalars(self.ctx.red)
+        t = self.ctx.table
         r = t.sub.get((self.id, o.id))
         return self.ctx.wrap(t.difference(self.id, o.id) if r is None else r)
 
@@ -131,7 +133,7 @@ class CycloNum:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        t = scalars(self.ctx.red)
+        t = self.ctx.table
         r = t.mul.get((self.id, o.id))
         return self.ctx.wrap(t.product(self.id, o.id) if r is None else r)
 
@@ -150,7 +152,7 @@ class CycloNum:
         return o * self.inv()
 
     def __neg__(self):
-        t = scalars(self.ctx.red)
+        t = self.ctx.table
         r = t.neg.get(self.id)
         return self.ctx.wrap(t.negation(self.id) if r is None else r)
 
@@ -173,7 +175,7 @@ class CycloNum:
         ArithmeticError if the norm is not a nonzero rational.
         """
         ctx, a = self.ctx, self.id
-        t = scalars(ctx.red)
+        t = ctx.table
         r = t.inv.get(a)
         if r is None:
             if not a:
@@ -201,7 +203,7 @@ class CycloNum:
 
     def __eq__(self, other):
         if isinstance(other, CycloNum):
-            return self.ctx.p == other.ctx.p and self.id == other.id
+            return self.ctx is other.ctx and self.id == other.id
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -213,11 +215,11 @@ class CycloNum:
     def __complex__(self):
         """Floating approximation; diagnostics only, never verification."""
         w = cmath.exp(1j * math.pi / self.ctx.p)
-        nums, den = scalars(self.ctx.red).vals[self.id]
+        nums, den = self.ctx.table.vals[self.id]
         return sum((n / den) * w**j for j, n in enumerate(nums))
 
     def __str__(self):
-        nums, den = scalars(self.ctx.red).vals[self.id]
+        nums, den = self.ctx.table.vals[self.id]
         terms = []
         for e in range(self.ctx.degree - 1, -1, -1):
             c = Fraction(nums[e], den)
@@ -254,15 +256,28 @@ def factorials(*ms: int) -> tuple[int, ...]:
     return tuple(i for m in ms for i in range(1, m + 1))
 
 
+# The one context of each p, built on first use.
+_fields: dict = {}
+
+
 class FieldCtx:
     """Arithmetic context for Q(q), q = e^{i pi / p} a primitive 2p-th root.
 
-    Immutable after construction; all operations are pure.
+    ``FieldCtx(p)`` is the one context of p, built on the first call, so
+    identity is equality.  It owns the field's ``Scalars`` table,
+    ``table``, whose ids every CycloNum, vector and operator of the field
+    holds; the table is kept for the whole process, so those ids stay
+    valid.  Immutable after construction; all operations are pure.  There
+    is no ``__init__``, which Python would rerun on every call.
     """
 
-    def __init__(self, p: int):
+    def __new__(cls, p: int):
+        self = _fields.get(p)
+        if self is not None:
+            return self
         if p < 2:
             raise ValueError(f"p must be >= 2, got {p}")
+        self = super().__new__(cls)
         self.p = p
         mod = cyclotomic_polynomial(2 * p)
         self.cyclotomic_modulus = mod
@@ -279,9 +294,8 @@ class FieldCtx:
                 for j in range(deg):
                     cur[j] += c * rows[0][j]
             rows.append(tuple(cur))
-        # The field's intern table keeps the one copy of red that every
-        # FieldCtx(p) shares, so a table lookup is an identity test.
-        self.red = scalars(tuple(rows)).red
+        self.red = tuple(rows)
+        self.table = Scalars(self.red)
         self.zero = self.wrap(0)
         self.one = self.wrap(ONE)
         # q^m table for m = 0 .. 2p-1, and the ids of its entries
@@ -297,6 +311,8 @@ class FieldCtx:
         self._qint_cache: dict[int, CycloNum] = {}
         self._qfact_cache: dict[int, CycloNum] = {0: self.one}
         self.loop_value = self.qint(2)
+        _fields[p] = self
+        return self
 
     def wrap(self, i: int) -> CycloNum:
         """The CycloNum of id ``i`` of this field's table, made without __init__."""
@@ -391,19 +407,8 @@ class FieldCtx:
             raise ValueError(f"weight sums need 0 <= n <= z, got n={n}, z={z}")
         return self.q_power(-n - n * z) * self.eval_ratio(factorials(z), factorials(n, z - n))
 
-    def __eq__(self, other):
-        return isinstance(other, FieldCtx) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("FieldCtx", self.p))
-
     def __repr__(self):
         return f"FieldCtx(p={self.p})"
-
-
-def make_field(p: int) -> FieldCtx:
-    """Field context for q = e^{i pi / p}; rejects p < 2."""
-    return FieldCtx(p)
 
 
 _BODY = re.compile(

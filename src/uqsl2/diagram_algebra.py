@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from uqsl2._kernel import ONE, krow_add, scalars
+from uqsl2._kernel import ONE, krow_add
 from uqsl2.cyclo_field import FieldCtx, factorials
 from uqsl2.tensor_space import (
     BasisIndex,
@@ -169,7 +169,7 @@ def cup_outputs(op: LinOp, i: int) -> LinOp:
     ctx, n = op.ctx, op.z_out
     low = _strand_gap("cup", i, n)
     lo, hi = 1 << (i - 1), 1 << i
-    table, mq = scalars(ctx.red), ctx.qid(ctx.p + 1)
+    table, mq = ctx.table, ctx.qid(ctx.p + 1)
     muls, adds = table.mul, table.add
     cols = {}
     # The sum is inlined rather than krow_add on two split dicts: this is
@@ -204,7 +204,7 @@ def cap_inputs(op: LinOp, i: int) -> LinOp:
     ctx, n = op.ctx, op.z_in
     low = _strand_gap("cap", i, n)
     lo, hi = 1 << (i - 1), 1 << i
-    table, qinv, minus = scalars(ctx.red), ctx.qid(-1), ctx.qid(ctx.p)
+    table, qinv, minus = ctx.table, ctx.qid(-1), ctx.qid(ctx.p)
     accs: dict = {}
     for m, col in op.columns.items():
         s = m & (lo | hi)
@@ -221,7 +221,7 @@ def cap_outputs(op: LinOp, i: int) -> LinOp:
     ctx, n = op.ctx, op.z_out + 2
     low = _strand_gap("cap", i, n)
     lo, hi = 1 << (i - 1), 1 << i
-    table, qinv = scalars(ctx.red), ctx.qid(-1)
+    table, qinv = ctx.table, ctx.qid(-1)
     muls, negs = table.mul, table.neg
     cols = {}
     for m, col in op.columns.items():
@@ -273,7 +273,7 @@ def diagram_to_matrix(ctx: FieldCtx, d: TLDiagram) -> LinOp:
     of a cup is 0.  An arc is negated when the through strands left of its
     left end plus the arcs enclosing it are odd in number.
     """
-    table = scalars(ctx.red)
+    table = ctx.table
     muls, negs = table.mul, table.neg
     through, arcs = [], {"t": [], "b": []}
     for a, b in d.pairs:
@@ -372,7 +372,7 @@ def rotation(ctx: FieldCtx, f: LinOp) -> LinOp:
     if not (m and n):
         raise ValueError("rotation needs an input and an output strand")
     top, low = 1 << (n - 1), (1 << (m - 1)) - 1
-    table, q, qinv = scalars(ctx.red), ctx.qid(1), ctx.qid(-1)
+    table, q, qinv = ctx.table, ctx.qid(1), ctx.qid(-1)
     muls, negs = table.mul, table.neg
     cols: dict = {}
     for s, col in f.columns.items():

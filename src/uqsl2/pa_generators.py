@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from uqsl2.cyclo_field import FieldCtx, make_field
-from uqsl2._kernel import krow_add, scalars
+from uqsl2.cyclo_field import FieldCtx
+from uqsl2._kernel import krow_add
 from uqsl2.diagram_algebra import cap_outputs, cup_outputs
 from uqsl2.tensor_space import (
     BasisIndex,
@@ -53,10 +53,9 @@ class GeneratorSet:
         return f"GeneratorSet(p={self.p})"
 
 
-def make_generators(p) -> GeneratorSet:
-    """Build alpha, beta, gamma for the given p (or an existing field)."""
-    ctx = p if isinstance(p, FieldCtx) else make_field(p)
-    p = ctx.p
+def make_generators(p: int) -> GeneratorSet:
+    """Build alpha, beta, gamma for the given p."""
+    ctx = FieldCtx(p)
     z = 2 * p - 1
     top = x_top(z)
     bottom = x_bottom(z)
@@ -124,7 +123,7 @@ def _trace_strand(op: LinOp, j: int, full: int) -> LinOp:
     if op.z_out != n:
         raise ValueError("partial trace needs a square operator")
     ctx, bit, low = op.ctx, 1 << (j - 1), (1 << (j - 1)) - 1
-    empty, occupied, table = ctx.qid(-full), ctx.qid(full), scalars(ctx.red)
+    empty, occupied, table = ctx.qid(-full), ctx.qid(full), ctx.table
     cols = {}
     for m, col in op.columns.items():
         side = m & bit

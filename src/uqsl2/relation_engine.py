@@ -45,7 +45,7 @@ from math import comb
 from typing import Callable, NamedTuple
 
 from ._elim import nullspace, rank_of_vectors, residue_rank
-from ._kernel import krow_add, scalars
+from ._kernel import krow_add
 from .cyclo_field import CycloNum, FieldCtx, SingularRatio, cyclotomic_polynomial, factorials
 from .diagram_algebra import (
     all_diagrams,
@@ -364,8 +364,8 @@ def _nullity(p: int, rows: dict, ncols: int, lower: int | None) -> int:
 
         if residue_rank((residues(rows[t]) for t in order), l, ncols - lower) == ncols - lower:
             return lower
-    ctx = _field(p)
-    acc, qids, m = scalars(ctx.red).accumulate, ctx.qids, 2 * p
+    ctx = FieldCtx(p)
+    acc, qids, m = ctx.table.accumulate, ctx.qids, 2 * p
 
     def exact(terms):
         row: dict = {}
@@ -375,10 +375,6 @@ def _nullity(p: int, rows: dict, ncols: int, lower: int | None) -> int:
 
     # Rows by ascending target, E and F merged: keeps fill-in low.
     return ncols - rank_of_vectors(ctx, (exact(rows[t]) for t in order))
-
-
-# One FieldCtx(p) for every exact solve at p.
-_field = lru_cache(maxsize=None)(FieldCtx)
 
 
 @lru_cache(maxsize=None)
@@ -729,7 +725,7 @@ def _rotation_sum(g, n, name):
     zero = LinOp.zero(ctx, n, n)
     for seed in ((1, 0), (0, 1)):
         # sum k_i R^i(g x 1), accumulated column by column in one pass
-        table, cols = scalars(ctx.red), {}
+        table, cols = ctx.table, {}
         for ki, op in zip(_coefficients(g.p, seed).k, ops):
             if a := ki.id:
                 for m, col in op.columns.items():
@@ -739,17 +735,16 @@ def _rotation_sum(g, n, name):
 
 
 def _e_kill(g, n):
-    # e_i.g_j is e_(i-j+1).g placed at j, on the 2p-1 strands of g
+    # e_i.g_j is e_(i-j+1).g placed at j, so on the 2p-1 strands of g the
+    # pairs of j = 2 are those of j = 1, and only j = 1 is compared
     w = 2 * g.p - 1
     zero = LinOp.zero(g.ctx, w, w)
     for name in ("alpha", "beta"):
         gen = getattr(g, name)
         sides = [(e_left(gen, k), e_right(gen, k)) for k in range(1, w)]
-        for j in (1, 2):
-            for i in range(j, j + w - 1):  # 0 <= i - j <= 2p - 3
-                left, right = sides[i - j]
-                yield _on_support(f"e_{i}.{name}_{j} = 0", left, zero, j - 1, n - w - j + 1)
-                yield _on_support(f"{name}_{j}.e_{i} = 0", right, zero, j - 1, n - w - j + 1)
+        for i, (left, right) in enumerate(sides, 1):
+            yield _on_support(f"e_{i}.{name}_1 = 0", left, zero, 0, n - w)
+            yield _on_support(f"{name}_1.e_{i} = 0", right, zero, 0, n - w)
 
 
 def _e_chain(g, n, name, side):

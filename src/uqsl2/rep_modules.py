@@ -20,7 +20,7 @@ id vectors.
 from __future__ import annotations
 
 from uqsl2 import _elim
-from uqsl2._kernel import ONE, scalars
+from uqsl2._kernel import ONE
 from uqsl2.cyclo_field import FieldCtx
 
 
@@ -74,7 +74,7 @@ class ModuleData:
             if any(i != j for i, j in K):
                 raise ArithmeticError(f"K of {self.label} is not diagonal")
             d = self.dimension
-            table = scalars(self.ctx.red)
+            table = self.ctx.table
             negs = table.neg
             ef = []
             for M in (E, F):
@@ -235,7 +235,7 @@ def _commutes(vec, src: ModuleData, tgt: ModuleData) -> bool:
     eigenvalues.  For E and F, g_tgt M - M g_src is summed over the nonzeros
     of M into a sparse dict of scalar ids, which must come out empty.
     """
-    table = scalars(src.ctx.red)
+    table = src.ctx.table
     muls, product, acc = table.mul, table.product, table.accumulate
     (ks, _, *src_ef), (kt, _, *tgt_ef) = src.sparse(), tgt.sparse()
     nonzeros = [(*divmod(key, src.dimension), x) for key, x in vec.items()]
@@ -264,14 +264,14 @@ def intertwiner_space(src: ModuleData, tgt: ModuleData) -> HomBasis:
     row (i, l); a pair without unknowns builds no rows.
     """
     ctx = src.ctx
-    if ctx != tgt.ctx:
+    if ctx is not tgt.ctx:
         raise ValueError(f"modules over different fields: {ctx} and {tgt.ctx}")
     ds = src.dimension
     (_, spaces, *src_ef), (kt, _, *tgt_ef) = src.sparse(), tgt.sparse()
     live = [i * ds + j for i, k in enumerate(kt) for j in spaces.get(k, ())]
     if not live:
         return HomBasis(src, tgt, ())
-    acc = scalars(ctx.red).accumulate
+    acc = ctx.table.accumulate
     rows = []
     for (_, srows), (tcols, _) in zip(src_ef, tgt_ef):
         g: dict = {}

@@ -10,12 +10,13 @@ K/E/F operators, whose columns are read from the one E/F rule
 
 A scalar has one form, an int id of its field's ``uqsl2._kernel.Scalars``
 table, and a CycloNum is a handle on one: a TensorVector holds
-{int mask: int id} and a LinOp {int mask: TensorVector}.  Every FieldCtx
-of one p shares that table, so equal values have equal ids and equality
-of vectors and operators is equality of p and of id dicts.  Sums,
-negations, products, composition and the index maps are memoised id
-lookups; sums, composition, ``apply`` and ``tensor`` raise ValueError on
-operands of two fields, whose ids would be read in the wrong table.
+{int mask: int id} and a LinOp {int mask: TensorVector}.  The table is
+``ctx.table`` of the one ``FieldCtx(p)``, so equal values have equal ids
+and equality of vectors and operators is identity of the context and
+equality of id dicts.  Sums, negations, products, composition and the
+index maps are memoised id lookups; sums, composition, ``apply`` and
+``tensor`` raise ValueError on operands of two fields, whose ids would
+be read in the wrong table.
 CycloNum handles and BasisIndex appear only at the boundary: the
 constructors, ``unit``, ``scale``, ``column``, ``coeff`` and ``str``
 read or make a handle's id.  ``LinOp.flat`` hands the entries to
@@ -27,7 +28,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, NamedTuple
 
-from uqsl2._kernel import ONE, krow_add, scalars
+from uqsl2._kernel import ONE, krow_add
 from uqsl2.cyclo_field import CycloNum, FieldCtx
 
 
@@ -104,7 +105,7 @@ def _op(ctx: FieldCtx, z_in: int, z_out: int, columns: dict) -> "LinOp":
 
 def _same_field(a, b) -> None:
     """Raise ValueError unless a and b hold ids of the same field's table."""
-    if a.ctx.p != b.ctx.p:
+    if a.ctx is not b.ctx:
         raise ValueError(f"operands over different fields: {a.ctx} and {b.ctx}")
 
 
@@ -134,11 +135,11 @@ class TensorVector:
         if self.z != other.z:
             raise ValueError(f"cannot add vectors on {self.z} and {other.z} strands")
         out = dict(self.terms)
-        krow_add(out, other.terms, ONE, scalars(self.ctx.red))
+        krow_add(out, other.terms, ONE, self.ctx.table)
         return _vec(self.ctx, self.z, out)
 
     def __neg__(self) -> "TensorVector":
-        table = scalars(self.ctx.red)
+        table = self.ctx.table
         negs = table.neg
         return _vec(self.ctx, self.z, {
             b: negs.get(x) or table.negation(x) for b, x in self.terms.items()})
@@ -153,7 +154,7 @@ class TensorVector:
         """This vector times the scalar id ``a``."""
         if a == ONE or not a:
             return _vec(self.ctx, self.z, dict(self.terms) if a else {})
-        table = scalars(self.ctx.red)
+        table = self.ctx.table
         muls = table.mul
         return _vec(self.ctx, self.z, {
             b: muls.get((x, a)) or table.product(x, a) for b, x in self.terms.items()})
@@ -165,7 +166,7 @@ class TensorVector:
 
     def tensor(self, other: "TensorVector") -> "TensorVector":
         _same_field(self, other)
-        table, shift = scalars(self.ctx.red), self.z
+        table, shift = self.ctx.table, self.z
         muls = table.mul
         out = {}
         for b1, x in self.terms.items():
@@ -187,7 +188,7 @@ class TensorVector:
     def __eq__(self, other):
         if not isinstance(other, TensorVector):
             return NotImplemented
-        return self.z == other.z and self.ctx.p == other.ctx.p and self.terms == other.terms
+        return self.z == other.z and self.ctx is other.ctx and self.terms == other.terms
 
     def __hash__(self):
         return hash((self.z, frozenset(self.terms.items())))
@@ -262,7 +263,7 @@ class LinOp:
         _same_field(self, vec)
         if vec.z != self.z_in:
             raise ValueError(f"cannot apply {self!r} to a vector on {vec.z} strands")
-        return _vec(self.ctx, self.z_out, self._apply(vec.terms, scalars(self.ctx.red)))
+        return _vec(self.ctx, self.z_out, self._apply(vec.terms, self.ctx.table))
 
     def __mul__(self, other):
         """Composition self . other (apply other first)."""
@@ -270,7 +271,7 @@ class LinOp:
             _same_field(self, other)
             if other.z_out != self.z_in:
                 raise ValueError(f"cannot compose {self!r} after {other!r}")
-            table, ctx, z = scalars(self.ctx.red), self.ctx, self.z_out
+            table, ctx, z = self.ctx.table, self.ctx, self.z_out
             cols = {}
             for b, col in other.columns.items():
                 acc = self._apply(col.terms, table)
@@ -343,7 +344,7 @@ class LinOp:
         return (
             self.z_in == other.z_in
             and self.z_out == other.z_out
-            and self.ctx.p == other.ctx.p
+            and self.ctx is other.ctx
             and self.columns == other.columns
         )
 

@@ -8,17 +8,17 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from uqsl2._kernel import kmul, knorm, scalars
+from uqsl2._kernel import kmul, knorm
 from uqsl2.cyclo_field import (
     CycloNum,
+    FieldCtx,
     SingularRatio,
     cyclotomic_polynomial,
     factorials,
-    make_field,
     parse_cyclo,
 )
 
-CTX = {p: make_field(p) for p in range(2, 9)}
+CTX = {p: FieldCtx(p) for p in range(2, 9)}
 
 
 def _random_cyclo(ctx, nums, den):
@@ -37,9 +37,20 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
 
 
-def test_make_field_rejects_small_p():
-    with pytest.raises(ValueError):
-        make_field(1)
+def test_field_rejects_small_p():
+    for p in (1, 0, -3):
+        with pytest.raises(ValueError):
+            FieldCtx(p)
+
+
+def test_fields_of_one_degree_have_their_own_tables():
+    # p = 5 and p = 6 both have degree 4, so a pair has one shape in both
+    # tables but not one value
+    five, six = FieldCtx(5), FieldCtx(6)
+    assert five.degree == six.degree == 4
+    assert five is not six and five.table is not six.table
+    assert five.red != six.red
+    assert five.q_power(5) == -1 and six.q_power(5) != -1
 
 
 @pytest.mark.parametrize("p", [2, 3, 4, 5])
@@ -394,7 +405,7 @@ def _operand(data, deg):
 
 def _products(ctx, a, b):
     """a*b from kmul, from CycloNum and from the field's id table, as pairs."""
-    table = scalars(ctx.red)
+    table = ctx.table
     x, y = table.id_of(*a), table.id_of(*b)
     by_id = table.vals[table.mul.get((x, y)) or table.product(x, y)]
     z = CycloNum(ctx, *a) * CycloNum(ctx, *b)
@@ -405,7 +416,7 @@ def _products(ctx, a, b):
 @given(data=st.data())
 @settings(max_examples=60)
 def test_every_product_matches_reference(p, data):
-    ctx = make_field(p)
+    ctx = FieldCtx(p)
     a, b = _operand(data, ctx.degree), _operand(data, ctx.degree)
     want = _reference_product(p, *a, *b)
     assert _products(ctx, a, b) == (want,) * 3
@@ -428,7 +439,7 @@ def test_two_fields_are_refused():
 def test_products_are_per_field(data):
     """p = 5 and p = 6 both have degree 4; the same operands must give each
     field its own product whichever field multiplies them first."""
-    fields = {p: make_field(p) for p in (5, 6)}
+    fields = {p: FieldCtx(p) for p in (5, 6)}
     a, b = _operand(data, 4), _operand(data, 4)
     assume(_reference_product(5, *a, *b) != _reference_product(6, *a, *b))
     for x, y, order in ((a, b, (5, 6)), (b, a, (6, 5))):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uqsl2.cyclo_field import SingularRatio, make_field
+from uqsl2.cyclo_field import FieldCtx, SingularRatio
 from uqsl2.diagram_algebra import (
     JWUndefined,
     TLDiagram,
@@ -153,7 +153,7 @@ def test_diagram_identity_tracking():
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_cup_cap_frozen_values(p):
-    ctx = make_field(p)
+    ctx = FieldCtx(p)
     u = cup(ctx, 1, 2)
     empty = from_word("")
     assert u.column(from_word("01")) == TensorVector(ctx, 0, {empty: -ctx.q})
@@ -193,7 +193,7 @@ def cap_matrix(ctx, i, n):
 
 @pytest.mark.parametrize("p", [2, 3, 4])
 def test_cup_cap_match_reference_matrices(p):
-    ctx = make_field(p)
+    ctx = FieldCtx(p)
     for n in range(2, 7):
         for i in range(1, n):
             assert cup(ctx, i, n) == cup_matrix(ctx, i, n), (n, i)
@@ -224,7 +224,7 @@ def test_contraction_maps_match_composition(p):
 
 
 def test_cup_cap_range_errors():
-    ctx = make_field(2)
+    ctx = FieldCtx(2)
     with pytest.raises(ValueError):
         cup(ctx, 0, 2)
     with pytest.raises(ValueError):
@@ -241,7 +241,7 @@ def test_cup_cap_range_errors():
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_loop_closure_is_delta(p):
-    ctx = make_field(p)
+    ctx = FieldCtx(p)
     lc = cup(ctx, 1, 2) * cap(ctx, 1, 2)
     v = TensorVector.unit(ctx, from_word(""))
     assert lc.apply(v) == v * ctx.loop_value
@@ -251,7 +251,7 @@ def test_loop_closure_is_delta(p):
 def test_both_zigzags_are_minus_identity(p):
     # with the plain cup/cap intertwiners the snake composites each
     # contribute a sign; freezing -id here is deliberate
-    ctx = make_field(p)
+    ctx = FieldCtx(p)
     minus_id = -LinOp.identity(ctx, 1)
     assert cup(ctx, 1, 3) * cap(ctx, 2, 3) == minus_id
     assert cup(ctx, 2, 3) * cap(ctx, 1, 3) == minus_id
@@ -259,7 +259,7 @@ def test_both_zigzags_are_minus_identity(p):
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_e_matrix_action(p):
-    ctx = make_field(p)
+    ctx = FieldCtx(p)
     e1 = e_op(ctx, 1, 2)
     v01, v10 = from_word("01"), from_word("10")
     col = e1.column(v01)
@@ -272,7 +272,7 @@ def test_e_matrix_action(p):
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_matrix_tl_relations(p):
-    ctx = make_field(p)
+    ctx = FieldCtx(p)
     delta = ctx.loop_value
     for n in range(2, 2 * p + 1):
         es = {i: e_op(ctx, i, n) for i in range(1, n)}
@@ -287,7 +287,7 @@ def test_matrix_tl_relations(p):
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_e1_e2_do_not_commute(p):
-    ctx = make_field(p)
+    ctx = FieldCtx(p)
     w = TensorVector.unit(ctx, from_word("011"))
     lhs = (e_op(ctx, 1, 3) * e_op(ctx, 2, 3)).apply(w)
     rhs = (e_op(ctx, 2, 3) * e_op(ctx, 1, 3)).apply(w)
@@ -296,7 +296,7 @@ def test_e1_e2_do_not_commute(p):
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_e_diagram_matches_e_op(p):
-    ctx = make_field(p)
+    ctx = FieldCtx(p)
     for n in range(2, 5):
         for i in range(1, n):
             assert diagram_to_matrix(ctx, e_diagram(i, n)) == e_op(ctx, i, n)
@@ -336,7 +336,7 @@ def peeled_matrix(ctx, d):
 def test_diagram_entries_match_peeling(p):
     # the one-pass entries with the arc-parity sign equal the peeled
     # factorization, entry for entry, on every diagram with <= 6 points a side
-    ctx = make_field(p)
+    ctx = FieldCtx(p)
     shapes = 0
     for top in range(7):
         for bottom in range(top % 2, 7, 2):
@@ -356,7 +356,7 @@ def test_diagram_entries_match_peeling(p):
 def test_realization_is_homomorphism(shape, ia, ib, p):
     # the matrix of a stacked pair is the product of their matrices, with
     # each closed loop a factor of delta (0 at p = 2)
-    ctx = make_field(p)
+    ctx = FieldCtx(p)
     n1, n2, n3 = shape
     das = all_diagrams(n1, n2)
     dbs = all_diagrams(n2, n3)
@@ -369,7 +369,7 @@ def test_realization_is_homomorphism(shape, ia, ib, p):
 def test_loop_absorption():
     # each loop that stacking closes is one factor delta of the realization;
     # at p = 4 delta is neither 0 nor a sign, so a miscounted loop shows
-    ctx = make_field(4)
+    ctx = FieldCtx(4)
     e1 = e_diagram(1, 2)
     assert stack(e1, e1) == (e1, 1)
     assert stack(identity_diagram(3), e_diagram(2, 3)) == (e_diagram(2, 3), 0)
@@ -387,7 +387,7 @@ def test_loop_absorption():
 
 @pytest.mark.parametrize("p", [3, 4, 5])
 def test_jw_recursive_properties(p):
-    ctx = make_field(p)
+    ctx = FieldCtx(p)
     assert jw_recursive(ctx, 1) == LinOp.identity(ctx, 1)
     f2 = jw_recursive(ctx, 2)
     assert f2 == LinOp.identity(ctx, 2) - e_op(ctx, 1, 2) * ctx.qint(2).inv()
@@ -402,7 +402,7 @@ def test_jw_recursive_properties(p):
 
 @pytest.mark.parametrize("p", [2, 3, 4])
 def test_jw_recursion_undefined_from_p(p):
-    ctx = make_field(p)
+    ctx = FieldCtx(p)
     for n in (p, p + 1):
         with pytest.raises(JWUndefined):
             jw_recursive(ctx, n)
@@ -410,14 +410,14 @@ def test_jw_recursion_undefined_from_p(p):
 
 @pytest.mark.parametrize("p", [3, 4, 5])
 def test_jw_closed_matches_recursive(p):
-    ctx = make_field(p)
+    ctx = FieldCtx(p)
     for n in range(1, p):
         assert jw_closed(ctx, n) == jw_recursive(ctx, n)
 
 
 @pytest.mark.parametrize("p", [2, 3, 4])
 def test_jw_closed_singular_window(p):
-    ctx = make_field(p)
+    ctx = FieldCtx(p)
     for n in range(p, 2 * p - 1):
         with pytest.raises(SingularRatio):
             jw_closed(ctx, n)
@@ -427,7 +427,7 @@ def test_jw_closed_singular_window(p):
 def test_jw_top_projection(p):
     # idempotence and e_i . F = F . e_i = 0 are jw_window's pairs; a cup or
     # a cap on any two adjacent strands kills F as well
-    ctx = make_field(p)
+    ctx = FieldCtx(p)
     n = 2 * p - 1
     F = jw_closed(ctx, n)
     for i in range(1, n):
@@ -439,7 +439,7 @@ def test_jw_top_projection(p):
 def test_jw_image_is_top_simple(p):
     # image has dimension n+1 with K-eigenvalues q^n, q^(n-2), ..., q^-n,
     # one per weight, and E annihilates the weight-0 image vector
-    ctx = make_field(p)
+    ctx = FieldCtx(p)
     for n, proj in [(2 * p - 1, jw_closed(ctx, 2 * p - 1))] + (
         [(2, jw_recursive(ctx, 2))] if p > 2 else []
     ):
@@ -458,7 +458,7 @@ def test_jw_image_is_top_simple(p):
 @pytest.mark.parametrize("p", [2, 3])
 def test_rotation_click_on_two_strands(p):
     # the composite genuinely rotates: identity and e1 swap places
-    ctx = make_field(p)
+    ctx = FieldCtx(p)
     id2 = LinOp.identity(ctx, 2)
     e1 = e_op(ctx, 1, 2)
     assert rotation(ctx, id2) == e1
@@ -467,7 +467,7 @@ def test_rotation_click_on_two_strands(p):
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_rotation_full_turn_is_identity(p):
-    ctx = make_field(p)
+    ctx = FieldCtx(p)
     samples = [
         LinOp.identity(ctx, 2),
         e_op(ctx, 1, 2),
@@ -504,7 +504,7 @@ def test_rotation_matches_composition(p):
 def test_rotation_requires_square():
     # square or not, a click needs an input and an output strand: the cup
     # on two strands (2 -> 0) and the cap (0 -> 2) have none to move
-    ctx = make_field(2)
+    ctx = FieldCtx(2)
     with pytest.raises(ValueError):
         rotation(ctx, cup(ctx, 1, 2))
     with pytest.raises(ValueError):
@@ -538,7 +538,7 @@ def test_closing_commutes_with_a_click_on_orbits(p):
 )
 @settings(max_examples=60, deadline=None)
 def test_closing_commutes_with_a_click_on_sparse_operators(p, m, n, data):
-    ctx = make_field(p)
+    ctx = FieldCtx(p)
     entries = data.draw(st.dictionaries(
         st.tuples(st.integers(0, (1 << m) - 1), st.integers(0, (1 << n) - 1)),
         st.integers(min_value=-3, max_value=3).filter(bool), max_size=12))

@@ -10,10 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uqsl2._elim import SparseRref, nullspace, rank_of_vectors, residue_rank
-from uqsl2._kernel import ONE, kadd, kmul, kneg, knorm, ksub, scalars
-from uqsl2.cyclo_field import CycloNum, make_field
+from uqsl2._kernel import ONE, kadd, kmul, kneg, knorm, ksub
+from uqsl2.cyclo_field import CycloNum, FieldCtx
 
-CTX = {p: make_field(p) for p in (2, 3)}
+CTX = {p: FieldCtx(p) for p in (2, 3)}
 
 
 def _scalars(ctx):
@@ -65,12 +65,12 @@ def peeled_systems(draw):
 
 def _ids(ctx, row):
     """The id row of a kernel-pair row; a zero pair becomes id 0."""
-    id_of = scalars(ctx.red).id_of
+    id_of = ctx.table.id_of
     return {k: id_of(*v) for k, v in row.items()}
 
 
 def _pairs(ctx, row):
-    vals = scalars(ctx.red).vals
+    vals = ctx.table.vals
     return {k: vals[i] for k, i in row.items()}
 
 
@@ -208,7 +208,7 @@ def test_forced_columns_skip_elimination(monkeypatch):
     {0} forces 0, which leaves {0, 1} and {0, 2} single, and the strikes
     that follow force 1 and 2 and empty {1, 2}."""
     ctx = CTX[3]
-    q, two = ctx.qid(1), scalars(ctx.red).id_of((2,) + (0,) * (ctx.degree - 1), 1)
+    q, two = ctx.qid(1), ctx.table.id_of((2,) + (0,) * (ctx.degree - 1), 1)
     rows = [{1: q, 2: two}, {0: two}, {0: q, 2: ONE}, {0: ONE, 1: q}]
     calls = []
     add_row = SparseRref.add_row
@@ -263,9 +263,13 @@ def test_full_memos_are_emptied(monkeypatch):
     from uqsl2 import _kernel
     from uqsl2.relation_engine import _commutant_dim
 
+    # earlier work may have left every product this solve needs in the
+    # memos, and hits never reach the cap
+    table = CTX[3].table
+    for memo in (table.add, table.mul, table.sub, table.neg, table.inv):
+        memo.clear()
     monkeypatch.setattr(_kernel, "MEMO_CAP", 4)
     assert _commutant_dim.__wrapped__(3, 5) == 45
-    table = _kernel.scalars(CTX[3].red)
     assert 0 < len(table.mul) <= 4 and 0 < len(table.sub) <= 4
 
 

@@ -1,6 +1,7 @@
 """Import hygiene: every uqsl2 module imports cleanly with warnings as
-errors, none keeps a module-level import it never references, and only
-the scalar kernel computes on kernel pairs.  Every assert
+errors, none keeps a module-level import it never references, only
+the scalar kernel computes on kernel pairs, and only the field context
+builds a field's scalar table.  Every assert
 left in the package is an internal invariant on an allowlist: argument
 guards raise, so they survive ``python -O``.  Every function, class and
 method is referenced by some code in the package, or listed with what
@@ -95,6 +96,20 @@ def test_pair_arithmetic_stays_in_kernel_and_field(module):
         for alias in node.names
     }
     assert not imported & PAIR_FUNCTIONS, f"uqsl2.{module} imports {imported & PAIR_FUNCTIONS}"
+
+
+def test_only_the_field_builds_tables():
+    """One module decides which table a field has: only cyclo_field calls
+    Scalars, once per FieldCtx(p)."""
+    builders = set()
+    for module in MODULES:
+        tree = ast.parse((PKG / f"{module}.py").read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                f = node.func
+                if getattr(f, "id", None) == "Scalars" or getattr(f, "attr", None) == "Scalars":
+                    builders.add(module)
+    assert builders == {"cyclo_field"}
 
 
 # Every assert statement in the package, by module and source text, with why

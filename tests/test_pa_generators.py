@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import uqsl2
-from uqsl2.cyclo_field import factorials, make_field
+from uqsl2.cyclo_field import FieldCtx, factorials
 from uqsl2.diagram_algebra import cap, cup
 from uqsl2.pa_generators import (
     embed,
@@ -37,12 +37,12 @@ from uqsl2._elim import rank_of_vectors
 
 @pytest.fixture(params=[2, 3], ids=lambda p: f"p{p}")
 def gens(request):
-    return make_generators(make_field(request.param))
+    return make_generators(request.param)
 
 
 def test_alpha_frozen_p2():
-    ctx = make_field(2)
-    g = make_generators(ctx)
+    ctx = FieldCtx(2)
+    g = make_generators(2)
     col = g.alpha.column(from_word("000"))
     want = TensorVector(
         ctx,
@@ -57,8 +57,8 @@ def test_alpha_frozen_p2():
 
 
 def test_beta_frozen_p2():
-    ctx = make_field(2)
-    g = make_generators(ctx)
+    ctx = FieldCtx(2)
+    g = make_generators(2)
     col = g.beta.column(from_word("111"))
     want = TensorVector(
         ctx,
@@ -73,8 +73,8 @@ def test_beta_frozen_p2():
 
 
 def test_gamma_values():
-    assert make_generators(2).gamma == -make_field(2).one
-    assert make_generators(3).gamma == make_field(3).one
+    assert make_generators(2).gamma == -FieldCtx(2).one
+    assert make_generators(3).gamma == FieldCtx(3).one
 
 
 def test_weight_shift_and_vanishing(gens):
@@ -282,7 +282,7 @@ _GUARDS = {
     "simple_module_sign": ("rm.simple_module(ctx, 0, 1)", "ValueError"),
     "projective_module_sign": ("rm.projective_module(ctx, 2, 1)", "ValueError"),
     "intertwiner_field": ("rm.intertwiner_space(rm.simple_module(ctx, 1, 1), "
-                          "rm.simple_module(make_field(3), 1, 1))", "ValueError"),
+                          "rm.simple_module(FieldCtx(3), 1, 1))", "ValueError"),
     # K of X+_2 with one off-diagonal entry
     "intertwiner_k_diagonal": ("x = rm.simple_module(ctx, 1, 2); "
                                "k = ((x.K_matrix[0][0], ctx.one), x.K_matrix[1]); "
@@ -293,16 +293,16 @@ _GUARDS = {
     "linop_add": ("ts.LinOp.identity(ctx, 2) + ts.LinOp.identity(ctx, 3)", "ValueError"),
     "linop_apply": ("ts.LinOp.identity(ctx, 2).apply(ts.TensorVector(ctx, 3))", "ValueError"),
     # operands of two fields: the right one's ids read in the left one's table
-    "vector_field_add": ("ts.TensorVector(make_field(3), 2) + ts.TensorVector(ctx, 2)",
+    "vector_field_add": ("ts.TensorVector(FieldCtx(3), 2) + ts.TensorVector(ctx, 2)",
                          "ValueError"),
-    "vector_field_tensor": ("ts.TensorVector(make_field(3), 1).tensor(ts.TensorVector(ctx, 1))",
+    "vector_field_tensor": ("ts.TensorVector(FieldCtx(3), 1).tensor(ts.TensorVector(ctx, 1))",
                             "ValueError"),
-    "cyclonum_field": ("make_field(3).q * -ctx.one", "ValueError"),
-    "linop_field_compose": ("ts.op_K(make_field(3), 2) * ts.op_K(ctx, 2)", "ValueError"),
-    "linop_field_add": ("ts.op_K(make_field(3), 2) + ts.op_K(ctx, 2)", "ValueError"),
-    "linop_field_apply": ("ts.op_K(make_field(3), 2).apply(ts.TensorVector(ctx, 2))",
+    "cyclonum_field": ("FieldCtx(3).q * -ctx.one", "ValueError"),
+    "linop_field_compose": ("ts.op_K(FieldCtx(3), 2) * ts.op_K(ctx, 2)", "ValueError"),
+    "linop_field_add": ("ts.op_K(FieldCtx(3), 2) + ts.op_K(ctx, 2)", "ValueError"),
+    "linop_field_apply": ("ts.op_K(FieldCtx(3), 2).apply(ts.TensorVector(ctx, 2))",
                           "ValueError"),
-    "linop_field_tensor": ("ts.op_K(make_field(3), 1).tensor(ts.op_K(ctx, 1))", "ValueError"),
+    "linop_field_tensor": ("ts.op_K(FieldCtx(3), 1).tensor(ts.op_K(ctx, 1))", "ValueError"),
     "jw_recursive": ("da.jw_recursive(ctx, 0)", "ValueError"),
     "jw_closed": ("da.jw_closed(ctx, 0)", "ValueError"),
     # the one Galois conjugate at p = 2 replaced by the identity: the
@@ -317,10 +317,10 @@ _UNDER_O = """
 import sys
 from uqsl2 import diagram_algebra as da, pa_generators as pg, relation_engine as rel
 from uqsl2 import rep_modules as rm, tensor_space as ts
-from uqsl2.cyclo_field import make_field
+from uqsl2.cyclo_field import FieldCtx
 if not sys.flags.optimize:
     sys.exit(4)
-ctx = make_field(2)
+ctx = FieldCtx(2)
 try:
     {call}
 except {exc}:
@@ -346,7 +346,7 @@ def test_argument_guards_raise():
     from uqsl2 import cyclo_field as cf, fusion_dims as fd, pa_generators as pg
     from uqsl2 import tensor_space as ts
 
-    ctx = make_field(2)
+    ctx = FieldCtx(2)
     one = ts.LinOp.identity(ctx, 1)
     calls = [
         lambda: pg.nested_cap(ctx, 0),

@@ -9,7 +9,6 @@ import pytest
 
 from uqsl2 import relation_engine
 from uqsl2._elim import SparseRref, rank_of_vectors
-from uqsl2._kernel import scalars
 from uqsl2.cyclo_field import FieldCtx
 from uqsl2.diagram_algebra import all_diagrams, diagram_to_matrix, e_op, rotation
 from uqsl2.fusion_dims import catalan, dimension_formula
@@ -135,7 +134,7 @@ def _unsplit_commutant_dim(p, n):
     X^2n eliminated whole, its E and F rows together."""
     ctx = FieldCtx(p)
     qp = [(c.nums, c.den) for c in map(ctx.q_power, range(2 * p))]
-    id_of = scalars(ctx.red).id_of
+    id_of = ctx.table.id_of
     z = 2 * n
     dim = 0
     for w in range(n % p, z + 1, p):
@@ -289,6 +288,17 @@ def test_capping_pattern_closes_few_pieces_directly(monkeypatch):
     ok, _ = capping_pattern(4)
     assert ok
     assert len(calls) == 2 * 44
+
+
+def test_eq17_compares_each_pair_once():
+    # e_i.g_2 is e_(i-1).g_1 placed one strand right, so eq17 compares only
+    # g_1's pairs: 2 generators, 2 sides, i = 1 .. 2p - 2
+    p = 3
+    pairs = list(relation_engine._e_kill(relation_engine._gens(p), 2 * p))
+    tags = {tag for tag, _, _ in pairs}
+    assert len(tags) == len(pairs) == 2 * 2 * (2 * p - 2)
+    assert all("alpha_1" in tag or "beta_1" in tag for tag in tags)
+    assert all(lhs == rhs for _, lhs, rhs in pairs)
 
 
 def test_prop2_injectivity_sizes():

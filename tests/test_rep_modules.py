@@ -3,8 +3,8 @@
 import pytest
 
 from uqsl2 import _elim
-from uqsl2._kernel import ONE, kadd, kneg, scalars
-from uqsl2.cyclo_field import CycloNum, make_field
+from uqsl2._kernel import ONE, kadd, kneg
+from uqsl2.cyclo_field import CycloNum, FieldCtx
 from uqsl2.rep_modules import (
     HomBasis,
     ModuleData,
@@ -19,7 +19,7 @@ from uqsl2.rep_modules import (
     verify_hom_forms,
 )
 
-CTX = {p: make_field(p) for p in (2, 3, 4)}
+CTX = {p: FieldCtx(p) for p in (2, 3, 4)}
 
 
 def _module_relations(mod) -> dict:
@@ -184,7 +184,7 @@ def _full_system_basis(src, tgt):
     """Hom(src, tgt) from every K, E and F constraint on all dt*ds entries,
     the rows summed as kernel pairs and eliminated as id rows."""
     ctx = src.ctx
-    table = scalars(ctx.red)
+    table = ctx.table
     ds, dt = src.dimension, tgt.dimension
 
     def add(row, key, n, d):
@@ -233,7 +233,7 @@ def test_hom_vectors_match_maps(p):
     """Each solved id vector {i * ds + j: id} holds exactly the nonzero
     entries of the map beside it."""
     ctx = CTX[p]
-    vals = scalars(ctx.red).vals
+    vals = ctx.table.vals
     mods = all_modules(ctx)
     for src in mods:
         for tgt in mods:
