@@ -109,14 +109,6 @@ class TLDiagram:
             "(" if pos in opens else ")" for pos in range(self.n_top + self.n_bottom)
         )
 
-    def to_json(self) -> dict:
-        name = lambda pt: f"{pt[0]}{pt[1]}"
-        return {
-            "top": self.n_top,
-            "bottom": self.n_bottom,
-            "pairs": [[name(a), name(b)] for a, b in self.pairs],
-        }
-
     def __repr__(self):
         return f"TLDiagram({self.n_top}<-{self.n_bottom}, {self.to_parens()})"
 

@@ -4,6 +4,9 @@ Every check builds both sides of a stated identity as matrices over the
 cyclotomic field, on the minimal strand count the identity needs, and
 compares them entrywise; there are no tolerances.  A failing check carries
 a witness: a basis vector where the sides differ, with both images.
+Propositions 2-5 are span claims (``Span``): named diagrams and words must
+have the stated rank; short of it, the witness lists the dependencies,
+each checked to vanish, as [name, coefficient] lists.
 
 Oversized requests raise InfeasibleSize instead of running.  Operator
 identities refuse when the tensor space itself passes the budget
@@ -74,7 +77,7 @@ from .pa_generators import (
 )
 from .tensor_space import (
     BasisIndex, LinOp, TensorVector, _op, _vec, basis_index, e_power, e_terms, f_power,
-    f_terms, from_word, op_E, op_F, op_K, op_K_power, widen, x_bottom, x_top,
+    f_terms, from_word, linear_text, op_E, op_F, op_K, op_K_power, widen, x_bottom, x_top,
 )
 
 DEFAULT_BUDGET = 2**16
@@ -586,7 +589,8 @@ def capping_pattern(p: int, budget: int = DEFAULT_BUDGET):
 
 # --- operator identities -------------------------------------------------------
 
-_STRANDS = {"2p-1": lambda p: 2 * p - 1, "2p": lambda p: 2 * p, "3p-1": lambda p: 3 * p - 1}
+_STRANDS = {"2p-2": lambda p: 2 * p - 2, "2p-1": lambda p: 2 * p - 1, "2p": lambda p: 2 * p,
+            "3p-1": lambda p: 3 * p - 1}
 
 
 class Identity(NamedTuple):
@@ -770,157 +774,148 @@ def _pt_composite(g, n, first, second):
         yield f"{side} partial trace of {first}.{second}", pt(op), target
 
 
-def _prop2_core(p, n, budget):
-    if n >= 2 * p - 1:
+# --- span claims ---------------------------------------------------------------
+
+def _dependencies(ctx: FieldCtx, ops) -> list:
+    """The exact nullspace of the columns ops[i].flat(), as id vectors
+    {i: c}, one per operator that depends on earlier ones, its own c being
+    1.  Each sum of c ops[i] must vanish exactly (ArithmeticError if not)."""
+    rows_by_pos: dict = defaultdict(dict)
+    for i, op in enumerate(ops):
+        for pos, c in op.flat().items():
+            rows_by_pos[pos][i] = c
+    null = nullspace(ctx, rows_by_pos.values(), range(len(ops)))
+    for v in null:
+        if reduce(LinOp.__add__, (ops[i].scale(ctx.wrap(c)) for i, c in v.items())):
+            raise ArithmeticError(f"the dependency on candidates {sorted(v)} does not vanish")
+    return null
+
+
+class Span(NamedTuple):
+    """A claim that on n = _STRANDS[strands](p) strands the diagrams, named
+    by ``to_parens()``, and the (name, operator) list ``words(g)`` of
+    ``extra(p)`` words are independent, and with ``commutant`` span
+    End_U(X^n); another number of candidates raises ArithmeticError.
+    ``pairs(g, n)``, an Identity builder, is checked first.  A rank
+    deficit's witness lists the dependencies; with a ``completion(g)`` of
+    named words, also as relations and the rank the completion restores."""
+
+    strands: str
+    identity: str
+    words: Callable = lambda g: []
+    extra: Callable = lambda p: 0
+    commutant: bool = False
+    pairs: Callable = lambda g, n: ()
+    completion: Callable | None = None
+
+    def __call__(self, p, budget, n=None):
+        n = n or _STRANDS[self.strands](p)
+        _require_solve(n, budget)
+        g = _gens(p)
+        ctx = g.ctx
+        holds, wit = _first_difference(self.pairs(g, n))
+        if not holds:
+            return n, False, wit
+        named = [(d.to_parens(), diagram_to_matrix(ctx, d)) for d in all_diagrams(n, n)]
+        named += self.words(g)
+        expected = catalan(n) + self.extra(p)
+        if len(named) != expected:
+            raise ArithmeticError(f"{len(named)} spanning candidates, expected {expected}")
+        ops = [op for _, op in named]
+        rank = rank_of_linops(ctx, ops)
+        cd = {"commutant": commutant_dim(p, n, budget)} if self.commutant else {}
+        if rank == expected == cd.get("commutant", expected):
+            return n, True, None
+        wit = {"identity": self.identity, "rank": rank, **cd, "expected": expected}
+        if rank < expected:
+            deps = wit["dependencies"] = [
+                [[named[i][0], str(ctx.wrap(c))] for i, c in sorted(v.items())]
+                for v in _dependencies(ctx, ops)]
+            if self.completion:
+                added = self.completion(g)
+                wit["word_dependency"] = "; ".join(
+                    linear_text((c, name) for name, c in d) + " = 0" for d in deps)
+                wit["completion"] = "adding " + ", ".join(name for name, _ in added)
+                wit["completed_rank"] = rank_of_linops(ctx, ops + [op for _, op in added])
+        return n, False, wit
+
+
+def _separation(g, n):
+    # the diagrams are free only below the critical size, where e_1e_2 and
+    # e_2e_1 must differ on 011
+    if n >= 2 * g.p - 1:
         raise ValueError("diagram basis is only free below the critical size")
-    _require_solve(n, budget)
-    ctx = _gens(p).ctx
-    diags = [diagram_to_matrix(ctx, d) for d in all_diagrams(n, n)]
-    rank = rank_of_linops(ctx, diags)
-    if rank != catalan(n):
-        return n, False, {"identity": "diagram matrices independent", "rank": rank, "expected": catalan(n)}
     if n >= 3:
         b = from_word("011")
-        lhs = e_left(e_op(ctx, 2, 3), 1).column(b)
-        rhs = e_left(e_op(ctx, 1, 3), 2).column(b)
+        lhs = e_left(e_op(g.ctx, 2, 3), 1).column(b)
+        rhs = e_left(e_op(g.ctx, 1, 3), 2).column(b)
         if lhs == rhs:
-            return n, False, {"identity": "e_1e_2 and e_2e_1 separate on 011", "value": str(lhs)}
-    return n, True, None
+            return False, {"identity": "e_1e_2 and e_2e_1 separate on 011", "value": str(lhs)}
+    yield from ()  # a verdict without pairs
 
 
-def _check_prop2(p, budget):
-    return _prop2_core(p, 2 * p - 2, budget)
-
-
-def _check_prop3(p, budget):
-    n = 2 * p - 2
-    _require_solve(n, budget)
-    ctx = _gens(p).ctx
-    cd = commutant_dim(p, n, budget)
-    diags = [diagram_to_matrix(ctx, d) for d in all_diagrams(n, n)]
-    rank = rank_of_linops(ctx, diags)
-    ok = cd == catalan(n) == rank
-    wit = None if ok else {"identity": "commutant = diagram span below critical size",
-                           "commutant": cd, "rank": rank, "expected": catalan(n)}
-    return n, ok, wit
-
-
-def _check_prop4(p, budget):
-    n = 2 * p - 1
-    _require_solve(n, budget)
-    g = _gens(p)
-    ctx = g.ctx
-    a, b = g.alpha, g.beta
-    ab, ba = a * b, b * a
+def _projections(g, n):
+    # gamma's factorial ratios, alpha and beta as module maps (so their span
+    # lies in End_U), and alpha.beta, beta.alpha over gamma splitting f_n
+    ctx, p = g.ctx, g.p
     for k in range(2 * p):
         if ctx.eval_ratio(*gamma_factorial_ratio(p, k)) != g.gamma:
-            return n, False, {"identity": "gamma factorial ratio", "k": k}
-    inv = g.gamma.inv()
-    u, v = ab.scale(inv), ba.scale(inv)
-    # alpha and beta must be module maps for their span to lie in End_U
+            return False, {"identity": "gamma factorial ratio", "k": k}
+    a, b = g.alpha, g.beta
     acts = (("K", op_K(ctx, n)), ("E", op_E(ctx, n)), ("F", op_F(ctx, n)))
-    holds, wit = _first_difference((
-        *((f"{x}.{name} = {name}.{x}", op * gen, gen * op)
-          for name, gen in (("alpha", a), ("beta", b)) for x, op in acts),
-        ("first projection idempotent", u * u, u),
-        ("second projection idempotent", v * v, v),
-        ("projections orthogonal", u * v, LinOp.zero(ctx, n, n)),
-        ("projections orthogonal (reversed)", v * u, LinOp.zero(ctx, n, n)),
-        ("projections sum to top projector", u + v, jw_closed(ctx, n)),
-    ))
-    if not holds:
-        return n, False, wit
-    diags = [diagram_to_matrix(ctx, d) for d in all_diagrams(n, n)]
-    rank = rank_of_linops(ctx, diags + [a, b, ab])
-    cd = commutant_dim(p, n, budget)
-    ok = rank == catalan(n) + 3 == cd
-    wit = None if ok else {"identity": "diagrams + alpha, beta, alpha.beta span",
-                           "rank": rank, "commutant": cd, "expected": catalan(n) + 3}
-    return n, ok, wit
+    yield from ((f"{x}.{name} = {name}.{x}", op * gen, gen * op)
+                for name, gen in (("alpha", a), ("beta", b)) for x, op in acts)
+    inv = g.gamma.inv()
+    u, v = (a * b).scale(inv), (b * a).scale(inv)
+    zero = LinOp.zero(ctx, n, n)
+    yield "first projection idempotent", u * u, u
+    yield "second projection idempotent", v * v, v
+    yield "projections orthogonal", u * v, zero
+    yield "projections orthogonal (reversed)", v * u, zero
+    yield "projections sum to top projector", u + v, jw_closed(ctx, n)
 
 
 def prop5_words(p: int) -> list:
-    """The 12p-6 generator words on 2p strands: per family (alpha, beta,
-    alpha.beta), both placements plus all one-sided e-chains."""
+    """The 12p-6 generator words on 2p strands, as (name, operator): per
+    family (alpha, beta, alpha.beta), g_1, g_2 and the one-sided e-chains
+    on g_2, 4p - 2 words."""
     g = _gens(p)
     n = 2 * p
-    a1, a2 = embed(g.alpha, 1, n), embed(g.alpha, 2, n)
-    b1, b2 = embed(g.beta, 1, n), embed(g.beta, 2, n)
+    a = [(f"alpha_{i}", embed(g.alpha, i, n)) for i in (1, 2)]
+    b = [(f"beta_{i}", embed(g.beta, i, n)) for i in (1, 2)]
     words = []
-    for g1, g2 in ((a1, a2), (b1, b2), (a1 * b1, a2 * b2)):
-        words.append(g1)
-        words.append(g2)
-        w = g2
-        for i in range(1, n - 1):
-            w = e_right(w, i)
-            words.append(w)
-        w = e_left(g2, 1)
-        words.append(w)
-        for i in range(2, n - 1):
-            w = e_left(w, i)
-            words.append(w)
+    for g1, g2 in (a, b, [(f"{s}.{t}", x * y) for (s, x), (t, y) in zip(a, b)]):
+        words += [g1, g2]
+        for times, form in ((e_right, "{}.e_{}"), (e_left, "e_{1}.{0}")):
+            text, w = g2
+            for i in range(1, n - 1):
+                text, w = form.format(text, i), times(w, i)
+                words.append((text, w))
     if len(words) != 12 * p - 6:
         raise ArithmeticError(f"{len(words)} generator words, expected {12 * p - 6}")
     return words
 
 
-def _check_prop5(p, budget):
-    n = 2 * p
-    _require_solve(n, budget)
-    g = _gens(p)
-    ctx = g.ctx
-    diags = [diagram_to_matrix(ctx, d) for d in all_diagrams(n, n)]
-    words = prop5_words(p)
-    expected = catalan(n) + 12 * p - 6
-    if len(diags) + len(words) != expected:
-        raise ArithmeticError(f"{len(diags) + len(words)} spanning candidates, expected {expected}")
-    rank = rank_of_linops(ctx, diags + words)
-    cd = commutant_dim(p, n, budget)
-    if rank == expected == cd:
-        return n, True, None
-    # The listed words degenerate at p=2, where delta = 0:
-    # g_1 + g_2 = g_2 e_1 e_2 + e_2 e_1 g_2 for the two weight-shifting
-    # families, and the composite family folds into the nested diagram.
-    # Swapping in g_1 e_{2p-1} per family restores a spanning set of the
-    # same size; report both ranks so the defect is explicit.
-    extra = [
-        e_right(embed(g.alpha, 1, n), n - 1),
-        e_right(embed(g.beta, 1, n), n - 1),
-        e_right(embed(g.alpha, 1, n) * embed(g.beta, 1, n), n - 1),
-    ]
-    completed = rank_of_linops(ctx, diags + words + extra)
-    return n, False, {
-        "identity": "diagrams + generator words form a basis",
-        "rank": rank,
-        "commutant": cd,
-        "expected": expected,
-        "word_dependency": "g_1 + g_2 = g_2.e_1.e_2 + e_2.e_1.g_2 in the shifting families",
-        "completion": "adding g_1.e_{2p-1} per family",
-        "completed_rank": completed,
-    }
+def _completion(g) -> list:
+    # The listed words degenerate at p=2, where delta = 0; g_1.e_{2p-1} per
+    # family restores a spanning set (each family's 4p - 2 words open with g_1)
+    n = 2 * g.p
+    return [(f"{name}.e_{n - 1}", e_right(w, n - 1)) for name, w in prop5_words(g.p)[::2 * n - 2]]
 
 
 def _check_rot_rank(p, budget):
     n = 2 * p
     _require_solve(n, budget)
-    g = _gens(p)
-    ctx = g.ctx
-    m = 4 * p
-    expected = 4 * p - 2
+    ctx = _gens(p).ctx
+    seeds = [{i: c.id for i, c in enumerate(_coefficients(p, seed).k) if c}
+             for seed in ((1, 0), (0, 1))]
     for name in ("alpha", "beta"):
         ops = _rotation_orbit(p, name)
-        rank = rank_of_linops(ctx, ops)
-        if rank != expected:
+        null = _dependencies(ctx, ops)
+        if len(ops) - len(null) != 4 * p - 2:
             return n, False, {"identity": f"rotation orbit rank of {name} x 1",
-                              "rank": rank, "expected": expected}
-        rows_by_pos: dict = defaultdict(dict)
-        for i, op in enumerate(ops):
-            for pos, c in op.flat().items():
-                rows_by_pos[pos][i] = c
-        null = nullspace(ctx, rows_by_pos.values(), range(m))
-        seeds = [{i: c.id for i, c in enumerate(_coefficients(p, seed).k) if c}
-                 for seed in ((1, 0), (0, 1))]
-        if len(null) != 2 or rank_of_vectors(ctx, null + seeds) != 2:
+                              "rank": len(ops) - len(null), "expected": 4 * p - 2}
+        if rank_of_vectors(ctx, null + seeds) != 2:
             return n, False, {"identity": f"nullspace of {name} orbit matches seed span",
                               "nullity": len(null)}
     return n, True, None
@@ -1085,12 +1080,12 @@ def _duality(g, n):
 
 
 # Every check in report order, which is RELATION_IDS.  Each is called as
-# check(p, budget) and returns (strands, holds, witness-or-None).  The
-# propositions, the rotation-orbit rank and the coefficient law compare
-# ranks, dimensions or scalars rather than two operators, so they are
-# functions; so are the action identities and the JW window, whose pairs
-# go through the same first difference but whose cost is gated on the
-# 4^n lattice.  The rest are operator identities.
+# check(p, budget) and returns (strands, holds, witness-or-None).  Operator
+# identities are Identity entries and the propositions Span entries.  The
+# rotation-orbit rank, whose dependencies must span the seed streams, and
+# the coefficient law are functions; so are the action identities and the
+# JW window, whose pairs go through the same first difference but whose
+# cost is gated on the 4^n lattice.
 _CHECKS = {
     "eq1": Identity("2p-1", _squares_vanish),
     "eq2": Identity("2p-1", _sandwich, ("alpha", "beta")),
@@ -1113,10 +1108,13 @@ _CHECKS = {
     "eq19": Identity("2p", _e_chain, ("alpha", _E_RIGHT)),
     "eq20": Identity("2p", _e_chain, ("beta", _E_LEFT)),
     "eq21": Identity("2p", _e_chain, ("beta", _E_RIGHT)),
-    "prop2": _check_prop2,
-    "prop3": _check_prop3,
-    "prop4": _check_prop4,
-    "prop5": _check_prop5,
+    "prop2": Span("2p-2", "diagram matrices independent", pairs=_separation),
+    "prop3": Span("2p-2", "commutant = diagram span below critical size", commutant=True),
+    "prop4": Span("2p-1", "diagrams + alpha, beta, alpha.beta span",
+                  lambda g: [("alpha", g.alpha), ("beta", g.beta),
+                             ("alpha.beta", g.alpha * g.beta)], lambda p: 3, True, _projections),
+    "prop5": Span("2p", "diagrams + generator words form a basis", lambda g: prop5_words(g.p),
+                  lambda p: 12 * p - 6, True, completion=_completion),
     "pt_alpha": Identity("2p-1", _pt_vanishes, ("alpha",)),
     "pt_beta": Identity("2p-1", _pt_vanishes, ("beta",)),
     "pt_alphabeta": Identity("2p-1", _pt_composite, ("alpha", "beta")),

@@ -90,18 +90,6 @@ class ModuleData:
             self._sparse = (ks, spaces, *ef)
         return self._sparse
 
-    def as_dict(self) -> dict:
-        """JSON-ready dump with matrices as textual grids."""
-        grid = lambda M: [[str(c) for c in row] for row in M]
-        return {
-            "label": self.label,
-            "dimension": self.dimension,
-            "basis": list(self.basis_names),
-            "K": grid(self.K_matrix),
-            "E": grid(self.E_matrix),
-            "F": grid(self.F_matrix),
-        }
-
     def __repr__(self):
         return f"ModuleData({self.label}, dim={self.dimension})"
 
@@ -110,8 +98,7 @@ class HomBasis:
     """Basis of the intertwiner space between two modules.
 
     ``vectors`` are the solver's id vectors {i * ds + j: id} for entry
-    (i, j); ``maps`` derives the same maps as dense CycloNum grids, in the
-    same order.
+    (i, j).
     """
 
     __slots__ = ("source", "target", "vectors")
@@ -124,12 +111,6 @@ class HomBasis:
     @property
     def dimension(self) -> int:
         return len(self.vectors)
-
-    @property
-    def maps(self) -> tuple:
-        ds, dt, wrap = self.source.dimension, self.target.dimension, self.source.ctx.wrap
-        return tuple(tuple(tuple(wrap(v.get(i * ds + j, 0)) for j in range(ds))
-                           for i in range(dt)) for v in self.vectors)
 
     def __repr__(self):
         return f"HomBasis({self.source.label} -> {self.target.label}, dim={self.dimension})"
@@ -219,13 +200,6 @@ def mat_mul(ctx: FieldCtx, A, B):
                     if b:
                         row[j] = row[j] + a * b
     return tuple(map(tuple, out))
-
-
-def is_intertwiner(M, src: ModuleData, tgt: ModuleData) -> bool:
-    """Does the dense grid M satisfy M g_src = g_tgt M for g in {K, E, F}?"""
-    ds = src.dimension
-    vec = {i * ds + j: c.id for i, row in enumerate(M) for j, c in enumerate(row) if c}
-    return _commutes(vec, src, tgt)
 
 
 def _commutes(vec, src: ModuleData, tgt: ModuleData) -> bool:

@@ -103,6 +103,18 @@ def _op(ctx: FieldCtx, z_in: int, z_out: int, columns: dict) -> "LinOp":
     return out
 
 
+def linear_text(terms) -> str:
+    """A sum of (coefficient text, symbol) terms as text, "0" when empty:
+    unit coefficients are dropped and sums are parenthesised."""
+    out = ""
+    for cs, sym in terms:
+        if cs not in ("1", "-1"):
+            sym = f"({cs})*{sym}" if " + " in cs or " - " in cs else f"{cs}*{sym}"
+        t = sym if cs != "-1" else "-" + sym
+        out += (" - " + t[1:] if t.startswith("-") else " + " + t) if out else t
+    return out or "0"
+
+
 def _same_field(a, b) -> None:
     """Raise ValueError unless a and b hold ids of the same field's table."""
     if a.ctx is not b.ctx:
@@ -177,11 +189,6 @@ class TensorVector:
     def coeff(self, b: BasisIndex) -> CycloNum:
         return self.ctx.wrap(self.terms.get(b.mask, 0))
 
-    def homogeneous_weight(self) -> int | None:
-        """The common weight of all terms, or None if mixed or zero."""
-        ws = {b.bit_count() for b in self.terms}
-        return ws.pop() if len(ws) == 1 else None
-
     def __bool__(self):
         return bool(self.terms)
 
@@ -194,23 +201,8 @@ class TensorVector:
         return hash((self.z, frozenset(self.terms.items())))
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for b in sorted((BasisIndex(self.z, m) for m in self.terms), key=BasisIndex.word):
-            cs = str(self.ctx.wrap(self.terms[b.mask]))
-            if cs == "1":
-                parts.append(str(b))
-            elif cs == "-1":
-                parts.append("-" + str(b))
-            else:
-                if " + " in cs or " - " in cs:
-                    cs = f"({cs})"
-                parts.append(f"{cs}*{b}")
-        out = parts[0]
-        for t in parts[1:]:
-            out += " - " + t[1:] if t.startswith("-") else " + " + t
-        return out
+        basis = sorted((BasisIndex(self.z, m) for m in self.terms), key=BasisIndex.word)
+        return linear_text((str(self.ctx.wrap(self.terms[b.mask])), str(b)) for b in basis)
 
     __repr__ = __str__
 

@@ -40,6 +40,8 @@ from uqsl2.tensor_space import (
     op_K,
 )
 
+from helpers import diagram_dict, homogeneous_weight
+
 
 def catalan(n: int) -> int:
     return math.comb(2 * n, n) // (n + 1)
@@ -133,7 +135,7 @@ def test_diagram_validation():
 def test_diagram_rendering():
     assert identity_diagram(3).to_parens() == "((()))"
     assert e_diagram(1, 3).to_parens() == "()()()"
-    j = e_diagram(1, 3).to_json()
+    j = diagram_dict(e_diagram(1, 3))
     assert j == {
         "top": 3,
         "bottom": 3,
@@ -446,7 +448,7 @@ def test_jw_image_is_top_simple(p):
         cols = [proj.column(b).terms for b in all_indices(n)]
         cols = [c for c in cols if c]
         assert rank_of_vectors(ctx, cols) == n + 1
-        weights = {proj.column(b).homogeneous_weight() for b in all_indices(n) if proj.column(b)}
+        weights = {homogeneous_weight(proj.column(b)) for b in all_indices(n) if proj.column(b)}
         assert weights == set(range(n + 1))
         top = proj.column(from_word("0" * n))
         assert top

@@ -136,11 +136,6 @@ def test_asserts_are_listed_invariants():
 # references (docstrings and comments do not count), with what uses them.
 UNREFERENCED = {
     "mat_mul": "perfbench's layer trace wraps it as rep.matmul_s",
-    "is_intertwiner": "the tests' dense reference for the Hom solver",
-    "TensorVector.homogeneous_weight": "the tests check weight grading with it",
-    "TLDiagram.to_json": "the tests' rendering of a diagram",
-    "ModuleData.as_dict": "the tests' rendering of a module",
-    "HomBasis.maps": "the tests check each basis map as a matrix",
     "cup": "the tests' cup matrix, checked against the composition it closes",
     "cap": "the tests' cap matrix, checked against the composition it opens",
     "parse_cyclo": "re-exported by the package; the tests parse renderings back",

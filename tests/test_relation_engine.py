@@ -17,13 +17,14 @@ from uqsl2.relation_engine import (
     DEFAULT_BUDGET,
     RELATION_IDS,
     CoefficientVector,
+    Identity,
     InfeasibleSize,
+    Span,
     capping_pattern,
     coefficient_identity_failures,
     _commutant_dim,
     _cup_bounds,
     _modular_map,
-    _prop2_core,
     commutant_dim,
     gamma_factorial_ratio,
     prop5_words,
@@ -76,6 +77,32 @@ def test_listed_words_degenerate_p2():
     assert r.witness["expected"] == 32
     assert r.witness["commutant"] == 32
     assert r.witness["completed_rank"] == 32
+    # the check finds the three relations test_word_dependency_explicit_p2
+    # verifies by hand, and states the completion by name
+    assert r.witness["dependencies"] == [
+        [["alpha_1", "-1"], ["alpha_2", "-1"], ["alpha_2.e_1.e_2", "1"], ["e_2.e_1.alpha_2", "1"]],
+        [["beta_1", "-1"], ["beta_2", "-1"], ["beta_2.e_1.e_2", "1"], ["e_2.e_1.beta_2", "1"]],
+        [["(())(())", "-1"], ["alpha_1.beta_1", "1"], ["alpha_2.beta_2", "-1"],
+         ["alpha_2.beta_2.e_1.e_2", "1"], ["e_2.e_1.alpha_2.beta_2", "1"]],
+    ]
+    assert r.witness["word_dependency"].split("; ")[0] == (
+        "-alpha_1 - alpha_2 + alpha_2.e_1.e_2 + e_2.e_1.alpha_2 = 0")
+    assert r.witness["completion"] == "adding alpha_1.e_3, beta_1.e_3, alpha_1.beta_1.e_3"
+
+
+def test_duplicated_word_is_named_twice(monkeypatch):
+    # one word of the p = 3 list replaced by a copy of an earlier one: the
+    # rank falls one short, and the one dependency names that word twice
+    words = prop5_words(3)
+    name = words[4][0]
+    assert name == "alpha_2.e_1.e_2.e_3"
+    faulted = words[:9] + [words[4]] + words[10:]
+    prop5 = relation_engine._CHECKS["prop5"]
+    monkeypatch.setitem(relation_engine._CHECKS, "prop5", prop5._replace(words=lambda g: faulted))
+    r = verify("prop5", 3)
+    assert not r.holds
+    assert (r.witness["rank"], r.witness["commutant"], r.witness["expected"]) == (161, 162, 162)
+    assert r.witness["dependencies"] == [[[name, "-1"], [name, "1"]]]
 
 
 def test_word_dependency_explicit_p2():
@@ -103,7 +130,8 @@ def test_prop5_word_count():
     for p in (2, 3):
         words = prop5_words(p)
         assert len(words) == 12 * p - 6
-        assert all(w.z_in == 2 * p == w.z_out for w in words)
+        assert len({name for name, _ in words}) == len(words)
+        assert all(w.z_in == 2 * p == w.z_out for _, w in words)
 
 
 def test_commutant_dim_frozen():
@@ -302,11 +330,22 @@ def test_eq17_compares_each_pair_once():
 
 
 def test_prop2_injectivity_sizes():
-    assert _prop2_core(3, 4, DEFAULT_BUDGET) == (4, True, None)
-    assert _prop2_core(3, 3, DEFAULT_BUDGET)[1:] == (True, None)
-    assert _prop2_core(2, 1, DEFAULT_BUDGET)[1:] == (True, None)
+    prop2 = relation_engine._CHECKS["prop2"]
+    assert prop2(3, DEFAULT_BUDGET, 4) == (4, True, None)
+    assert prop2(3, DEFAULT_BUDGET, 3) == (3, True, None)
+    assert prop2(2, DEFAULT_BUDGET, 1) == (1, True, None)
     with pytest.raises(ValueError):
-        _prop2_core(3, 5, DEFAULT_BUDGET)
+        prop2(3, DEFAULT_BUDGET, 5)
+
+
+def test_checks_are_declared():
+    # identities and span claims are table entries of their kind; a new
+    # hand-written check must be added here to pass
+    checks = relation_engine._CHECKS
+    spans = {rid for rid, c in checks.items() if isinstance(c, Span)}
+    functions = {rid for rid, c in checks.items() if not isinstance(c, (Identity, Span))}
+    assert spans == {"prop2", "prop3", "prop4", "prop5"}
+    assert functions == {"rot_rank", "kp_periodicity", "action", "jw_window"}
 
 
 def test_default_budget():

@@ -12,12 +12,13 @@ from uqsl2.rep_modules import (
     _in_span,
     all_modules,
     intertwiner_space,
-    is_intertwiner,
     mat_mul,
     projective_module,
     simple_module,
     verify_hom_forms,
 )
+
+from helpers import hom_maps, is_intertwiner, module_dict
 
 CTX = {p: FieldCtx(p) for p in (2, 3, 4)}
 
@@ -145,7 +146,7 @@ def test_hom_basis_maps_are_intertwiners(p):
     tgt = projective_module(ctx, -1, p - 1)
     hom = intertwiner_space(src, tgt)
     assert hom.dimension == 2
-    for M in hom.maps:
+    for M in hom_maps(hom):
         assert is_intertwiner(M, src, tgt)
     # The sparse check agrees with the dense definition on every basis map
     # and on each of those (and zero) with one entry raised by 1.
@@ -158,7 +159,7 @@ def test_hom_basis_maps_are_intertwiners(p):
         for tgt in mods:
             ds, dt = src.dimension, tgt.dimension
             zero = tuple((ctx.zero,) * ds for _ in range(dt))
-            for M in (zero, *intertwiner_space(src, tgt).maps):
+            for M in (zero, *hom_maps(intertwiner_space(src, tgt))):
                 for i in range(dt):
                     for j in range(ds):
                         N = [list(r) for r in M]
@@ -224,7 +225,7 @@ def test_weight_matched_solve_matches_full_system(p):
     mods = all_modules(CTX[p])
     for src in mods:
         for tgt in mods:
-            got = intertwiner_space(src, tgt).maps
+            got = hom_maps(intertwiner_space(src, tgt))
             assert list(got) == _full_system_basis(src, tgt), (src.label, tgt.label)
 
 
@@ -238,9 +239,9 @@ def test_hom_vectors_match_maps(p):
     for src in mods:
         for tgt in mods:
             hom = intertwiner_space(src, tgt)
-            assert len(hom.vectors) == len(hom.maps) == hom.dimension
+            assert len(hom.vectors) == len(hom_maps(hom)) == hom.dimension
             ds = src.dimension
-            for vec, M in zip(hom.vectors, hom.maps):
+            for vec, M in zip(hom.vectors, hom_maps(hom)):
                 nonzero = {i * ds + j: (c.nums, c.den)
                            for i, row in enumerate(M) for j, c in enumerate(row) if c}
                 assert {k: vals[x] for k, x in vec.items()} == nonzero, (src.label, tgt.label)
@@ -312,7 +313,7 @@ def test_endomorphism_nilpotent(p):
 
 def test_module_json_dump():
     mod = simple_module(CTX[2], 1, 2)
-    d = mod.as_dict()
+    d = module_dict(mod)
     assert d["label"] == "X+_2"
     assert d["K"][0][0] == "q"
     assert d["dimension"] == 2

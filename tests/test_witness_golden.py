@@ -28,11 +28,12 @@ from uqsl2.relation_engine import RELATION_IDS, verify
 from uqsl2.tensor_space import BasisIndex, LinOp, TensorVector, f_power, op_K
 
 # prop2..prop5 and rot_rank compare ranks and solver dimensions, not
-# operator identities; they are covered by their own tests.  action,
+# operator identities.  Their faulted verdicts are pinned below, but the
+# fault sweep leaves them out: prop2 and prop3 read no generator.  action,
 # jw_window and duality do not depend on alpha or beta, so faulted
 # generators cannot break them; FAULTS below pins them instead.
-IDS = [r for r in RELATION_IDS if r not in (
-    "prop2", "prop3", "prop4", "prop5", "rot_rank", "action", "jw_window", "duality")]
+RANK_IDS = ["prop2", "prop3", "prop4", "prop5", "rot_rank"]
+IDS = [r for r in RELATION_IDS if r not in (*RANK_IDS, "action", "jw_window", "duality")]
 
 
 @lru_cache(maxsize=None)
@@ -57,7 +58,7 @@ def faulted(monkeypatch):
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_faulted_witnesses(faulted, p):
-    got = {(rid, p): (r.holds, r.witness) for rid in IDS for r in [verify(rid, p)]}
+    got = {(rid, p): (r.holds, r.witness) for rid in IDS + RANK_IDS for r in [verify(rid, p)]}
     assert got == {k: v for k, v in EXPECTED.items() if k[1] == p}
 
 
@@ -382,6 +383,36 @@ EXPECTED = {
         "position": 1,
         "from_top": False,
     }),
+    ("prop2", 2): (True, None),
+    ("prop3", 2): (True, None),
+    ("prop4", 2): (False, {"identity": "gamma factorial ratio", "k": 0}),
+    ("prop5", 2): (False, {
+        "identity": "diagrams + generator words form a basis",
+        "rank": 29,
+        "commutant": 32,
+        "expected": 32,
+        "dependencies": [
+            [["()(()())", "-1"], ["(()())()", "-1"], ["(((())))", "2"], ["alpha_1", "-1"],
+             ["alpha_2", "-1"], ["alpha_2.e_1.e_2", "1"], ["e_2.e_1.alpha_2", "1"]],
+            [["()(()())", "-1"], ["(()())()", "-1"], ["(((())))", "2"], ["beta_1", "-1"],
+             ["beta_2", "-1"], ["beta_2.e_1.e_2", "1"], ["e_2.e_1.beta_2", "1"]],
+            [["()(()())", "-1"], ["(())(())", "-1"], ["(()())()", "-1"], ["(((())))", "4"],
+             ["alpha_1", "-2"], ["beta_1", "-2"], ["alpha_1.beta_1", "1"],
+             ["alpha_2.beta_2", "-1"], ["alpha_2.beta_2.e_1.e_2", "1"],
+             ["e_2.e_1.alpha_2.beta_2", "1"]],
+        ],
+        "word_dependency": (
+            "-()(()()) - (()())() + 2*(((()))) - alpha_1 - alpha_2 + alpha_2.e_1.e_2"
+            " + e_2.e_1.alpha_2 = 0; -()(()()) - (()())() + 2*(((()))) - beta_1 - beta_2"
+            " + beta_2.e_1.e_2 + e_2.e_1.beta_2 = 0; -()(()()) - (())(()) - (()())()"
+            " + 4*(((()))) - 2*alpha_1 - 2*beta_1 + alpha_1.beta_1 - alpha_2.beta_2"
+            " + alpha_2.beta_2.e_1.e_2 + e_2.e_1.alpha_2.beta_2 = 0"),
+        "completion": "adding alpha_1.e_3, beta_1.e_3, alpha_1.beta_1.e_3",
+        "completed_rank": 32,
+    }),
+    ("rot_rank", 2): (False, {
+        "identity": "rotation orbit rank of alpha x 1", "rank": 8, "expected": 6,
+    }),
     ("eq1", 3): (False, {
         "identity": "alpha^2 = 0",
         "basis": "00000",
@@ -529,5 +560,12 @@ EXPECTED = {
         "generator": "alpha",
         "position": 1,
         "from_top": False,
+    }),
+    ("prop2", 3): (True, None),
+    ("prop3", 3): (True, None),
+    ("prop4", 3): (False, {"identity": "gamma factorial ratio", "k": 0}),
+    ("prop5", 3): (True, None),
+    ("rot_rank", 3): (False, {
+        "identity": "rotation orbit rank of alpha x 1", "rank": 12, "expected": 10,
     }),
 }
