@@ -24,7 +24,7 @@ import sys
 from typing import NamedTuple
 
 from uqsl2.cyclo_field import FieldCtx
-from uqsl2.fusion_dims import CONVENTIONS, dimension
+from uqsl2.fusion_dims import CONVENTIONS, catalan, conjecture_eval, dimension_formula
 from uqsl2.relation_engine import (
     DEFAULT_BUDGET,
     RELATION_IDS,
@@ -189,15 +189,14 @@ def _dimension_rows(config: RunConfig, max_n: int, solver=None) -> tuple[list, l
     rows = []
     for p in config.ps:
         for n in range(max_n + 1):
-            oracle = solver(p, n) if solver else None
-            rec = dimension(n, p, oracle=oracle)
-            row = {"p": p, "n": n, "catalan": rec.catalan, "fusion": rec.fusion}
+            fusion = dimension_formula(n, p)
+            row = {"p": p, "n": n, "catalan": catalan(n), "fusion": fusion}
             if solver:
-                row["solver"] = rec.oracle
-                row["solver_match"] = None if oracle is None else oracle == rec.fusion
+                oracle = row["solver"] = solver(p, n)
+                row["solver_match"] = None if oracle is None else oracle == fusion
             for conv in conventions:
-                row[f"conjecture({conv})"] = rec.conjectures[conv]
-                row[f"match({conv})"] = rec.conjectures[conv] == rec.fusion
+                conj = row[f"conjecture({conv})"] = conjecture_eval(n, p, conv)
+                row[f"match({conv})"] = conj == fusion
             rows.append(row)
     return columns, rows
 

@@ -10,7 +10,6 @@ them gives the endomorphism-algebra dimension D_n.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 Label = tuple[str, int, int]
 
@@ -120,20 +119,3 @@ def conjecture_eval(n: int, p: int, convention: str) -> int:
         total += (n + 1) * (n + 3) * conjecture_g(n, n - (j + 2) * p, convention)
     return total
 
-
-class DimRecord(NamedTuple):
-    n: int
-    catalan: int
-    fusion: int
-    conjectures: dict
-    oracle: int | None
-
-
-def dimension(n: int, p: int, oracle: int | None = None) -> DimRecord:
-    return DimRecord(
-        n=n,
-        catalan=catalan(n),
-        fusion=dimension_formula(n, p),
-        conjectures={c: conjecture_eval(n, p, c) for c in CONVENTIONS},
-        oracle=oracle,
-    )

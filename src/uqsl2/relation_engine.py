@@ -8,19 +8,21 @@ Propositions 2-5 are span claims (``Span``): named diagrams and words must
 have the stated rank; short of it, the witness lists the dependencies,
 each checked to vanish, as [name, coefficient] lists.
 
-Oversized requests raise InfeasibleSize instead of running.  Operator
-identities refuse when the tensor space itself passes the budget
-(2^strands > budget).  Rank and commutant solves, and the action-identity
-and Jones-Wenzl window checks, whose loops grow like the matrix-entry
-lattice, refuse when that lattice reaches it (4^n >= budget, which puts
-8 strands exactly on the line and therefore off by default).  The
-commutant End_U(X^n) is solved as Hom_U(1, X^2n), X being self-dual: the
-invariants of X^2n, one weight slice w = n (mod p) at a time, whose 4^n
-basis vectors are the same lattice the gate counts.  The reversal of the
-complement, sigma, swaps E and F, so only the slices below the middle are
-solved (each counted twice) and the middle one splits into two E-only
-halves; an integer check of sigma E = F sigma on every mask used comes
-first, once per slice and process, and raises ArithmeticError if it fails.
+Oversized requests raise InfeasibleSize instead of running, and each
+entry of the check table states its gate.  Operator identities refuse
+when the tensor space itself passes the budget (2^strands > budget).
+Span claims and commutant solves, and the identities marked ``lattice``
+(the rotation-orbit rank, the action identities and the Jones-Wenzl
+window), whose loops grow like the matrix-entry lattice, refuse when that
+lattice reaches it (4^n >= budget, which puts 8 strands exactly on the
+line and therefore off by default).  The commutant End_U(X^n) is solved
+as Hom_U(1, X^2n), X being self-dual: the invariants of X^2n, one weight
+slice w = n (mod p) at a time, whose 4^n basis vectors are the same
+lattice the gate counts.  The reversal of the complement, sigma, swaps E
+and F, so only the slices below the middle are solved (each counted
+twice) and the middle one splits into two E-only halves; an integer check
+of sigma E = F sigma on every mask used comes first, once per slice and
+process, and raises ArithmeticError if it fails.
 
 Where the diagrams span (n <= 2p - 2) each system's nullity is certified
 by two bounds that must meet.  The upper bound is the column count minus
@@ -56,7 +58,6 @@ from .diagram_algebra import (
     cup_outputs,
     diagram_to_matrix,
     e_left,
-    e_op,
     e_right,
     jw_closed,
     jw_recursive,
@@ -536,7 +537,7 @@ def _capping_pieces(ctx: FieldCtx, ops, from_top: bool) -> dict:
     return pieces
 
 
-def capping_pattern(p: int, budget: int = DEFAULT_BUDGET):
+def capping_pattern(p: int):
     """Close one strand pair of every R^i(g x 1) and match the survivors.
 
     At each cap or cup position exactly one cyclic window (i-1, i, i+1)
@@ -547,8 +548,6 @@ def capping_pattern(p: int, budget: int = DEFAULT_BUDGET):
     The pieces come from ``_capping_pieces``, one side at a time, the
     bottom first, and are checked in ascending position.
     """
-    n = 2 * p
-    _require_strands(n, budget)
     g = _gens(p)
     ctx = g.ctx
     m = 4 * p
@@ -602,16 +601,19 @@ class Identity(NamedTuple):
     that differs fails the check with a witness headed by the tag: the
     identity's text, or a dict of leading witness fields.  A builder may
     end with ``return holds, witness`` to give its own verdict once every
-    pair agrees.
+    pair agrees.  A ``lattice`` identity, whose loops grow like the
+    matrix-entry lattice, is gated on 4^n >= budget, any other on
+    2^n > budget.
     """
 
     strands: str
     sides: Callable
     args: tuple = ()
+    lattice: bool = False
 
     def __call__(self, p, budget):
         n = _STRANDS[self.strands](p)
-        _require_strands(n, budget)
+        (_require_solve if self.lattice else _require_strands)(n, budget)
         return (n, *_first_difference(self.sides(_gens(p), n, *self.args)))
 
 
@@ -846,9 +848,9 @@ def _separation(g, n):
     if n >= 2 * g.p - 1:
         raise ValueError("diagram basis is only free below the critical size")
     if n >= 3:
-        b = from_word("011")
-        lhs = e_left(e_op(g.ctx, 2, 3), 1).column(b)
-        rhs = e_left(e_op(g.ctx, 1, 3), 2).column(b)
+        b, one = from_word("011"), LinOp.identity(g.ctx, 3)
+        lhs = e_left(e_left(one, 2), 1).column(b)
+        rhs = e_left(e_left(one, 1), 2).column(b)
         if lhs == rhs:
             return False, {"identity": "e_1e_2 and e_2e_1 separate on 011", "value": str(lhs)}
     yield from ()  # a verdict without pairs
@@ -903,37 +905,35 @@ def _completion(g) -> list:
     return [(f"{name}.e_{n - 1}", e_right(w, n - 1)) for name, w in prop5_words(g.p)[::2 * n - 2]]
 
 
-def _check_rot_rank(p, budget):
-    n = 2 * p
-    _require_solve(n, budget)
-    ctx = _gens(p).ctx
+def _orbit_rank(g, n):
+    # each rotation orbit has rank 4p - 2, and its dependencies span the
+    # two seed streams
+    ctx, p = g.ctx, g.p
     seeds = [{i: c.id for i, c in enumerate(_coefficients(p, seed).k) if c}
              for seed in ((1, 0), (0, 1))]
     for name in ("alpha", "beta"):
         ops = _rotation_orbit(p, name)
         null = _dependencies(ctx, ops)
         if len(ops) - len(null) != 4 * p - 2:
-            return n, False, {"identity": f"rotation orbit rank of {name} x 1",
-                              "rank": len(ops) - len(null), "expected": 4 * p - 2}
+            return False, {"identity": f"rotation orbit rank of {name} x 1",
+                           "rank": len(ops) - len(null), "expected": 4 * p - 2}
         if rank_of_vectors(ctx, null + seeds) != 2:
-            return n, False, {"identity": f"nullspace of {name} orbit matches seed span",
-                              "nullity": len(null)}
-    return n, True, None
+            return False, {"identity": f"nullspace of {name} orbit matches seed span",
+                           "nullity": len(null)}
+    yield from ()  # a verdict without pairs
 
 
-def _check_kp(p, budget):
-    n = 2 * p
-    _require_strands(n, budget)
+def _kp_law(g, n):
     # the seeds (1, 0) and (0, 1) give the two coefficient streams of the
     # closed form, hence the law for arbitrary seeds
     for seed in ((1, 0), (0, 1)):
-        kv = _coefficients(p, seed)
+        kv = _coefficients(g.p, seed)
         if not (kv.recurrence_holds() and kv.periodicity_holds()):
-            return n, False, {"identity": "seed coefficient vector invariants", "seed": list(seed)}
-    ok, details = capping_pattern(p, budget)
+            return False, {"identity": "seed coefficient vector invariants", "seed": list(seed)}
+    ok, details = capping_pattern(g.p)
     if not ok:
-        return n, False, details
-    return n, True, None
+        return False, details
+    yield from ()  # a verdict without pairs
 
 
 # --- action identities, the Jones-Wenzl window, the cap/cup duality ----------
@@ -948,8 +948,9 @@ def _num(ctx: FieldCtx, c: CycloNum) -> LinOp:
     return LinOp.identity(ctx, 0).scale(c)
 
 
-def _action_sides(ctx: FieldCtx, top: int):
+def _action_sides(g, top: int):
     """The action identities of K, E and F on X^z, z <= top."""
+    ctx = g.ctx
     qp, qf, unit = ctx.q_power, ctx.qfact, lambda b: TensorVector.unit(ctx, b)
     I1, K1, Ki1, E1, F1 = (LinOp.identity(ctx, 1), op_K(ctx, 1), op_K_power(ctx, 1, -1),
                            op_E(ctx, 1), op_F(ctx, 1))
@@ -1034,17 +1035,11 @@ def _action_sides(ctx: FieldCtx, top: int):
                        _num(ctx, qp(-2 * z) * ctx.xi(n - 1, z - 1) + ctx.xi(n, z - 1)))
 
 
-def _check_action(p, budget):
-    n = 2 * p
-    _require_solve(n, budget)
-    return (n, *_first_difference(_action_sides(FieldCtx(p), n)))
-
-
-def _jw_window_sides(ctx: FieldCtx, n: int):
+def _jw_window_sides(g, n: int):
     """Below p the closed and recursive f_m agree; inside the window
     p <= m <= 2p-2 the closed form is singular; f_(2p-1) is an idempotent
     fixing x_bottom (so nonzero) and killed by every e_i on both sides."""
-    p = ctx.p
+    ctx, p = g.ctx, g.p
     for m in range(1, p):
         yield f"f_{m} closed = recursive", jw_closed(ctx, m), jw_recursive(ctx, m)
     for m in range(p, n):
@@ -1063,12 +1058,6 @@ def _jw_window_sides(ctx: FieldCtx, n: int):
         yield f"f_{n}.e_{i} = 0", e_right(proj, i), zero
 
 
-def _check_jw_window(p, budget):
-    n = 2 * p - 1
-    _require_solve(n, budget)
-    return (n, *_first_difference(_jw_window_sides(FieldCtx(p), n)))
-
-
 def _duality(g, n):
     # the nested caps realise Hom_U(1, X^2z), which the end-space solver uses
     ctx = g.ctx
@@ -1079,13 +1068,11 @@ def _duality(g, n):
                nested_cup(ctx, z) * caps, _num(ctx, ctx.loop_value ** z))
 
 
-# Every check in report order, which is RELATION_IDS.  Each is called as
-# check(p, budget) and returns (strands, holds, witness-or-None).  Operator
-# identities are Identity entries and the propositions Span entries.  The
-# rotation-orbit rank, whose dependencies must span the seed streams, and
-# the coefficient law are functions; so are the action identities and the
-# JW window, whose pairs go through the same first difference but whose
-# cost is gated on the 4^n lattice.
+# Every check in report order, which is RELATION_IDS.  Each is an Identity
+# or a Span entry, called as check(p, budget), and returns (strands, holds,
+# witness-or-None).  The propositions are Span entries, gated on the 4^n
+# lattice; so are the Identity entries marked lattice=True, whose cost
+# grows like it.  Every other Identity is gated on the 2^n tensor space.
 _CHECKS = {
     "eq1": Identity("2p-1", _squares_vanish),
     "eq2": Identity("2p-1", _sandwich, ("alpha", "beta")),
@@ -1119,10 +1106,10 @@ _CHECKS = {
     "pt_beta": Identity("2p-1", _pt_vanishes, ("beta",)),
     "pt_alphabeta": Identity("2p-1", _pt_composite, ("alpha", "beta")),
     "pt_betaalpha": Identity("2p-1", _pt_composite, ("beta", "alpha")),
-    "rot_rank": _check_rot_rank,
-    "kp_periodicity": _check_kp,
-    "action": _check_action,
-    "jw_window": _check_jw_window,
+    "rot_rank": Identity("2p", _orbit_rank, lattice=True),
+    "kp_periodicity": Identity("2p", _kp_law),
+    "action": Identity("2p", _action_sides, lattice=True),
+    "jw_window": Identity("2p-1", _jw_window_sides, lattice=True),
     "duality": Identity("2p", _duality),
 }
 

@@ -3,9 +3,9 @@ errors, none keeps a module-level import it never references, only
 the scalar kernel computes on kernel pairs, and only the field context
 builds a field's scalar table.  Every assert
 left in the package is an internal invariant on an allowlist: argument
-guards raise, so they survive ``python -O``.  Every function, class and
-method is referenced by some code in the package, or listed with what
-uses it from outside.
+guards raise, so they survive ``python -O``.  Every function, class,
+method and ``property(...)`` binding is referenced by some code in the
+package, or listed with what uses it from outside.
 
 ``__init__.py`` is exempt from the unused-import check; its imports are
 the package's re-exports.
@@ -53,11 +53,12 @@ def _imported(tree: ast.Module) -> dict:
 
 
 def _referenced(tree: ast.Module) -> set:
-    """Every name the module loads, including those inside string annotations."""
+    """Every name the module loads or deletes, including those inside string
+    annotations; binding a name is not a use of it."""
     used = set()
     annotations = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             used.add(node.id)
         elif isinstance(node, ast.arg):
             annotations.append(node.annotation)
@@ -139,17 +140,32 @@ UNREFERENCED = {
     "cup": "the tests' cup matrix, checked against the composition it closes",
     "cap": "the tests' cap matrix, checked against the composition it opens",
     "parse_cyclo": "re-exported by the package; the tests parse renderings back",
+    "e_op": "perfbench's layer trace wraps it as diagram.cupcap_s",
+    "ModuleData.K_matrix": "the tests' dense K grid, checked against the module's sparse ids",
+    "ModuleData.E_matrix": "the tests' dense E grid, checked against the module's sparse ids",
+    "ModuleData.F_matrix": "the tests' dense F grid, checked against the module's sparse ids",
 }
 
 
+def _is_property(node) -> bool:
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "property")
+
+
 def _definitions(tree: ast.Module, prefix: str = ""):
-    """(qualified name, bare name) of every function, class and method;
-    dunder methods are left out."""
+    """(qualified name, bare name) of every function, class and method,
+    and of every name a class body binds to ``property(...)``; dunder
+    methods are left out."""
     for node in ast.iter_child_nodes(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             if not (node.name.startswith("__") and node.name.endswith("__")):
                 yield prefix + node.name, node.name
             yield from _definitions(node, prefix + node.name + ".")
+        elif (isinstance(tree, ast.ClassDef) and isinstance(node, ast.Assign)
+              and _is_property(node.value)):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    yield prefix + target.id, target.id
 
 
 def test_every_name_is_used():

@@ -56,7 +56,10 @@ def test_all_checks_hold_p2(rid):
 
 @pytest.mark.parametrize("rid", RELATION_IDS)
 def test_all_checks_hold_p3(rid):
-    assert verify(rid, 3).holds
+    # only the rotation checks record an observation when they hold
+    r = verify(rid, 3)
+    assert r.holds
+    assert (r.witness is None) == (rid not in ("eq13", "eq14"))
 
 
 def test_rotation_click_sign_recorded():
@@ -339,13 +342,30 @@ def test_prop2_injectivity_sizes():
 
 
 def test_checks_are_declared():
-    # identities and span claims are table entries of their kind; a new
-    # hand-written check must be added here to pass
+    # every check is a table entry of one of the two kinds, and none is
+    # hand-written
     checks = relation_engine._CHECKS
     spans = {rid for rid, c in checks.items() if isinstance(c, Span)}
     functions = {rid for rid, c in checks.items() if not isinstance(c, (Identity, Span))}
     assert spans == {"prop2", "prop3", "prop4", "prop5"}
-    assert functions == {"rot_rank", "kp_periodicity", "action", "jw_window"}
+    assert functions == set()
+
+
+LATTICE_IDS = {"prop2", "prop3", "prop4", "prop5", "rot_rank", "action", "jw_window"}
+
+
+@pytest.mark.parametrize("rid", RELATION_IDS)
+def test_every_gate_is_pinned(rid):
+    # lattice checks refuse on the line 4^n = budget, the others once the
+    # 2^n tensor space passes it
+    entry = relation_engine._CHECKS[rid]
+    n = relation_engine._STRANDS[entry.strands](2)
+    assert (isinstance(entry, Span) or entry.lattice) == (rid in LATTICE_IDS)
+    refused, runs, verb = ((4**n, 4**n + 1, "reaches") if rid in LATTICE_IDS
+                           else (2**n - 1, 2**n, "exceeds"))
+    with pytest.raises(InfeasibleSize, match=f"on {n} strands {verb} budget {refused}$"):
+        verify(rid, 2, refused)
+    assert verify(rid, 2, runs).strands == n
 
 
 def test_default_budget():
