@@ -242,7 +242,8 @@ def _section_hom(config: RunConfig) -> tuple[dict, int]:
         # has (2p)^2 unknowns
         unknowns = (2 * p) ** 2
         if unknowns >= config.budget:
-            reason = f"{unknowns} unknowns in a Hom solve reach budget {config.budget}"
+            verb = "reach" if unknowns == config.budget else "exceed"
+            reason = f"{unknowns} unknowns in a Hom solve {verb} budget {config.budget}"
             skipped.append({"p": p, "skipped": reason})
             continue
         result = verify_hom_forms(FieldCtx(p))

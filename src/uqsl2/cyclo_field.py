@@ -15,7 +15,6 @@ indices (``factorials`` lists those of [m_1]! [m_2]! ...), and
 
 from __future__ import annotations
 
-import cmath
 import math
 import re
 from collections import Counter
@@ -212,12 +211,6 @@ class CycloNum:
     def __hash__(self):
         return hash(self.id)
 
-    def __complex__(self):
-        """Floating approximation; diagnostics only, never verification."""
-        w = cmath.exp(1j * math.pi / self.ctx.p)
-        nums, den = self.ctx.table.vals[self.id]
-        return sum((n / den) * w**j for j, n in enumerate(nums))
-
     def __str__(self):
         nums, den = self.ctx.table.vals[self.id]
         terms = []
@@ -280,7 +273,6 @@ class FieldCtx:
         self = super().__new__(cls)
         self.p = p
         mod = cyclotomic_polynomial(2 * p)
-        self.cyclotomic_modulus = mod
         self.degree = len(mod) - 1
         deg = self.degree
         # reduction rows: q^(deg+k) mod Phi for k = 0 .. deg-2

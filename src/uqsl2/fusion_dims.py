@@ -93,7 +93,7 @@ def _half(i: int, convention: str) -> int:
     if convention == "floor-euclidean":
         return i // 2
     if convention == "truncate-toward-zero":
-        return int(i / 2) if i >= 0 else -((-i) // 2)
+        return i // 2 if i >= 0 else -((-i) // 2)
     raise ValueError(convention)
 
 

@@ -8,7 +8,8 @@ is the simple of dimension p with flipped sign.  gamma is the scalar
 Each generator is built twice, from the explicit coefficient formula and
 from the e_x / f_x scalars obtained by genuinely iterating E and F, and
 the two must agree column by column, or construction raises
-ArithmeticError.
+ArithmeticError.  The scalars serve only that comparison and are not
+kept.
 """
 
 from __future__ import annotations
@@ -36,18 +37,16 @@ from uqsl2.tensor_space import (
 
 
 class GeneratorSet:
-    """alpha, beta, gamma at one root of unity, plus the ladder scalars."""
+    """alpha, beta, gamma at one root of unity."""
 
-    __slots__ = ("ctx", "p", "alpha", "beta", "gamma", "e_scalars", "f_scalars")
+    __slots__ = ("ctx", "p", "alpha", "beta", "gamma")
 
-    def __init__(self, ctx, alpha, beta, gamma, e_scalars, f_scalars):
+    def __init__(self, ctx, alpha, beta, gamma):
         self.ctx = ctx
         self.p = ctx.p
         self.alpha = alpha
         self.beta = beta
         self.gamma = gamma
-        self.e_scalars = e_scalars
-        self.f_scalars = f_scalars
 
     def __repr__(self):
         return f"GeneratorSet(p={self.p})"
@@ -69,8 +68,6 @@ def make_generators(p: int) -> GeneratorSet:
         f_bots.append(F.apply(f_bots[-1]))
     alpha_cols = {}
     beta_cols = {}
-    e_scalars = {}
-    f_scalars = {}
     for b in all_indices(z):
         k = b.weight
         base = ctx.q_power(k * z - (k * k - k) // 2 - sum(b.occupancy))
@@ -80,7 +77,6 @@ def make_generators(p: int) -> GeneratorSet:
             for _ in range(k):
                 v = E.apply(v)
             e_x = v.coeff(bottom)
-            e_scalars[b] = e_x
             explicit = e_tops[p - k - 1] * (base * ctx.qfact(k))
             if explicit != e_tops[p - k - 1] * e_x:
                 raise ArithmeticError(f"alpha column {b}: explicit and iterated E disagree")
@@ -92,7 +88,6 @@ def make_generators(p: int) -> GeneratorSet:
             for _ in range(z - k):
                 v = F.apply(v)
             f_x = v.coeff(top)
-            f_scalars[b] = f_x
             explicit = f_bots[k - p] * (base * ctx.qfact(z - k))
             if explicit != f_bots[k - p] * f_x:
                 raise ArithmeticError(f"beta column {b}: explicit and iterated F disagree")
@@ -101,7 +96,7 @@ def make_generators(p: int) -> GeneratorSet:
     alpha = LinOp(ctx, z, z, alpha_cols)
     beta = LinOp(ctx, z, z, beta_cols)
     gamma = ctx.qfact(p - 1) ** 2 * ctx.scalar((-1) ** (p - 1))
-    return GeneratorSet(ctx, alpha, beta, gamma, e_scalars, f_scalars)
+    return GeneratorSet(ctx, alpha, beta, gamma)
 
 
 def embed(op: LinOp, i: int, n: int) -> LinOp:

@@ -91,8 +91,6 @@ class InfeasibleSize(RuntimeError):
         verb = "reaches" if states == budget else "exceeds"
         super().__init__(f"{states} states on {strands} strands {verb} budget {budget}")
         self.strands = strands
-        self.states = states
-        self.budget = budget
 
 
 class RelationReport(NamedTuple):
@@ -160,12 +158,11 @@ class CoefficientVector:
     the methods below.
     """
 
-    __slots__ = ("ctx", "seed", "k")
+    __slots__ = ("ctx", "k")
 
     def __init__(self, ctx: FieldCtx, k1, k2):
         k1, k2 = ctx.scalar(k1), ctx.scalar(k2)
         self.ctx = ctx
-        self.seed = (k1, k2)
         m = 4 * ctx.p
         ks = []
         for i in range(m):

@@ -2,19 +2,16 @@
 
 Simple modules X(sign, s) of dimension s for 1 <= s <= p, and projective
 modules P(sign, s) of dimension 2p for 1 <= s <= p-1, with the K/E/F
-action in the standard bases.  A module holds the nonzero entries of K, E
-and F as ids of its field's ``Scalars`` table, read once when it is
-built; ``K_matrix``, ``E_matrix`` and ``F_matrix`` are the dense grids
-(row-major tuples of CycloNum, column j the image of basis vector j),
-derived on demand as CycloNum handles on those ids.  The intertwiner
-solver computes an exact nullspace basis of the commutation constraints
-and reproduces the hom-space dimension table.  K is diagonal, so it
-solves only for the entries between equal K eigenvalues, under the E
-and F constraints, and builds those constraint rows by scattering each
-such unknown's E and F terms.  A hom space is kept as the solver's id
-vectors, keyed i * ds + j for entry (i, j), and its dense CycloNum grids
-are derived from them on demand; the intertwiner and span checks run on
-id vectors.
+action in the standard bases.  A module is built from dicts
+{(row, column): CycloNum} of the nonzero entries of K, E and F (column j
+the image of basis vector j) and holds them as ids of its field's
+``Scalars`` table.  The intertwiner solver computes an exact nullspace
+basis of the commutation constraints and reproduces the hom-space
+dimension table.  K is diagonal, so it solves only for the entries
+between equal K eigenvalues, under the E and F constraints, and builds
+those constraint rows by scattering each such unknown's E and F terms.
+A hom space is the list of the solver's id vectors, keyed i * ds + j for
+entry (i, j); the intertwiner and span checks run on id vectors.
 """
 
 from __future__ import annotations
@@ -25,40 +22,22 @@ from uqsl2.cyclo_field import FieldCtx
 
 
 class ModuleData:
-    """One module: label, basis names, and the three action matrices.
+    """One module: its label and the three action matrices.
 
-    K, E and F are given as dense dimension x dimension grids or as dicts
-    {(row, column): value} of their nonzero entries, with CycloNum values.
+    K, E and F are dicts {(row, column): CycloNum} of their nonzero entries.
     """
 
-    __slots__ = (
-        "ctx", "kind", "sign", "s", "dimension", "basis_names", "label", "_ids", "_sparse"
-    )
+    __slots__ = ("ctx", "kind", "sign", "s", "dimension", "label", "_ids", "_sparse")
 
-    def __init__(self, ctx, kind, sign, s, dimension, basis_names, K, E, F):
+    def __init__(self, ctx, kind, sign, s, dimension, K, E, F):
         self.ctx = ctx
         self.kind = kind
         self.sign = sign
         self.s = s
         self.dimension = dimension
-        self.basis_names = tuple(basis_names)
         self.label = f"{kind}{'+' if sign > 0 else '-'}_{s}"
-
-        def ids(M):
-            cells = M.items() if isinstance(M, dict) else (
-                ((i, j), c) for i, row in enumerate(M) for j, c in enumerate(row))
-            return {ij: c.id for ij, c in cells if c}
-
-        self._ids = (ids(K), ids(E), ids(F))
+        self._ids = tuple({ij: c.id for ij, c in M.items() if c} for M in (K, E, F))
         self._sparse = None
-
-    def _dense(self, g: int):
-        d, wrap, M = self.dimension, self.ctx.wrap, self._ids[g]
-        return tuple(tuple(wrap(M.get((i, j), 0)) for j in range(d)) for i in range(d))
-
-    K_matrix = property(lambda self: self._dense(0))
-    E_matrix = property(lambda self: self._dense(1))
-    F_matrix = property(lambda self: self._dense(2))
 
     def sparse(self) -> tuple:
         """(K eigenvalues, K eigenspaces, E entries, F entries) as scalar ids.
@@ -94,28 +73,6 @@ class ModuleData:
         return f"ModuleData({self.label}, dim={self.dimension})"
 
 
-class HomBasis:
-    """Basis of the intertwiner space between two modules.
-
-    ``vectors`` are the solver's id vectors {i * ds + j: id} for entry
-    (i, j).
-    """
-
-    __slots__ = ("source", "target", "vectors")
-
-    def __init__(self, source: ModuleData, target: ModuleData, vectors):
-        self.source = source
-        self.target = target
-        self.vectors = tuple(vectors)
-
-    @property
-    def dimension(self) -> int:
-        return len(self.vectors)
-
-    def __repr__(self):
-        return f"HomBasis({self.source.label} -> {self.target.label}, dim={self.dimension})"
-
-
 def _signed(sign: int):
     return (lambda c: c) if sign > 0 else (lambda c: -c)
 
@@ -134,8 +91,7 @@ def simple_module(ctx: FieldCtx, sign: int, s: int) -> ModuleData:
             E[n - 1, n] = sg(ctx.qint(n) * ctx.qint(s - n))
         if n + 1 < s:
             F[n + 1, n] = ctx.one
-    names = [f"nu{n}" for n in range(s)]
-    return ModuleData(ctx, "X", sign, s, s, names, K, E, F)
+    return ModuleData(ctx, "X", sign, s, s, K, E, F)
 
 
 def projective_module(ctx: FieldCtx, sign: int, s: int) -> ModuleData:
@@ -176,13 +132,7 @@ def projective_module(ctx: FieldCtx, sign: int, s: int) -> ModuleData:
         F[ix(j + 1), ix(j)] = ctx.one
         F[iy(j + 1), iy(j)] = ctx.one
     F[ia(0), ix(t - 1)] = ctx.one
-    names = (
-        [f"a{i}" for i in range(s)]
-        + [f"b{i}" for i in range(s)]
-        + [f"x{j}" for j in range(t)]
-        + [f"y{j}" for j in range(t)]
-    )
-    return ModuleData(ctx, "P", sign, s, dim, names, K, E, F)
+    return ModuleData(ctx, "P", sign, s, dim, K, E, F)
 
 
 def mat_mul(ctx: FieldCtx, A, B):
@@ -227,8 +177,8 @@ def _commutes(vec, src: ModuleData, tgt: ModuleData) -> bool:
     return True
 
 
-def intertwiner_space(src: ModuleData, tgt: ModuleData) -> HomBasis:
-    """Exact basis of Hom(src, tgt) over Q(q).
+def intertwiner_space(src: ModuleData, tgt: ModuleData) -> list:
+    """Exact basis of Hom(src, tgt) over Q(q), as id vectors {i * ds + j: id}.
 
     Both K matrices are diagonal, so the K constraint at entry (i, j) is
     M[i][j] (K_tgt[i] - K_src[j]) = 0: only the entries between equal K
@@ -244,7 +194,7 @@ def intertwiner_space(src: ModuleData, tgt: ModuleData) -> HomBasis:
     (_, spaces, *src_ef), (kt, _, *tgt_ef) = src.sparse(), tgt.sparse()
     live = [i * ds + j for i, k in enumerate(kt) for j in spaces.get(k, ())]
     if not live:
-        return HomBasis(src, tgt, ())
+        return []
     acc = ctx.table.accumulate
     rows = []
     for (_, srows), (tcols, _) in zip(src_ef, tgt_ef):
@@ -264,7 +214,7 @@ def intertwiner_space(src: ModuleData, tgt: ModuleData) -> HomBasis:
                 else:
                     acc(r, key, c)
         rows += g.values()
-    return HomBasis(src, tgt, _elim.nullspace(ctx, rows, live))
+    return _elim.nullspace(ctx, rows, live)
 
 
 def _expected_hom_dim(p: int, src: ModuleData, tgt: ModuleData) -> int | None:
@@ -279,14 +229,6 @@ def _expected_hom_dim(p: int, src: ModuleData, tgt: ModuleData) -> int | None:
             return 2 if src.s == tgt.s else 0
         return 2 if src.s == p - tgt.s else 0
     return None
-
-
-def _in_span(ctx: FieldCtx, hom: HomBasis, vec) -> bool:
-    """Is the id vector ``vec`` in the span of ``hom.vectors``?"""
-    rr = _elim.SparseRref(ctx)
-    for v in hom.vectors:
-        rr.add_row(dict(v))  # add_row consumes its argument
-    return not rr.add_row(dict(vec))
 
 
 def all_modules(ctx: FieldCtx) -> list[ModuleData]:
@@ -322,7 +264,7 @@ def verify_hom_forms(ctx: FieldCtx) -> dict:
             expected = _expected_hom_dim(p, src, tgt)
             if expected is None:
                 continue
-            got = hom_space(src, tgt).dimension
+            got = len(hom_space(src, tgt))
             if got != expected:
                 table_failures.append(
                     {"source": src.label, "target": tgt.label,
@@ -331,15 +273,18 @@ def verify_hom_forms(ctx: FieldCtx) -> dict:
     entries = []
 
     def check(src, tgt, cells, name):
-        """Check the map that sends basis vector j to i for each (i, j)."""
+        """Check the map that sends basis vector j to i for each (i, j); the
+        basis is independent, so vec is in its span iff adding it keeps the
+        rank."""
         vec = {i * src.dimension + j: ONE for i, j in cells}
+        basis = hom_space(src, tgt)
         entries.append(
             {
                 "map": name,
                 "source": src.label,
                 "target": tgt.label,
                 "intertwiner": _commutes(vec, src, tgt),
-                "in_span": _in_span(ctx, hom_space(src, tgt), vec),
+                "in_span": _elim.rank_of_vectors(ctx, [*basis, vec]) == len(basis),
             }
         )
 

@@ -1,17 +1,26 @@
 """Readings of package objects that only the tests need: dense grids of
-Hom basis maps and their K, E, F check, JSON dumps of modules and diagrams,
-and the common weight of a vector's terms."""
+module actions and of Hom basis maps and their K, E, F check, JSON dumps
+of modules and diagrams, and the common weight of a vector's terms."""
 
 from __future__ import annotations
 
 from uqsl2.rep_modules import _commutes
 
 
-def hom_maps(hom) -> tuple:
-    """The basis maps of a HomBasis as dense CycloNum grids, in its order."""
-    ds, dt, wrap = hom.source.dimension, hom.target.dimension, hom.source.ctx.wrap
+def action_grids(mod) -> tuple:
+    """K, E and F of a module as dense grids (row-major tuples of CycloNum,
+    column j the image of basis vector j), from the module's sparse ids."""
+    d, wrap = mod.dimension, mod.ctx.wrap
+    return tuple(tuple(tuple(wrap(M.get((i, j), 0)) for j in range(d)) for i in range(d))
+                 for M in mod._ids)
+
+
+def hom_maps(vectors, src, tgt) -> tuple:
+    """The id vectors {i * ds + j: id} of maps src -> tgt as dense CycloNum
+    grids, in their order."""
+    ds, dt, wrap = src.dimension, tgt.dimension, src.ctx.wrap
     return tuple(tuple(tuple(wrap(v.get(i * ds + j, 0)) for j in range(ds))
-                       for i in range(dt)) for v in hom.vectors)
+                       for i in range(dt)) for v in vectors)
 
 
 def is_intertwiner(M, src, tgt) -> bool:
@@ -23,15 +32,8 @@ def is_intertwiner(M, src, tgt) -> bool:
 
 def module_dict(mod) -> dict:
     """JSON-ready dump of a module with its matrices as textual grids."""
-    grid = lambda M: [[str(c) for c in row] for row in M]
-    return {
-        "label": mod.label,
-        "dimension": mod.dimension,
-        "basis": list(mod.basis_names),
-        "K": grid(mod.K_matrix),
-        "E": grid(mod.E_matrix),
-        "F": grid(mod.F_matrix),
-    }
+    K, E, F = ([[str(c) for c in row] for row in M] for M in action_grids(mod))
+    return {"label": mod.label, "dimension": mod.dimension, "K": K, "E": E, "F": F}
 
 
 def diagram_dict(d) -> dict:

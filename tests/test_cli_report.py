@@ -202,11 +202,14 @@ def test_hom_section_all_maps_check_out():
 
 
 def test_hom_budget_skip_exits_3():
-    code, text = invoke(["hom", "--p", "4", "--budget", "1", "--format", "json"])
-    assert code == EXIT_ALL_SKIPPED
-    section = json.loads(text)["sections"][0]
-    assert section["rows"] == []
-    assert section["skipped"] == [{"p": 4, "skipped": "64 unknowns in a Hom solve reach budget 1"}]
+    # (2p)^2 = 64 unknowns at p = 4 exceed a smaller budget and reach an equal one
+    for budget, verb in ((1, "exceed"), (64, "reach")):
+        code, text = invoke(["hom", "--p", "4", "--budget", str(budget), "--format", "json"])
+        assert code == EXIT_ALL_SKIPPED
+        section = json.loads(text)["sections"][0]
+        assert section["rows"] == []
+        assert section["skipped"] == [
+            {"p": 4, "skipped": f"64 unknowns in a Hom solve {verb} budget {budget}"}]
 
 
 def test_lattice_gate_skip_says_reaches_budget():

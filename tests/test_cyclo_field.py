@@ -58,7 +58,7 @@ def test_root_of_unity_relations(p):
     ctx = CTX[p]
     assert ctx.q_power(p) == -ctx.one
     assert ctx.q ** (2 * p) == ctx.one
-    assert ctx.degree == len(ctx.cyclotomic_modulus) - 1
+    assert ctx.degree == len(cyclotomic_polynomial(2 * p)) - 1
 
 
 def test_degree_and_delta_small_p():
@@ -71,12 +71,15 @@ def test_degree_and_delta_small_p():
 
 @pytest.mark.parametrize("p", [2, 3, 4, 5])
 def test_float_diagnostic_agrees(p):
-    # [n] = sin(n*pi/p) / sin(pi/p) on the unit circle; diagnostics only
+    # [n] = sin(n*pi/p) / sin(pi/p) on the unit circle, each value read
+    # off its canonical pair at q = e^{i pi / p}
     ctx = CTX[p]
+    w = cmath.exp(1j * math.pi / p)
+    approx = lambda x: sum(n / x.den * w**j for j, n in enumerate(x.nums))
     for n in range(0, 2 * p + 1):
         expect = math.sin(n * math.pi / p) / math.sin(math.pi / p)
-        assert abs(complex(ctx.qint(n)) - expect) < 1e-9
-    assert abs(complex(ctx.q) - cmath.exp(1j * math.pi / p)) < 1e-12
+        assert abs(approx(ctx.qint(n)) - expect) < 1e-9
+    assert abs(approx(ctx.q) - w) < 1e-12
 
 
 # --- quantum integers and factorials ------------------------------------

@@ -4,8 +4,10 @@ the scalar kernel computes on kernel pairs, and only the field context
 builds a field's scalar table.  Every assert
 left in the package is an internal invariant on an allowlist: argument
 guards raise, so they survive ``python -O``.  Every function, class,
-method and ``property(...)`` binding is referenced by some code in the
-package, or listed with what uses it from outside.
+method and ``property(...)`` binding, and every attribute a class sets
+on ``self`` or lists in ``__slots__``, is loaded by some code in the
+package, or listed with what uses it from outside.  The package computes
+exactly: no float or complex arithmetic outside one listed clock reading.
 
 ``__init__.py`` is exempt from the unused-import check; its imports are
 the package's re-exports.
@@ -133,17 +135,52 @@ def test_asserts_are_listed_invariants():
         f"unlisted: {sorted(found - set(ASSERTS))}; gone: {sorted(set(ASSERTS) - found)}")
 
 
-# Functions, classes and methods whose name no code in the package
-# references (docstrings and comments do not count), with what uses them.
+# Floating-point sites in the package, by module and source text, with why
+# each is there: an import of cmath, a float or complex literal, a float()
+# or complex() call, or a true division by an int literal.
+FLOATS = {
+    ("relation_engine", "1000.0"):
+        "elapsed_ms converts a perf_counter interval to milliseconds for the report",
+}
+
+
+def _float_sites(text: str):
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Import):
+            hit = any(alias.name == "cmath" for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            hit = node.module == "cmath"
+        elif isinstance(node, ast.Constant):
+            hit = type(node.value) in (float, complex)
+        elif isinstance(node, ast.Call):
+            hit = isinstance(node.func, ast.Name) and node.func.id in ("float", "complex")
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)):
+            divisor = node.right if isinstance(node, ast.BinOp) else node.value
+            hit = (isinstance(node.op, ast.Div) and isinstance(divisor, ast.Constant)
+                   and type(divisor.value) is int)
+        else:
+            hit = False
+        if hit:
+            yield ast.get_source_segment(text, node)
+
+
+def test_no_float_arithmetic():
+    found = {(module, site) for module in MODULES
+             for site in _float_sites((PKG / f"{module}.py").read_text(encoding="utf-8"))}
+    assert found == set(FLOATS), (
+        f"unlisted: {sorted(found - set(FLOATS))}; gone: {sorted(set(FLOATS) - found)}")
+
+
+# Functions, classes and methods whose name no code in the package loads
+# (docstrings and comments do not count), with what uses them.
+_TRACED = "wrapped by perfbench/layer_trace.py as {}; leaves with ROADMAP item 8"
 UNREFERENCED = {
-    "mat_mul": "perfbench's layer trace wraps it as rep.matmul_s",
-    "cup": "the tests' cup matrix, checked against the composition it closes",
-    "cap": "the tests' cap matrix, checked against the composition it opens",
-    "parse_cyclo": "re-exported by the package; the tests parse renderings back",
-    "e_op": "perfbench's layer trace wraps it as diagram.cupcap_s",
-    "ModuleData.K_matrix": "the tests' dense K grid, checked against the module's sparse ids",
-    "ModuleData.E_matrix": "the tests' dense E grid, checked against the module's sparse ids",
-    "ModuleData.F_matrix": "the tests' dense F grid, checked against the module's sparse ids",
+    "mat_mul": _TRACED.format("rep.matmul_s"),
+    "cup": _TRACED.format("diagram.cupcap_s"),
+    "cap": _TRACED.format("diagram.cupcap_s"),
+    "e_op": _TRACED.format("diagram.cupcap_s"),
+    "parse_cyclo": "public API, re-exported by the package; "
+                   "tests/test_relation_engine.py parses a dependency witness back to its ids",
 }
 
 
@@ -168,17 +205,58 @@ def _definitions(tree: ast.Module, prefix: str = ""):
                     yield prefix + target.id, target.id
 
 
+def _attributes(tree: ast.Module):
+    """(qualified name, bare name) of every attribute a class sets on
+    ``self`` in one of its methods or lists in its ``__slots__``; dunder
+    names are left out."""
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        names = set()
+        for node in cls.body:
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__slots__" for t in node.targets):
+                names |= {c.value for c in ast.walk(node.value)
+                          if isinstance(c, ast.Constant) and isinstance(c.value, str)}
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names |= {n.attr for n in ast.walk(node)
+                          if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+                          and isinstance(n.value, ast.Name) and n.value.id == "self"}
+        for name in sorted(names):
+            if not (name.startswith("__") and name.endswith("__")):
+                yield f"{cls.name}.{name}", name
+
+
+def _loaded_attributes(tree: ast.Module) -> set:
+    """Every attribute name the module loads, as ``x.name`` or
+    ``getattr(x, "name")``; storing an attribute is not a use of it."""
+    loads = {n.attr for n in ast.walk(tree)
+             if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    for n in ast.walk(tree):
+        if (isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "getattr"
+                and len(n.args) > 1 and isinstance(n.args[1], ast.Constant)):
+            loads.add(n.args[1].value)
+    return loads
+
+
 def test_every_name_is_used():
-    uses: set = set()
+    """A definition is used where a bare name or an attribute loads it; an
+    attribute only where an attribute loads it, since a local variable of
+    the same name is no reader of it."""
+    names: set = set()
+    attributes: set = set()
     defined = []
     for module in MODULES:
         tree = ast.parse((PKG / f"{module}.py").read_text(encoding="utf-8"))
-        uses |= _referenced(tree)
-        uses |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
-        defined += [(module, qual, name) for qual, name in _definitions(tree)]
-    unused = sorted(f"{module}.{qual}" for module, qual, name in defined
-                    if name not in uses and qual not in UNREFERENCED)
+        loaded = _loaded_attributes(tree)
+        names |= _referenced(tree) | loaded
+        attributes |= loaded
+        defined += [(module, qual, name, False) for qual, name in _definitions(tree)]
+        defined += [(module, qual, name, True) for qual, name in _attributes(tree)]
+    used = lambda name, attribute: name in (attributes if attribute else names)
+    unused = sorted(f"{module}.{qual}" for module, qual, name, attribute in defined
+                    if not used(name, attribute) and qual not in UNREFERENCED)
     assert not unused, f"defined but never used in uqsl2: {unused}"
     stale = sorted(qual for qual in UNREFERENCED
-                   if all(q != qual or name in uses for _, q, name in defined))
+                   if all(q != qual or used(name, a) for _, q, name, a in defined))
     assert not stale, f"listed but used, or gone: {stale}"

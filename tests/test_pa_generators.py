@@ -30,6 +30,7 @@ from uqsl2.tensor_space import (
     op_E,
     op_F,
     op_K,
+    x_bottom,
     x_top,
 )
 from uqsl2._elim import rank_of_vectors
@@ -126,7 +127,11 @@ def test_lowering_iterates_of_alpha(gens):
         k = b.weight
         if k >= p:
             continue
-        e_x = gens.e_scalars[b]
+        # E^k x lands on the empty vector as e_x x_bottom
+        v = TensorVector.unit(ctx, b)
+        for _ in range(k):
+            v = E.apply(v)
+        e_x = v.coeff(x_bottom(z))
         for j in range(p - k):
             lhs = gens.alpha.column(b)
             for _ in range(j):
@@ -292,11 +297,11 @@ _GUARDS = {
     "projective_module_sign": ("rm.projective_module(ctx, 2, 1)", "ValueError"),
     "intertwiner_field": ("rm.intertwiner_space(rm.simple_module(ctx, 1, 1), "
                           "rm.simple_module(FieldCtx(3), 1, 1))", "ValueError"),
-    # K of X+_2 with one off-diagonal entry
-    "intertwiner_k_diagonal": ("x = rm.simple_module(ctx, 1, 2); "
-                               "k = ((x.K_matrix[0][0], ctx.one), x.K_matrix[1]); "
-                               "rm.intertwiner_space(rm.ModuleData(ctx, 'X', 1, 2, 2, "
-                               "x.basis_names, k, x.E_matrix, x.F_matrix), x)",
+    # the action of X+_2 with one off-diagonal entry added to K
+    "intertwiner_k_diagonal": ("rm.intertwiner_space(rm.ModuleData(ctx, 'X', 1, 2, 2, "
+                               "{(0, 0): ctx.q, (0, 1): ctx.one, (1, 1): ctx.q_power(-1)}, "
+                               "{(0, 1): ctx.one}, {(1, 0): ctx.one}), "
+                               "rm.simple_module(ctx, 1, 2))",
                                "ArithmeticError"),
     "linop_compose": ("ts.LinOp.identity(ctx, 2) * ts.LinOp.identity(ctx, 3)", "ValueError"),
     "linop_add": ("ts.LinOp.identity(ctx, 2) + ts.LinOp.identity(ctx, 3)", "ValueError"),

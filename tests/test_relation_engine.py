@@ -7,9 +7,9 @@ from math import comb, isqrt
 
 import pytest
 
-from uqsl2 import relation_engine
+from uqsl2 import parse_cyclo, relation_engine
 from uqsl2._elim import SparseRref, rank_of_vectors
-from uqsl2.cyclo_field import FieldCtx
+from uqsl2.cyclo_field import FieldCtx, cyclotomic_polynomial
 from uqsl2.diagram_algebra import all_diagrams, diagram_to_matrix, e_op, rotation
 from uqsl2.fusion_dims import catalan, dimension_formula
 from uqsl2.pa_generators import embed, make_generators
@@ -91,6 +91,24 @@ def test_listed_words_degenerate_p2():
     assert r.witness["word_dependency"].split("; ")[0] == (
         "-alpha_1 - alpha_2 + alpha_2.e_1.e_2 + e_2.e_1.alpha_2 = 0")
     assert r.witness["completion"] == "adding alpha_1.e_3, beta_1.e_3, alpha_1.beta_1.e_3"
+
+
+def test_dependency_witness_parses_back(monkeypatch):
+    # parse_cyclo is the package's reader of its own renderings: every
+    # coefficient of the p = 2 prop5 witness parses back to the exact id
+    # the check computed
+    computed = []
+
+    def recording(ctx, ops, solve=relation_engine._dependencies):
+        computed.extend(null := solve(ctx, ops))
+        return null
+
+    monkeypatch.setattr(relation_engine, "_dependencies", recording)
+    deps = verify("prop5", 2).witness["dependencies"]
+    ctx = FieldCtx(2)
+    assert len(deps) == len(computed) == 3
+    assert [[parse_cyclo(ctx, c).id for _, c in d] for d in deps] == [
+        [c for _, c in sorted(v.items())] for v in computed]
 
 
 def test_duplicated_word_is_named_twice(monkeypatch):
@@ -242,7 +260,7 @@ def test_modular_map(p):
     assert powers == [pow(r, e, l) for e in range(2 * p)]
     assert l % (2 * p) == 1 and l > 2**30
     assert all(l % d for d in range(2, isqrt(l) + 1))
-    phi = FieldCtx(p).cyclotomic_modulus
+    phi = cyclotomic_polynomial(2 * p)
     assert sum(c * pow(r, i, l) for i, c in enumerate(phi)) % l == 0
 
 

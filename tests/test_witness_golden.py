@@ -40,9 +40,7 @@ IDS = [r for r in RELATION_IDS if r not in (*RANK_IDS, "action", "jw_window", "d
 def _faulted_gens(p: int) -> GeneratorSet:
     g = make_generators(p)
     ident = LinOp.identity(g.ctx, 2 * p - 1)
-    return GeneratorSet(
-        g.ctx, g.alpha + ident, g.beta + ident, g.gamma + g.gamma, g.e_scalars, g.f_scalars
-    )
+    return GeneratorSet(g.ctx, g.alpha + ident, g.beta + ident, g.gamma + g.gamma)
 
 
 @pytest.fixture
@@ -75,7 +73,7 @@ def _bumped(g: GeneratorSet, name: str, row: int, col: int) -> GeneratorSet:
     bump = LinOp(g.ctx, n, n, {BasisIndex(n, col): TensorVector.unit(g.ctx, BasisIndex(n, row))})
     ops = {"alpha": g.alpha, "beta": g.beta}
     ops[name] = ops[name] + bump
-    return GeneratorSet(g.ctx, ops["alpha"], ops["beta"], g.gamma, g.e_scalars, g.f_scalars)
+    return GeneratorSet(g.ctx, ops["alpha"], ops["beta"], g.gamma)
 
 
 @lru_cache(maxsize=None)
