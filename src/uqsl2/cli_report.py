@@ -156,15 +156,9 @@ def _conventions(config: RunConfig) -> tuple[str, ...]:
     return (config.floor_convention,)
 
 
-def _check_row(report) -> dict:
-    entry = report.as_json()
-    entry["elapsed_ms"] = 0
-    return entry
-
-
 def _section_verify(config: RunConfig) -> tuple[dict, int]:
     reports, skipped = run_checks(config.relations, ps=config.ps, budget=config.budget)
-    rows = [_check_row(rep) for rep in reports]
+    rows = [rep.as_json() for rep in reports]
     payload = {
         "section": "verify",
         "columns": ["relation_id", "p", "strands", "holds", "witness"],

@@ -3,8 +3,8 @@
 Labels are ("X", sign, s) for the simples (1 <= s <= p) and ("P", sign, s)
 for the projectives (1 <= s <= p-1), sign in {+1, -1}.  Tensoring with X
 acts linearly on multiplicity vectors; iterating from the trivial module
-gives the multiplicities M in X^(tensor n), and the quadratic form over
-them gives the endomorphism-algebra dimension D_n.
+gives the multiplicities M in X^(tensor n); summed against the Hom
+dimension table they give the endomorphism-algebra dimension D_n.
 """
 
 from __future__ import annotations
@@ -60,23 +60,24 @@ def multiplicities(n: int, p: int) -> dict[Label, int]:
     return counts
 
 
+def hom_dim(p: int, src: Label, tgt: Label) -> int:
+    """dim Hom(src, tgt) between two indecomposables.  X(sign, s) is the head
+    and the socle of P(sign, s), so a map between a simple and either is 1
+    exactly when sign and s agree; End P(sign, s) and Hom(P(sign, s),
+    P(-sign, p - s)) are 2-dimensional, and every other pair is 0."""
+    (kind, sign, s), (kind2, sign2, s2) = src, tgt
+    if kind == kind2 == "P" and sign != sign2:
+        return 2 if s + s2 == p else 0
+    if sign != sign2 or s != s2:
+        return 0
+    return 2 if kind == kind2 == "P" else 1
+
+
 def dimension_formula(n: int, p: int) -> int:
-    """The quadratic form over multiplicities: squares of the simple and
-    negative-big-simple counts, plus the projective cross terms."""
-    counts = multiplicities(n, p)
-
-    def m(label: Label) -> int:
-        return counts.get(label, 0)
-
-    total = m(("X", -1, p)) ** 2
-    total += sum(m(("X", 1, i)) ** 2 for i in range(1, p + 1))
-    for j in range(1, p):
-        pp = m(("P", 1, p - j))
-        pm = m(("P", -1, p - j))
-        total += 2 * pp**2 + 2 * pm**2
-        total += 2 * m(("X", 1, p - j)) * pp
-        total += 4 * pp * m(("P", -1, j))
-    return total
+    """dim End_U(X^n): the sum of m_L m_L' dim Hom(L, L') over the
+    indecomposables L, L' of X^n, m their multiplicities."""
+    counts = multiplicities(n, p).items()
+    return sum(m * m2 * hom_dim(p, a, b) for a, m in counts for b, m2 in counts)
 
 
 # --- the dimension conjecture --------------------------------------------------

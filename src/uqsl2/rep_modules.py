@@ -6,10 +6,11 @@ action in the standard bases.  A module is built from dicts
 {(row, column): CycloNum} of the nonzero entries of K, E and F (column j
 the image of basis vector j) and holds them as ids of its field's
 ``Scalars`` table.  The intertwiner solver computes an exact nullspace
-basis of the commutation constraints and reproduces the hom-space
-dimension table.  K is diagonal, so it solves only for the entries
-between equal K eigenvalues, under the E and F constraints, and builds
-those constraint rows by scattering each such unknown's E and F terms.
+basis of the commutation constraints, and ``verify_hom_forms`` checks
+its dimensions against ``fusion_dims.hom_dim``.  K is diagonal, so the
+solver solves only for the entries between equal K eigenvalues, under
+the E and F constraints, and builds those constraint rows by scattering
+each such unknown's E and F terms.
 A hom space is the list of the solver's id vectors, keyed i * ds + j for
 entry (i, j); the intertwiner and span checks run on id vectors.
 """
@@ -19,6 +20,7 @@ from __future__ import annotations
 from uqsl2 import _elim
 from uqsl2._kernel import ONE
 from uqsl2.cyclo_field import FieldCtx
+from uqsl2.fusion_dims import hom_dim
 
 
 class ModuleData:
@@ -217,20 +219,6 @@ def intertwiner_space(src: ModuleData, tgt: ModuleData) -> list:
     return _elim.nullspace(ctx, rows, live)
 
 
-def _expected_hom_dim(p: int, src: ModuleData, tgt: ModuleData) -> int | None:
-    """The hom-space dimension table; None for untabulated pairs."""
-    same = src.sign == tgt.sign
-    if src.kind == "X" and tgt.kind == "X":
-        return (1 if src.s == tgt.s else 0) if same else 0
-    if src.kind == "P" and tgt.kind == "X" and tgt.s <= p - 1:
-        return (1 if src.s == tgt.s else 0) if same else 0
-    if src.kind == "P" and tgt.kind == "P":
-        if same:
-            return 2 if src.s == tgt.s else 0
-        return 2 if src.s == p - tgt.s else 0
-    return None
-
-
 def all_modules(ctx: FieldCtx) -> list[ModuleData]:
     mods = []
     for sign in (1, -1):
@@ -242,33 +230,23 @@ def all_modules(ctx: FieldCtx) -> list[ModuleData]:
 
 
 def verify_hom_forms(ctx: FieldCtx) -> dict:
-    """Check the dimension table and every explicit hom-map form.
+    """Check the Hom dimension table on every ordered pair of
+    indecomposables, and every explicit hom-map form.
 
     Each explicit map must commute with the action and lie in the span of
     the solver's basis.  Returns a JSON-ready report.
     """
     p = ctx.p
-    mods = all_modules(ctx)
-    mod = {(m.kind, m.sign, m.s): m for m in mods}
-    solved = {}
-
-    def hom_space(src, tgt):
-        key = (src.label, tgt.label)
-        if key not in solved:
-            solved[key] = intertwiner_space(src, tgt)
-        return solved[key]
-
-    table_failures = []
-    for src in mods:
-        for tgt in mods:
-            expected = _expected_hom_dim(p, src, tgt)
-            if expected is None:
-                continue
-            got = len(hom_space(src, tgt))
-            if got != expected:
+    mod = {(m.kind, m.sign, m.s): m for m in all_modules(ctx)}
+    solved, table_failures = {}, []
+    for a, src in mod.items():
+        for b, tgt in mod.items():
+            solved[src, tgt] = basis = intertwiner_space(src, tgt)
+            expected = hom_dim(p, a, b)
+            if len(basis) != expected:
                 table_failures.append(
                     {"source": src.label, "target": tgt.label,
-                     "expected": expected, "got": got}
+                     "expected": expected, "got": len(basis)}
                 )
     entries = []
 
@@ -277,7 +255,7 @@ def verify_hom_forms(ctx: FieldCtx) -> dict:
         basis is independent, so vec is in its span iff adding it keeps the
         rank."""
         vec = {i * src.dimension + j: ONE for i, j in cells}
-        basis = hom_space(src, tgt)
+        basis = solved[src, tgt]
         entries.append(
             {
                 "map": name,

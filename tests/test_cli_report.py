@@ -201,6 +201,21 @@ def test_hom_section_all_maps_check_out():
         assert row["in_span"] is True
 
 
+def test_hom_table_fault_is_reported(monkeypatch):
+    # one wrong entry of the Hom table, X+_1 -> P+_1 set to 2 where the
+    # solver finds 1, fails exactly that pair and the hom report
+    import uqsl2.rep_modules as rm
+    from uqsl2.cyclo_field import FieldCtx
+
+    fault, table = (("X", 1, 1), ("P", 1, 1)), rm.hom_dim
+    monkeypatch.setattr(rm, "hom_dim", lambda p, a, b: 2 if (a, b) == fault else table(p, a, b))
+    failure = {"source": "X+_1", "target": "P+_1", "expected": 2, "got": 1}
+    assert rm.verify_hom_forms(FieldCtx(3))["table_failures"] == [failure]
+    code, text = invoke(["hom", "--p", "3", "--format", "json"])
+    assert code == EXIT_FAILED
+    assert json.loads(text)["sections"][0]["failures"] == [{"p": 3, "failure": failure}]
+
+
 def test_hom_budget_skip_exits_3():
     # (2p)^2 = 64 unknowns at p = 4 exceed a smaller budget and reach an equal one
     for budget, verb in ((1, "exceed"), (64, "reach")):

@@ -74,6 +74,31 @@ def test_dimension_matches_catalan_below_top(p):
     assert dimension_formula(2 * p - 1, p) == catalan(2 * p - 1) + 3
 
 
+def _hand_form(n, p):
+    """dim End_U(X^n) as the quadratic form expanded by hand: squares of the
+    simple and negative-big-simple counts, plus the projective cross terms."""
+    counts = multiplicities(n, p)
+
+    def m(label):
+        return counts.get(label, 0)
+
+    total = m(("X", -1, p)) ** 2
+    total += sum(m(("X", 1, i)) ** 2 for i in range(1, p + 1))
+    for j in range(1, p):
+        pp = m(("P", 1, p - j))
+        pm = m(("P", -1, p - j))
+        total += 2 * pp**2 + 2 * pm**2
+        total += 2 * m(("X", 1, p - j)) * pp
+        total += 4 * pp * m(("P", -1, j))
+    return total
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 5, 6])
+def test_dimension_formula_matches_hand_form(p):
+    for n in range(25):
+        assert dimension_formula(n, p) == _hand_form(n, p), n
+
+
 def test_dimension_frozen_values():
     assert dimension_formula(3, 2) == 8
     assert dimension_formula(4, 2) == 32

@@ -6,8 +6,8 @@ left in the package is an internal invariant on an allowlist: argument
 guards raise, so they survive ``python -O``.  Every function, class,
 method and ``property(...)`` binding, and every attribute a class sets
 on ``self`` or lists in ``__slots__``, is loaded by some code in the
-package, or listed with what uses it from outside.  The package computes
-exactly: no float or complex arithmetic outside one listed clock reading.
+package that can reach it, or listed with what uses it from outside.  The
+package computes exactly: no float or complex arithmetic.
 
 ``__init__.py`` is exempt from the unused-import check; its imports are
 the package's re-exports.
@@ -137,11 +137,8 @@ def test_asserts_are_listed_invariants():
 
 # Floating-point sites in the package, by module and source text, with why
 # each is there: an import of cmath, a float or complex literal, a float()
-# or complex() call, or a true division by an int literal.
-FLOATS = {
-    ("relation_engine", "1000.0"):
-        "elapsed_ms converts a perf_counter interval to milliseconds for the report",
-}
+# or complex() call, or a true division by an int literal.  There are none.
+FLOATS: dict = {}
 
 
 def _float_sites(text: str):
@@ -206,13 +203,14 @@ def _definitions(tree: ast.Module, prefix: str = ""):
 
 
 def _attributes(tree: ast.Module):
-    """(qualified name, bare name) of every attribute a class sets on
-    ``self`` in one of its methods or lists in its ``__slots__``; dunder
-    names are left out."""
+    """(class, name, set) of every attribute a class declares: set is True
+    where the class sets it on ``self`` in one of its methods or lists it in
+    its ``__slots__``, False where the class body only annotates it (a
+    NamedTuple field); dunder names are left out."""
     for cls in ast.walk(tree):
         if not isinstance(cls, ast.ClassDef):
             continue
-        names = set()
+        names, fields = set(), set()
         for node in cls.body:
             if isinstance(node, ast.Assign) and any(
                     isinstance(t, ast.Name) and t.id == "__slots__" for t in node.targets):
@@ -222,41 +220,65 @@ def _attributes(tree: ast.Module):
                 names |= {n.attr for n in ast.walk(node)
                           if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
                           and isinstance(n.value, ast.Name) and n.value.id == "self"}
-        for name in sorted(names):
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                fields.add(node.target.id)
+        for name in sorted(names | fields):
             if not (name.startswith("__") and name.endswith("__")):
-                yield f"{cls.name}.{name}", name
+                yield cls.name, name, name in names
 
 
-def _loaded_attributes(tree: ast.Module) -> set:
-    """Every attribute name the module loads, as ``x.name`` or
-    ``getattr(x, "name")``; storing an attribute is not a use of it."""
-    loads = {n.attr for n in ast.walk(tree)
-             if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
-    for n in ast.walk(tree):
-        if (isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "getattr"
-                and len(n.args) > 1 and isinstance(n.args[1], ast.Constant)):
-            loads.add(n.args[1].value)
-    return loads
+def _attribute_loads(tree: ast.Module, cls: str | None = None):
+    """(class, name) of every attribute the module loads, as ``x.name`` or
+    ``getattr(x, "name")``: class is the class whose method loads it where
+    x is ``self``, else None.  Storing an attribute is not a use of it."""
+    for node in ast.iter_child_nodes(tree):
+        yield from _attribute_loads(node, node.name if isinstance(node, ast.ClassDef) else cls)
+    if isinstance(tree, ast.Attribute) and isinstance(tree.ctx, ast.Load):
+        receiver, name = tree.value, tree.attr
+    elif (isinstance(tree, ast.Call) and isinstance(tree.func, ast.Name)
+          and tree.func.id == "getattr" and len(tree.args) > 1
+          and isinstance(tree.args[1], ast.Constant)):
+        receiver, name = tree.args[0], tree.args[1].value
+    else:
+        return
+    on_self = isinstance(receiver, ast.Name) and receiver.id == "self"
+    yield (cls if on_self else None), name
 
 
 def test_every_name_is_used():
-    """A definition is used where a bare name or an attribute loads it; an
-    attribute only where an attribute loads it, since a local variable of
-    the same name is no reader of it."""
+    """A definition is used where a bare name or an attribute loads it.  An
+    attribute is used only where an attribute loads it, since a local
+    variable of the same name is no reader of it, and a load reads it only
+    if the load can reach it: a load on ``self`` reads the attribute of the
+    class whose method it is in; any other load reads the attributes of
+    that name declared in its own module if there are any (config.budget in
+    cli_report reads RunConfig's field), else those of every class."""
     names: set = set()
-    attributes: set = set()
+    read: set = set()  # (module, class, name) of attributes a load reaches
+    anywhere: set = set()  # names loaded in a module that declares none of them
     defined = []
     for module in MODULES:
         tree = ast.parse((PKG / f"{module}.py").read_text(encoding="utf-8"))
-        loaded = _loaded_attributes(tree)
-        names |= _referenced(tree) | loaded
-        attributes |= loaded
+        loads = set(_attribute_loads(tree))
+        attributes = list(_attributes(tree))
+        names |= _referenced(tree) | {name for _, name in loads}
+        for cls, name in loads:
+            owners = [cls] if cls else [c for c, n, _ in attributes if n == name]
+            read |= {(module, c, name) for c in owners}
+            if not owners:
+                anywhere.add(name)
         defined += [(module, qual, name, False) for qual, name in _definitions(tree)]
-        defined += [(module, qual, name, True) for qual, name in _attributes(tree)]
-    used = lambda name, attribute: name in (attributes if attribute else names)
+        defined += [(module, f"{cls}.{name}", name, True)
+                    for cls, name, own in attributes if own]
+
+    def used(module, qual, name, attribute):
+        if not attribute:
+            return name in names
+        return name in anywhere or (module, qual.split(".")[0], name) in read
+
     unused = sorted(f"{module}.{qual}" for module, qual, name, attribute in defined
-                    if not used(name, attribute) and qual not in UNREFERENCED)
+                    if not used(module, qual, name, attribute) and qual not in UNREFERENCED)
     assert not unused, f"defined but never used in uqsl2: {unused}"
     stale = sorted(qual for qual in UNREFERENCED
-                   if all(q != qual or used(name, a) for _, q, name, a in defined))
+                   if all(d[1] != qual or used(*d) for d in defined))
     assert not stale, f"listed but used, or gone: {stale}"
