@@ -5,10 +5,12 @@ values) to nonzero int ids of the field's ``uqsl2._kernel.Scalars``
 table; callers build id rows and wrap ids into CycloNum handles at their
 own boundary.  The elimination runs on those ids with the table's
 memoised arithmetic; every id stands for the exact value the kernel
-computes, so ranks and nullspaces are exact.  Each new pivot value is
-inverted by ``CycloNum.inv``, the field's one inverse, memoised in the
-table.  There is no pivoting heuristic beyond smallest column key, which
-keeps results deterministic.
+computes, so ranks and nullspaces are exact.  Each pivot row is scaled
+to pivot value -1, so clearing column c from a row r is ``r +=
+r[c]*pivot``, the kernel's one row update ``krow_axpy``; the scale is
+the negated inverse of the pivot value, from ``CycloNum.inv``, the
+field's one inverse, memoised in the table.  There is no pivoting
+heuristic beyond smallest column key, which keeps results deterministic.
 
 ``nullspace`` first strikes singleton rows, the first step of structured
 Gaussian elimination (LaMacchia and Odlyzko, CRYPTO '90): a row with one nonzero entry forces its column to
@@ -16,9 +18,10 @@ Gaussian elimination (LaMacchia and Odlyzko, CRYPTO '90): a row with one nonzero
 no row has a single entry.  Only the rows left go through ``SparseRref``.
 
 ``residue_rank`` runs the same reduction loop over a prime field F_l, on
-rows of int residues: only the multiply-subtract and the pivot inverse
-differ.  It can stop once the rank reaches a given value, which is how a
-caller certifies a nullity against a lower bound it holds.
+rows of int residues, with pivots scaled to -1 as well: only the
+multiply-add and the pivot inverse differ.  It can stop once the rank
+reaches a given value, which is how a caller certifies a nullity against
+a lower bound it holds.
 """
 
 from __future__ import annotations
@@ -30,8 +33,8 @@ from uqsl2.cyclo_field import FieldCtx
 class SparseRref:
     """Incremental row-echelon accumulator.
 
-    Pivot rows are id rows normalized to pivot value 1, so eliminating a
-    column from an incoming row is a single fused multiply-subtract pass.
+    Pivot rows are id rows normalized to pivot value -1, so eliminating a
+    column from an incoming row is a single multiply-add pass.
     """
 
     def __init__(self, ctx: FieldCtx):
@@ -48,7 +51,7 @@ class SparseRref:
 
         Zero ids are dropped.  Absorbs the remainder as a new pivot row
         when it is nonzero and leaves that pivot row in ``row`` as kernel
-        pairs (nums, den), pivot value 1: ``perfbench/layer_trace.py``
+        pairs (nums, den), pivot value -1: ``perfbench/layer_trace.py``
         reads its coefficient sizes there.  Otherwise leaves ``row``
         empty.  Returns True iff the rank grew.
         """
@@ -58,10 +61,10 @@ class SparseRref:
         c = _reduce(r, self.pivots, krow_axpy, table)
         if c is None:
             return False
-        inv = self.ctx.wrap(r[c]).inv().id
+        scale = (-self.ctx.wrap(r[c]).inv()).id
         mul, vals = table.mul, table.vals
         for k, v in r.items():
-            w = r[k] = mul.get((v, inv)) or table.product(v, inv)
+            w = r[k] = mul.get((v, scale)) or table.product(v, scale)
             row[k] = vals[w]
         self.pivots[c] = r
         return True
@@ -70,9 +73,9 @@ class SparseRref:
 def _reduce(r, pivots, axpy, domain):
     """Eliminate pivot columns from ``r`` in place, smallest key first.
 
-    Pivot rows have pivot value 1, so ``axpy(r, piv, r[c], domain)``
-    clears column c.  Returns the first column of ``r`` without a pivot,
-    or None when ``r`` reduces to zero.
+    Pivot rows have pivot value -1, so ``axpy(r, piv, r[c], domain)``,
+    which adds ``r[c]*piv`` to ``r``, clears column c.  Returns the first
+    column of ``r`` without a pivot, or None when ``r`` reduces to zero.
     """
     while r:
         c = min(r)
@@ -84,9 +87,9 @@ def _reduce(r, pivots, axpy, domain):
 
 
 def _residue_axpy(dst, src, a, modulus):
-    """In-place ``dst[col] -= a*src[col]`` modulo a prime; zeros are removed."""
+    """In-place ``dst[col] += a*src[col]`` modulo a prime; zeros are removed."""
     for col, s in src.items():
-        x = (dst.get(col, 0) - a * s) % modulus
+        x = (dst.get(col, 0) + a * s) % modulus
         if x:
             dst[col] = x
         else:
@@ -104,21 +107,17 @@ def residue_rank(rows, modulus: int, stop: int | None = None) -> int:
     while len(pivots) != stop and (r := next(rows, None)) is not None:
         c = _reduce(r, pivots, _residue_axpy, modulus)
         if c is not None:
-            inv = pow(r[c], -1, modulus)
-            pivots[c] = {k: v * inv % modulus for k, v in r.items()}
+            scale = -pow(r[c], -1, modulus)
+            pivots[c] = {k: v * scale % modulus for k, v in r.items()}
     return len(pivots)
-
-
-def _rref(ctx: FieldCtx, rows) -> SparseRref:
-    rr = SparseRref(ctx)
-    for row in rows:
-        rr.add_row(dict(row))
-    return rr
 
 
 def rank_of_vectors(ctx: FieldCtx, vectors) -> int:
     """Rank of a family of id rows; the rows are not modified."""
-    return _rref(ctx, vectors).rank
+    rr = SparseRref(ctx)
+    for row in vectors:
+        rr.add_row(dict(row))
+    return rr.rank
 
 
 def _strike_singletons(rows: list) -> set:
@@ -181,8 +180,9 @@ def nullspace(ctx: FieldCtx, rows, columns) -> list[dict]:
             e = row.get(c)
             if e is not None:
                 krow_axpy(row, pivs[c], e, table)
+    # each reduced pivot row reads -x_pc + sum row[f] x_f = 0, so the vector
+    # of free column f holds row[f] at pc
     basis = []
-    negs = table.neg
     for f in columns:
         if f in pivs or f in forced:
             continue
@@ -190,6 +190,6 @@ def nullspace(ctx: FieldCtx, rows, columns) -> list[dict]:
         for pc, row in pivs.items():
             e = row.get(f)
             if e is not None:
-                vec[pc] = negs.get(e) or table.negation(e)
+                vec[pc] = e
         basis.append(vec)
     return basis

@@ -1,6 +1,6 @@
 """Scalar kernel: exact arithmetic on cyclotomic numbers.
 
-The pair functions (``knorm``, ``kadd``, ``ksub``, ``kneg``, ``kmul``)
+The pair functions (``knorm``, ``kadd``, ``kneg``, ``kmul``)
 take a scalar as a pair ``(nums, den)``: ``nums`` is a tuple of integer
 numerators (coefficients of q^0, q^1, ...) of length ``deg``, ``den`` a
 positive integer, with gcd(*nums, den) == 1.  ``red`` holds the reduction
@@ -11,14 +11,14 @@ module calls them.
 
 A scalar has one form: a small int id of its field's ``Scalars`` table,
 which interns canonical pairs (0 is zero, 1 is one) and memoises sums,
-products, differences, negations and inverses on ids, computing each
-miss once on the pairs; equal values have equal ids.  A
-``uqsl2.cyclo_field.CycloNum`` is a handle on one id, and its arithmetic
-is the table's.  Each field has one table, ``FieldCtx(p).table``, built
+products, negations and inverses on ids, computing each miss once on
+the pairs; equal values have equal ids, and a difference is the sum
+with a negation.  A ``uqsl2.cyclo_field.CycloNum`` is a handle on one
+id, and its arithmetic is the table's.  Each field has one table, ``FieldCtx(p).table``, built
 with its context and kept for the whole process, so the ids that
 cached operators hold stay valid.  Operators (``uqsl2.tensor_space``),
-the elimination (``krow_axpy``) and the intertwiner solver all run on
-these ids.
+the elimination and the intertwiner solver all run on these ids, and
+every sparse row sum among them is the one row update ``krow_axpy``.
 
 ``kmul`` is the one pair product, behind every product miss.  Sums of
 two integral pairs (both denominators 1, most sums in practice) add the
@@ -29,7 +29,7 @@ one the general formula gives.
 from __future__ import annotations
 
 from math import gcd
-from operator import add, neg, sub
+from operator import add, neg
 
 # Read by the benchmark's import probe (perfbench/run.py); there is one backend.
 BACKEND = "pure"
@@ -55,14 +55,6 @@ def kadd(an, ad, bn, bd):
     if ad == bd:
         return knorm(tuple(x + y for x, y in zip(an, bn)), ad)
     return knorm(tuple(x * bd + y * ad for x, y in zip(an, bn)), ad * bd)
-
-
-def ksub(an, ad, bn, bd):
-    if ad == 1 == bd:
-        return tuple(map(sub, an, bn)), 1
-    if ad == bd:
-        return knorm(tuple(x - y for x, y in zip(an, bn)), ad)
-    return knorm(tuple(x * bd - y * ad for x, y in zip(an, bn)), ad * bd)
 
 
 def kneg(an, ad):
@@ -92,10 +84,12 @@ def kmul(an, ad, bn, bd, red):
     return knorm(tuple(nums), ad * bd)
 
 
-# Entries a sum, product or difference memo holds before it is emptied.
-# Without a bound, commutant_dim(5, 7) keeps 1.05 M differences of 73 k
-# values and peaks at 158 MB; with it, at 83 MB and no slower.  The
-# benchmark's solves stay far below it (under 6 k differences per field).
+# Entries a sum or product memo holds before it is emptied.  The exact
+# solve commutant_dim(4, 7) memoises 121,678 sums of 5 k values, under the
+# cap.  ``verify --p 4 --relations prop5 --budget 131072`` would keep 727 k
+# sums of 16 k values and peak at 186 MB; with the cap it peaks at 118 MB,
+# in 90 s against 82 s (CPython 3.11, one Xeon core).  The benchmark's
+# invocations memoise under 1 k sums per field.
 MEMO_CAP = 1 << 18
 
 # Id of the field's one in every table.
@@ -106,15 +100,15 @@ class Scalars:
     """One field's scalars interned as small int ids, with memoised arithmetic.
 
     ``vals[i]`` is the canonical pair of id ``i`` and ``ids`` maps each pair
-    back; id 0 is zero and id 1 is one.  ``add``, ``mul``, ``sub`` and
-    ``neg`` map id operands to the id of the exact result (a sum or
-    difference that is zero gives 0), and ``inv`` holds the inverses
-    that ``CycloNum.inv`` has computed.  Every value is interned in canonical form, so
-    equal values have equal ids and a memo hit is the id of the pair a
-    fresh computation would give.
+    back; id 0 is zero and id 1 is one.  ``add``, ``mul`` and ``neg`` map
+    id operands to the id of the exact result (a sum that is zero gives
+    0), and ``inv`` holds the inverses that ``CycloNum.inv`` has computed.
+    Every value is interned in canonical form, so equal values have equal
+    ids and a memo hit is the id of the pair a fresh computation would
+    give.
     """
 
-    __slots__ = ("red", "ids", "vals", "add", "mul", "sub", "neg", "inv")
+    __slots__ = ("red", "ids", "vals", "add", "mul", "neg", "inv")
 
     def __init__(self, red):
         self.red = red
@@ -123,7 +117,6 @@ class Scalars:
         self.ids = {v: i for i, v in enumerate(self.vals)}
         self.add: dict = {}
         self.mul: dict = {}
-        self.sub: dict = {}
         self.neg: dict = {}
         self.inv: dict = {}
 
@@ -158,13 +151,6 @@ class Scalars:
         r = self.mul[a, b] = self.intern(*kmul(*self.vals[a], *self.vals[b], self.red))
         return r
 
-    def difference(self, a, b) -> int:
-        if len(self.sub) >= MEMO_CAP:
-            self.sub.clear()
-        rn, rd = ksub(*self.vals[a], *self.vals[b])
-        r = self.sub[a, b] = self.intern(rn, rd) if any(rn) else 0
-        return r
-
     def negation(self, a) -> int:
         r = self.neg[a] = self.intern(*kneg(*self.vals[a]))
         return r
@@ -181,12 +167,13 @@ class Scalars:
         row[key] = a
 
 
-def krow_add(dst, src, a, table):
+def krow_axpy(dst, src, a, table):
     """In-place ``dst[col] += a*src[col]`` over the columns of src.
 
     dst and src map column keys to nonzero ids of ``table``, and ``a`` is
     a nonzero id; entries that become zero are removed from dst.  This is
-    the operator inner loop (composition and sums).
+    the one row update: operator sums and composition, and the
+    elimination, whose pivot rows have pivot value -1.
     """
     muls, adds = table.mul, table.add
     for col, s in src.items():
@@ -203,29 +190,3 @@ def krow_add(dst, src, a, table):
             dst[col] = r
         else:
             del dst[col]
-
-
-def krow_axpy(dst, src, a, table):
-    """In-place ``dst[col] -= a*src[col]`` over the columns of src.
-
-    dst and src map column keys to nonzero ids of ``table``, and ``a`` is
-    an id; entries that become zero are removed from dst.  This is the
-    elimination inner loop.
-    """
-    muls, subs, negs = table.mul, table.sub, table.neg
-    for col, s in src.items():
-        t = muls.get((s, a))
-        if t is None:
-            t = table.product(s, a)
-        e = dst.get(col)
-        if e is None:
-            n = negs.get(t)
-            dst[col] = table.negation(t) if n is None else n
-        else:
-            r = subs.get((e, t))
-            if r is None:
-                r = table.difference(e, t)
-            if r:
-                dst[col] = r
-            else:
-                del dst[col]

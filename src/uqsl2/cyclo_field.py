@@ -118,15 +118,13 @@ class CycloNum:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        t = self.ctx.table
-        r = t.sub.get((self.id, o.id))
-        return self.ctx.wrap(t.difference(self.id, o.id) if r is None else r)
+        return self + -o
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o - self
+        return o + -self
 
     def __mul__(self, other):
         o = self._coerce(other)

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from uqsl2._kernel import ONE, krow_add
+from uqsl2._kernel import ONE, krow_axpy
 from uqsl2.cyclo_field import FieldCtx, factorials
 from uqsl2.tensor_space import (
     BasisIndex,
@@ -164,7 +164,7 @@ def cup_outputs(op: LinOp, i: int) -> LinOp:
     table, mq = ctx.table, ctx.qid(ctx.p + 1)
     muls, adds = table.mul, table.add
     cols = {}
-    # The sum is inlined rather than krow_add on two split dicts: this is
+    # The sum is inlined rather than krow_axpy on two split dicts: this is
     # the closure that kp_periodicity runs on whole rotation orbits.
     for m, col in op.columns.items():
         acc = {}
@@ -202,7 +202,7 @@ def cap_inputs(op: LinOp, i: int) -> LinOp:
         s = m & (lo | hi)
         if s == lo or s == hi:
             unit = qinv if s == lo else minus
-            krow_add(accs.setdefault((m & low) | (m >> 2) & ~low, {}), col.terms, unit, table)
+            krow_axpy(accs.setdefault((m & low) | (m >> 2) & ~low, {}), col.terms, unit, table)
     return _op(ctx, n - 2, op.z_out, {b: _vec(ctx, op.z_out, a) for b, a in accs.items() if a})
 
 

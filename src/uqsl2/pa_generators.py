@@ -17,7 +17,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from uqsl2.cyclo_field import FieldCtx
-from uqsl2._kernel import krow_add
+from uqsl2._kernel import krow_axpy
 from uqsl2.diagram_algebra import cap_outputs, cup_outputs
 from uqsl2.tensor_space import (
     BasisIndex,
@@ -122,7 +122,7 @@ def _trace_strand(op: LinOp, j: int, full: int) -> LinOp:
     cols = {}
     for m, col in op.columns.items():
         side = m & bit
-        krow_add(cols.setdefault((m & low) | (m >> 1) & ~low, {}),
+        krow_axpy(cols.setdefault((m & low) | (m >> 1) & ~low, {}),
                  {(t & low) | (t >> 1) & ~low: x for t, x in col.terms.items() if t & bit == side},
                  occupied if side else empty, table)
     return _op(ctx, n - 1, n - 1, {b: _vec(ctx, n - 1, a) for b, a in cols.items() if a})

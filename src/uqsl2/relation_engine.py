@@ -49,7 +49,7 @@ from math import comb
 from typing import Callable, NamedTuple
 
 from ._elim import nullspace, rank_of_vectors, residue_rank
-from ._kernel import krow_add
+from ._kernel import krow_axpy
 from .cyclo_field import CycloNum, FieldCtx, SingularRatio, cyclotomic_polynomial, factorials
 from .diagram_algebra import (
     all_diagrams,
@@ -730,7 +730,7 @@ def _rotation_sum(g, n, name):
         for ki, op in zip(_coefficients(g.p, seed).k, ops):
             if a := ki.id:
                 for m, col in op.columns.items():
-                    krow_add(cols.setdefault(m, {}), col.terms, a, table)
+                    krow_axpy(cols.setdefault(m, {}), col.terms, a, table)
         total = _op(ctx, n, n, {m: _vec(ctx, n, t) for m, t in cols.items() if t})
         yield {"identity": f"sum k_i R^i({name} x 1) = 0", "seed": list(seed)}, total, zero
 
@@ -790,9 +790,9 @@ def _dependencies(ctx: FieldCtx, ops) -> list:
 
 class Span(NamedTuple):
     """A claim that on n = _STRANDS[strands](p) strands the diagrams, named
-    by ``to_parens()``, and the (name, operator) list ``words(g)`` of
-    ``extra(p)`` words are independent, and with ``commutant`` span
-    End_U(X^n); another number of candidates raises ArithmeticError.
+    by ``to_parens()``, and the (name, operator) list ``words(g)`` are
+    independent, and with ``commutant`` span End_U(X^n); diagrams that do
+    not number Catalan(n) raise ArithmeticError.
     ``pairs(g, n)``, an Identity builder, is checked first.  A rank
     deficit's witness lists the dependencies; with a ``completion(g)`` of
     named words, also as relations and the rank the completion restores."""
@@ -800,7 +800,6 @@ class Span(NamedTuple):
     strands: str
     identity: str
     words: Callable = lambda g: []
-    extra: Callable = lambda p: 0
     commutant: bool = False
     pairs: Callable = lambda g, n: ()
     completion: Callable | None = None
@@ -814,10 +813,10 @@ class Span(NamedTuple):
         if not holds:
             return n, False, wit
         named = [(d.to_parens(), diagram_to_matrix(ctx, d)) for d in all_diagrams(n, n)]
+        if len(named) != catalan(n):
+            raise ArithmeticError(f"{len(named)} diagrams, expected Catalan({n}) = {catalan(n)}")
         named += self.words(g)
-        expected = catalan(n) + self.extra(p)
-        if len(named) != expected:
-            raise ArithmeticError(f"{len(named)} spanning candidates, expected {expected}")
+        expected = len(named)
         ops = [op for _, op in named]
         rank = rank_of_linops(ctx, ops)
         cd = {"commutant": commutant_dim(p, n, budget)} if self.commutant else {}
@@ -1092,9 +1091,9 @@ _CHECKS = {
     "prop3": Span("2p-2", "commutant = diagram span below critical size", commutant=True),
     "prop4": Span("2p-1", "diagrams + alpha, beta, alpha.beta span",
                   lambda g: [("alpha", g.alpha), ("beta", g.beta),
-                             ("alpha.beta", g.alpha * g.beta)], lambda p: 3, True, _projections),
+                             ("alpha.beta", g.alpha * g.beta)], True, _projections),
     "prop5": Span("2p", "diagrams + generator words form a basis", lambda g: prop5_words(g.p),
-                  lambda p: 12 * p - 6, True, completion=_completion),
+                  True, completion=_completion),
     "pt_alpha": Identity("2p-1", _pt_vanishes, ("alpha",)),
     "pt_beta": Identity("2p-1", _pt_vanishes, ("beta",)),
     "pt_alphabeta": Identity("2p-1", _pt_composite, ("alpha", "beta")),

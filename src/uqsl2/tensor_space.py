@@ -28,7 +28,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, NamedTuple
 
-from uqsl2._kernel import ONE, krow_add
+from uqsl2._kernel import ONE, krow_axpy
 from uqsl2.cyclo_field import CycloNum, FieldCtx
 
 
@@ -147,7 +147,7 @@ class TensorVector:
         if self.z != other.z:
             raise ValueError(f"cannot add vectors on {self.z} and {other.z} strands")
         out = dict(self.terms)
-        krow_add(out, other.terms, ONE, self.ctx.table)
+        krow_axpy(out, other.terms, ONE, self.ctx.table)
         return _vec(self.ctx, self.z, out)
 
     def __neg__(self) -> "TensorVector":
@@ -248,7 +248,7 @@ class LinOp:
         for b, c in terms.items():
             col = cols.get(b)
             if col is not None:
-                krow_add(acc, col.terms, c, table)
+                krow_axpy(acc, col.terms, c, table)
         return acc
 
     def apply(self, vec: TensorVector) -> TensorVector:

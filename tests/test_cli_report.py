@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 
@@ -258,3 +259,36 @@ def test_run_accepts_config_directly(tmp_path):
     text, code = run(config)
     assert code == EXIT_OK
     assert json.loads(text)["sections"][0]["rows"][0]["holds"] is True
+
+
+# The five invocations of perfbench/workloads.py, in JSON, with the sha256 of
+# the report and the exit code.  A change to the program must leave them
+# byte-identical unless it means to change what a report says.
+_EQ = ",".join(f"eq{k}" for k in range(1, 22))
+_PT = "pt_alpha,pt_beta,pt_alphabeta,pt_betaalpha"
+_PS = ["--p", "2", "--p", "3", "--p", "4", "--p", "5", "--p", "6"]
+BENCHMARK_REPORTS = {
+    "relations p=2": (
+        ["verify", "--p", "2", "--relations",
+         f"{_EQ},prop2,prop3,prop4,prop5,{_PT},rot_rank,kp_periodicity"],
+        "8f5665852fec5fd165fd8cf54b195919159a1e2123da4f5a49795058366e5b69", EXIT_FAILED),
+    "relations p=3": (
+        ["verify", "--p", "3", "--relations", f"{_EQ},prop2,{_PT},rot_rank,kp_periodicity"],
+        "346f0bb891942128c63439bc0b67f7f790aad97f0be9dc140449808675fe7b8f", EXIT_OK),
+    "relations p=4": (
+        ["verify", "--p", "4", "--relations", f"{_EQ},prop2,{_PT},kp_periodicity"],
+        "a400b4bb589687d9c9d282d8d1663624a2f80defca0ec3177f7d3596360cab85", EXIT_OK),
+    "endspace": (
+        ["dims", *_PS, "--max-n", "5"],
+        "65ad7f23b10aa6c48b441fea5ed235ee755dacde737f4038618a0369e4932fb5", EXIT_OK),
+    "homspace": (
+        ["hom", *_PS],
+        "68514fa7901791e3710b6e17d086d162d0b687c328c1586dc010bf6bf24b045f", EXIT_OK),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BENCHMARK_REPORTS))
+def test_benchmark_reports_are_pinned(name):
+    argv, digest, exit_code = BENCHMARK_REPORTS[name]
+    text, code = run(parse_config(argv + ["--format", "json"]))
+    assert (hashlib.sha256(text.encode()).hexdigest(), code) == (digest, exit_code)

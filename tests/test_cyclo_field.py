@@ -263,6 +263,25 @@ def test_field_axioms_p3(a, b, c, d):
     assert x * x.inv() == ctx.one
 
 
+@pytest.mark.parametrize("p", [3, 5])
+@given(data=st.data())
+@settings(max_examples=40)
+def test_subtraction_is_coefficientwise(p, data):
+    """x - y and y - x, a sum with a negation, agree with the difference of
+    the coefficients as Fractions; x - x is zero."""
+    ctx = CTX[p]
+    (xn, xd), (yn, yd) = [
+        (data.draw(st.tuples(*([small_ints] * ctx.degree))), data.draw(st.integers(1, 7)))
+        for _ in range(2)]
+    x, y = CycloNum(ctx, xn, xd), CycloNum(ctx, yn, yd)
+    coeffs = lambda v: [Fraction(a, v.den) for a in v.nums]
+    diff = [Fraction(a, xd) - Fraction(b, yd) for a, b in zip(xn, yn)]
+    assert coeffs(x - y) == diff
+    assert coeffs(y - x) == [-c for c in diff]
+    assert coeffs(1 - y) == [(j == 0) - Fraction(b, yd) for j, b in enumerate(yn)]
+    assert x - x == ctx.zero
+
+
 @pytest.mark.parametrize("p", range(2, 9))  # field degrees 2, 4, 6 and 8
 @given(data=st.data())
 @settings(max_examples=40)
@@ -343,7 +362,7 @@ def test_parse_roundtrip_small_p(p, data):
 # --- scalar kernel ---------------------------------------------------------
 
 def test_kernel_known_values():
-    from uqsl2._kernel import Scalars, kadd, kmul, kneg, krow_axpy, ksub
+    from uqsl2._kernel import Scalars, kadd, kmul, kneg, krow_axpy
 
     ctx = CTX[5]
     red = ctx.red
@@ -353,24 +372,28 @@ def test_kernel_known_values():
     a, b = (3, -2, 0, 7), (1, 5, -4, 2)
     assert kmul(a, 6, b, 5, red) == ((0, 30, -53, 52), 30)
     assert kadd(a, 6, b, 5) == ((21, 20, -24, 47), 30)
-    assert ksub(a, 6, b, 5) == ((9, -40, 24, 23), 30)
+    assert kadd(a, 6, *kneg(b, 5)) == ((9, -40, 24, 23), 30)
+    # dst += a*src: column 0 is summed, column 1 filled in, column 2 kept
     dst = ids({0: (a, 6), 2: (b, 5)})
     src = ids({0: (b, 3), 1: (a, 2)})
     krow_axpy(dst, src, table.intern((2, 0, 1, 0), 3), table)
-    assert pairs(dst) == {0: ((1, -18, 6, 11), 18), 1: ((1, 4, -3, -12), 6), 2: (b, 5)}
+    assert pairs(dst) == {0: ((17, 6, -6, 31), 18), 1: ((-1, -4, 3, 12), 6), 2: (b, 5)}
     # integral pairs (both denominators 1) take the fast path, which must give
-    # knorm of the general formula (x*bd +- y*ad over ad*bd), zero sums included
+    # knorm of the general formula (x*bd + y*ad over ad*bd), zero sums included
     general = lambda x, s, y: knorm(tuple(u + s * v for u, v in zip(x, y)), 1)
     ints = [a, b, (-3, 2, 0, -7), (0, 0, 0, 0), (6, -4, 0, 14), (-1, -5, 4, -2)]
+    units = {1: table.intern((1, 0, 0, 0), 1), -1: table.intern((-1, 0, 0, 0), 1)}
     for x in ints:
         for y in ints:
             assert kadd(x, 1, y, 1) == general(x, 1, y)
-            assert ksub(x, 1, y, 1) == general(x, -1, y)
             assert kneg(x, 1) == general((0,) * 4, -1, x)
-            dst = ids({0: (x, 1)})
-            krow_axpy(dst, ids({0: (y, 1)}), table.intern((1, 0, 0, 0), 1), table)
-            s = general(x, -1, y)
-            assert pairs(dst) == ({0: s} if any(s[0]) else {})
+            if not any(y):
+                continue  # src holds nonzero ids only
+            for sign, unit in units.items():
+                dst = ids({0: (x, 1)}) if any(x) else {}
+                krow_axpy(dst, ids({0: (y, 1)}), unit, table)
+                s = general(x, sign, y)
+                assert pairs(dst) == ({0: s} if any(s[0]) else {})
 
 
 def test_krow_axpy_drops_zeros():
@@ -378,10 +401,14 @@ def test_krow_axpy_drops_zeros():
 
     ctx = CTX[2]
     table = Scalars(ctx.red)
-    one = table.intern((1, 0), 1)
+    one, minus = table.intern((1, 0), 1), table.intern((-1, 0), 1)
     dst = {5: one}
     krow_axpy(dst, {5: one}, one, table)
-    assert dst == {}
+    assert table.vals[dst[5]] == ((2, 0), 1)
+    krow_axpy(dst, {5: one, 6: one}, minus, table)
+    assert table.vals[dst[5]] == ((1, 0), 1) and dst[6] == minus
+    krow_axpy(dst, {5: one}, minus, table)
+    assert dst == {6: minus}
 
 
 # --- the one pair product --------------------------------------------------

@@ -1,6 +1,8 @@
 """Exact sparse elimination: nullspace bases of random systems, drawn as
 kernel pairs and eliminated as id rows, checked against a reference
-elimination on the pairs."""
+elimination on the pairs.  The reference scales pivots to 1 and the
+accumulator to -1, so each pivot row is compared with the negation of the
+reference's."""
 
 from __future__ import annotations
 
@@ -10,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uqsl2._elim import SparseRref, nullspace, rank_of_vectors, residue_rank
-from uqsl2._kernel import ONE, kadd, kmul, kneg, knorm, ksub
+from uqsl2._kernel import ONE, kadd, kmul, kneg, knorm
 from uqsl2.cyclo_field import CycloNum, FieldCtx
 
 CTX = {p: FieldCtx(p) for p in (2, 3)}
@@ -74,6 +76,10 @@ def _pairs(ctx, row):
     return {k: vals[i] for k, i in row.items()}
 
 
+def _negated(row):
+    return {k: kneg(*v) for k, v in row.items()}
+
+
 # --- reference: the elimination on kernel pairs, before scalars were interned
 
 def _ref_axpy(dst, src, cn, cd, red):
@@ -84,7 +90,7 @@ def _ref_axpy(dst, src, cn, cd, red):
             if any(tn):
                 dst[col] = kneg(tn, td)
         else:
-            rn, rd = ksub(*e, tn, td)
+            rn, rd = kadd(*e, *kneg(tn, td))
             if any(rn):
                 dst[col] = (rn, rd)
             else:
@@ -137,18 +143,22 @@ def _pivot_pairs(rr):
     return {c: _pairs(rr.ctx, row) for c, row in rr.pivots.items()}
 
 
+def _negated_pivots(ref):
+    return {c: _negated(row) for c, row in ref.pivots.items()}
+
+
 def _add_both(rr, ref, row):
     """add_row of the id row on the interned accumulator and of the pair row
-    on the reference; both must agree, and the caller's dict must hold the
-    new pivot row as pairs (pivot value one) when the rank grew and be
-    empty otherwise."""
+    on the reference; the accumulator's pivot row must be the negation of the
+    reference's, and the caller's dict must hold it as pairs (pivot value
+    -1) when the rank grew and be empty otherwise."""
     mine, theirs = _ids(rr.ctx, row), dict(row)
     grew = rr.add_row(mine)
     assert grew == ref.add_row(theirs)
-    assert mine == theirs
+    assert mine == _negated(theirs)
     if grew:
         c = min(mine)
-        assert mine[c] == (rr.ctx.one.nums, rr.ctx.one.den)
+        assert mine[c] == kneg(rr.ctx.one.nums, rr.ctx.one.den)
         assert mine == _pivot_pairs(rr)[c]
     else:
         assert mine == {}
@@ -182,7 +192,7 @@ def test_nullspace_basis(system):
     rr, ref = SparseRref(ctx), _RefRref(ctx)
     for row in rows:
         _add_both(rr, ref, row)
-    assert _pivot_pairs(rr) == ref.pivots
+    assert _pivot_pairs(rr) == _negated_pivots(ref)
     free = [c for c in range(ncols) if c not in rr.pivots]
     assert len(free) == len(basis)
     for f, vec in zip(free, basis):
@@ -231,7 +241,7 @@ def test_interleaved_fields(sys2, sys3):
                 _add_both(rr, ref, rows[k])
         nullspace(CTX[2 + k % 2], [], range(1))
     for rr, ref, _ in accs:
-        assert _pivot_pairs(rr) == ref.pivots
+        assert _pivot_pairs(rr) == _negated_pivots(ref)
 
 
 @given(systems())
@@ -266,11 +276,11 @@ def test_full_memos_are_emptied(monkeypatch):
     # earlier work may have left every product this solve needs in the
     # memos, and hits never reach the cap
     table = CTX[3].table
-    for memo in (table.add, table.mul, table.sub, table.neg, table.inv):
+    for memo in (table.add, table.mul, table.neg, table.inv):
         memo.clear()
     monkeypatch.setattr(_kernel, "MEMO_CAP", 4)
     assert _commutant_dim.__wrapped__(3, 5) == 45
-    assert 0 < len(table.mul) <= 4 and 0 < len(table.sub) <= 4
+    assert 0 < len(table.mul) <= 4 and 0 < len(table.add) <= 4
 
 
 def test_residue_rank_counts_and_stops():
@@ -282,3 +292,31 @@ def test_residue_rank_counts_and_stops():
     assert residue_rank(gen, 7, stop=2) == 2
     assert read == [0, 1, 2]
     assert residue_rank([{}, {5: 3}], 7, stop=0) == 0
+
+
+def _dense_rank_mod(rows, ncols, modulus):
+    """Rank over F_modulus by dense Gauss-Jordan elimination."""
+    m = [[r.get(c, 0) for c in range(ncols)] for r in rows]
+    rank = 0
+    for c in range(ncols):
+        piv = next((i for i in range(rank, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        inv = pow(m[rank][c], -1, modulus)
+        for i in range(len(m)):
+            if i != rank and m[i][c]:
+                f = m[i][c] * inv
+                m[i] = [(a - f * b) % modulus for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+@given(st.sampled_from([2, 3, 7]), st.data())
+@settings(max_examples=100, deadline=None)
+def test_residue_rank_matches_dense_rank(modulus, data):
+    ncols = data.draw(st.integers(1, 5))
+    row = st.dictionaries(st.integers(0, ncols - 1), st.integers(1, modulus - 1), max_size=ncols)
+    rows = data.draw(st.lists(row, max_size=6))
+    expect = _dense_rank_mod(rows, ncols, modulus)
+    assert residue_rank([dict(r) for r in rows], modulus) == expect

@@ -85,7 +85,7 @@ def test_no_unused_imports(module):
 
 
 # The kernel's pair arithmetic; every other module works on scalar ids.
-PAIR_FUNCTIONS = {"knorm", "kadd", "ksub", "kneg", "kmul"}
+PAIR_FUNCTIONS = {"knorm", "kadd", "kneg", "kmul"}
 PAIR_MODULES = ("_kernel",)
 
 
