@@ -74,8 +74,9 @@ def _reduce(r, pivots, axpy, domain):
     """Eliminate pivot columns from ``r`` in place, smallest key first.
 
     Pivot rows have pivot value -1, so ``axpy(r, piv, r[c], domain)``,
-    which adds ``r[c]*piv`` to ``r``, clears column c.  Returns the first
-    column of ``r`` without a pivot, or None when ``r`` reduces to zero.
+    which adds ``r[c]*piv`` to ``r``, clears column c; a pivot row that
+    does not raises ArithmeticError.  Returns the first column of ``r``
+    without a pivot, or None when ``r`` reduces to zero.
     """
     while r:
         c = min(r)
@@ -83,6 +84,8 @@ def _reduce(r, pivots, axpy, domain):
         if piv is None:
             return c
         axpy(r, piv, r[c], domain)
+        if c in r:
+            raise ArithmeticError(f"the pivot row of column {c} did not clear it")
     return None
 
 

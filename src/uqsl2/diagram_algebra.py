@@ -34,10 +34,10 @@ from uqsl2.cyclo_field import FieldCtx, factorials
 from uqsl2.tensor_space import (
     BasisIndex,
     LinOp,
-    TensorVector,
     _op,
-    _vec,
+    _times,
     all_indices,
+    vector,
     widen,
 )
 
@@ -168,7 +168,7 @@ def cup_outputs(op: LinOp, i: int) -> LinOp:
     # the closure that kp_periodicity runs on whole rotation orbits.
     for m, col in op.columns.items():
         acc = {}
-        for t, x in col.terms.items():
+        for t, x in col.items():
             s = t & (lo | hi)
             if s == lo or s == hi:
                 if s == hi:
@@ -186,7 +186,7 @@ def cup_outputs(op: LinOp, i: int) -> LinOp:
                 else:
                     del acc[k]
         if acc:
-            cols[m] = _vec(ctx, n - 2, acc)
+            cols[m] = acc
     return _op(ctx, op.z_in, n - 2, cols)
 
 
@@ -202,8 +202,8 @@ def cap_inputs(op: LinOp, i: int) -> LinOp:
         s = m & (lo | hi)
         if s == lo or s == hi:
             unit = qinv if s == lo else minus
-            krow_axpy(accs.setdefault((m & low) | (m >> 2) & ~low, {}), col.terms, unit, table)
-    return _op(ctx, n - 2, op.z_out, {b: _vec(ctx, op.z_out, a) for b, a in accs.items() if a})
+            krow_axpy(accs.setdefault((m & low) | (m >> 2) & ~low, {}), col, unit, table)
+    return _op(ctx, n - 2, op.z_out, {b: a for b, a in accs.items() if a})
 
 
 def cap_outputs(op: LinOp, i: int) -> LinOp:
@@ -218,11 +218,11 @@ def cap_outputs(op: LinOp, i: int) -> LinOp:
     cols = {}
     for m, col in op.columns.items():
         terms = {}
-        for t, x in col.terms.items():
+        for t, x in col.items():
             base = (t & low) | (t & ~low) << 2
             terms[base | lo] = muls.get((x, qinv)) or table.product(x, qinv)
             terms[base | hi] = negs.get(x) or table.negation(x)
-        cols[m] = _vec(ctx, n, terms)
+        cols[m] = terms
     return _op(ctx, op.z_in, n, cols)
 
 
@@ -233,12 +233,12 @@ def cup_inputs(op: LinOp, i: int) -> LinOp:
     ctx, n = op.ctx, op.z_in + 2
     low = _strand_gap("cup", i, n)
     lo, hi = 1 << (i - 1), 1 << i
-    mq = ctx.qid(ctx.p + 1)
+    table, mq = ctx.table, ctx.qid(ctx.p + 1)
     cols = {}
     for m, col in op.columns.items():
         base = (m & low) | (m & ~low) << 2
         cols[base | lo] = col
-        cols[base | hi] = col._times(mq)
+        cols[base | hi] = _times(table, col, mq)
     return _op(ctx, n, op.z_out, cols)
 
 
@@ -295,7 +295,7 @@ def diagram_to_matrix(ctx: FieldCtx, d: TLDiagram) -> LinOp:
     for m, x in readings("b", ONE, ctx.qid(ctx.p + 1)):
         terms = [(k, muls.get((x, y)) or table.product(x, y)) for k, y in caps]
         for through_in, through_out in bits:
-            cols[m | through_in] = _vec(ctx, d.n_top, {through_out | k: y for k, y in terms})
+            cols[m | through_in] = {through_out | k: y for k, y in terms}
     return _op(ctx, d.n_bottom, d.n_top, cols)
 
 
@@ -338,12 +338,12 @@ def jw_closed(ctx: FieldCtx, n: int) -> LinOp:
             for v in occ:
                 mask |= 1 << (v - 1)
             terms[BasisIndex(n, mask)] = ctx.q_power(base - sum(occ)) * scalar
-        lowered[k] = TensorVector(ctx, n, terms)
+        lowered[k] = vector(ctx, n, terms)
     cols = {}
     for b in all_indices(n):
         k = b.weight
         coeff = ctx.q_power(k * n - (k * k - k) // 2 - sum(b.occupancy))
-        cols[b] = lowered[k] * coeff
+        cols[b] = lowered[k].scale(coeff)
     return LinOp(ctx, n, n, cols)
 
 
@@ -374,9 +374,9 @@ def rotation(ctx: FieldCtx, f: LinOp) -> LinOp:
         # half takes the unit into column shifted | s_m
         same = cols.setdefault(shifted | (1 - s_m), {})
         other = cols.setdefault(shifted | s_m, {})
-        for t, x in col.terms.items():
+        for t, x in col.items():
             if t & 1 == s_m:
                 same[t >> 1 | gap] = negs.get(x) or table.negation(x)
             else:
                 other[t >> 1 | gap] = muls.get((x, unit)) or table.product(x, unit)
-    return _op(ctx, m, n, {b: _vec(ctx, n, terms) for b, terms in cols.items() if terms})
+    return _op(ctx, m, n, {b: terms for b, terms in cols.items() if terms})

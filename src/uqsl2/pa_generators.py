@@ -20,16 +20,15 @@ from uqsl2.cyclo_field import FieldCtx
 from uqsl2._kernel import krow_axpy
 from uqsl2.diagram_algebra import cap_outputs, cup_outputs
 from uqsl2.tensor_space import (
-    BasisIndex,
     LinOp,
-    TensorVector,
     _op,
-    _vec,
     all_indices,
     basis_index,
     f_power,
     op_E,
     op_F,
+    unit,
+    vector,
     widen,
     x_bottom,
     x_top,
@@ -61,11 +60,11 @@ def make_generators(p: int) -> GeneratorSet:
     # E^m applied to the fully occupied vector, F^m to the empty one,
     # by honest iteration
     E, F = op_E(ctx, z), op_F(ctx, z)
-    e_tops = [TensorVector.unit(ctx, top)]
-    f_bots = [TensorVector.unit(ctx, bottom)]
+    e_tops = [unit(ctx, top)]
+    f_bots = [unit(ctx, bottom)]
     for _ in range(p):
-        e_tops.append(E.apply(e_tops[-1]))
-        f_bots.append(F.apply(f_bots[-1]))
+        e_tops.append(E * e_tops[-1])
+        f_bots.append(F * f_bots[-1])
     alpha_cols = {}
     beta_cols = {}
     for b in all_indices(z):
@@ -73,23 +72,23 @@ def make_generators(p: int) -> GeneratorSet:
         base = ctx.q_power(k * z - (k * k - k) // 2 - sum(b.occupancy))
         if k < p:
             # E^k x lands on the empty vector; read off e_x
-            v = TensorVector.unit(ctx, b)
+            v = unit(ctx, b)
             for _ in range(k):
-                v = E.apply(v)
+                v = E * v
             e_x = v.coeff(bottom)
-            explicit = e_tops[p - k - 1] * (base * ctx.qfact(k))
-            if explicit != e_tops[p - k - 1] * e_x:
+            explicit = e_tops[p - k - 1].scale(base * ctx.qfact(k))
+            if explicit != e_tops[p - k - 1].scale(e_x):
                 raise ArithmeticError(f"alpha column {b}: explicit and iterated E disagree")
             if explicit:
                 alpha_cols[b] = explicit
         else:
             # F^(z-k) x lands on the full vector; read off f_x
-            v = TensorVector.unit(ctx, b)
+            v = unit(ctx, b)
             for _ in range(z - k):
-                v = F.apply(v)
+                v = F * v
             f_x = v.coeff(top)
-            explicit = f_bots[k - p] * (base * ctx.qfact(z - k))
-            if explicit != f_bots[k - p] * f_x:
+            explicit = f_bots[k - p].scale(base * ctx.qfact(z - k))
+            if explicit != f_bots[k - p].scale(f_x):
                 raise ArithmeticError(f"beta column {b}: explicit and iterated F disagree")
             if explicit:
                 beta_cols[b] = explicit
@@ -123,9 +122,9 @@ def _trace_strand(op: LinOp, j: int, full: int) -> LinOp:
     for m, col in op.columns.items():
         side = m & bit
         krow_axpy(cols.setdefault((m & low) | (m >> 1) & ~low, {}),
-                 {(t & low) | (t >> 1) & ~low: x for t, x in col.terms.items() if t & bit == side},
+                 {(t & low) | (t >> 1) & ~low: x for t, x in col.items() if t & bit == side},
                  occupied if side else empty, table)
-    return _op(ctx, n - 1, n - 1, {b: _vec(ctx, n - 1, a) for b, a in cols.items() if a})
+    return _op(ctx, n - 1, n - 1, {b: a for b, a in cols.items() if a})
 
 
 def partial_trace_right(op: LinOp) -> LinOp:
@@ -153,21 +152,22 @@ def partial_trace_comparison(ctx: FieldCtx) -> LinOp:
         if b.weight != p - 1:
             continue
         expo = 1 - p * p - (p * p - p) // 2 - sum(b.occupancy)
-        cols[b] = lowered * (sign * ctx.q_power(expo))
+        cols[b] = lowered.scale(sign * ctx.q_power(expo))
     return LinOp(ctx, z, z, cols)
 
 
-def nested_cap(ctx: FieldCtx, z: int) -> TensorVector:
-    """z nested caps, built by actually inserting one cap at a time."""
+def nested_cap(ctx: FieldCtx, z: int) -> LinOp:
+    """z nested caps, a vector X^(tensor 0) -> X^(tensor 2z), built by
+    actually inserting one cap at a time."""
     if z < 1:
         raise ValueError(f"nested caps need z >= 1, got {z}")
     op = LinOp.identity(ctx, 0)
     for j in range(1, z + 1):
         op = cap_outputs(op, j)
-    return op.column(BasisIndex(0, 0))
+    return op
 
 
-def nested_cap_closed(ctx: FieldCtx, z: int) -> TensorVector:
+def nested_cap_closed(ctx: FieldCtx, z: int) -> LinOp:
     """The closed-form expansion of the z-fold nested cap: occupied slots
     r_1..r_n on the left half and the reflected complement on the right,
     weighted by (-1)^(z-n) q^(-n)."""
@@ -180,7 +180,7 @@ def nested_cap_closed(ctx: FieldCtx, z: int) -> TensorVector:
             occ = list(r) + [2 * z + 1 - x for x in reversed(comp)]
             c = ctx.q_power(-n) * ctx.scalar((-1) ** (z - n))
             terms[basis_index(2 * z, occ)] = c
-    return TensorVector(ctx, 2 * z, terms)
+    return vector(ctx, 2 * z, terms)
 
 
 def nested_cup(ctx: FieldCtx, z: int) -> LinOp:

@@ -76,8 +76,8 @@ from .pa_generators import (
     partial_trace_right,
 )
 from .tensor_space import (
-    BasisIndex, LinOp, TensorVector, _op, _vec, basis_index, e_power, e_terms, f_power,
-    f_terms, from_word, linear_text, op_E, op_F, op_K, op_K_power, widen, x_bottom, x_top,
+    BasisIndex, LinOp, _op, basis_index, column_text, e_power, e_terms, f_power, f_terms,
+    from_word, linear_text, op_E, op_F, op_K, op_K_power, unit, vector, widen, x_bottom, x_top,
 )
 
 DEFAULT_BUDGET = 2**16
@@ -136,16 +136,16 @@ def rank_of_linops(ctx: FieldCtx, ops) -> int:
 def _witness(lhs: LinOp, rhs: LinOp) -> dict | None:
     """Both images of the least basis vector whose columns differ, or None.
 
-    Equal values have equal ids, so columns differ exactly when their terms
-    do; a missing column is zero.
+    Equal values have equal ids, so columns differ exactly when their id
+    dicts do; a missing column is zero.
     """
     lc, rc = lhs.columns, rhs.columns
-    terms = lambda cols, m: cols[m].terms if m in cols else {}
-    bad = [m for m in lc.keys() | rc.keys() if terms(lc, m) != terms(rc, m)]
+    bad = [m for m in lc.keys() | rc.keys() if lc.get(m, {}) != rc.get(m, {})]
     if not bad:
         return None
-    b = BasisIndex(lhs.z_in, min(bad))
-    return {"basis": b.word(), "lhs": str(lhs.column(b)), "rhs": str(rhs.column(b))}
+    m = min(bad)
+    return {"basis": BasisIndex(lhs.z_in, m).word(),
+            "lhs": column_text(lhs, m), "rhs": column_text(rhs, m)}
 
 
 class CoefficientVector:
@@ -730,8 +730,8 @@ def _rotation_sum(g, n, name):
         for ki, op in zip(_coefficients(g.p, seed).k, ops):
             if a := ki.id:
                 for m, col in op.columns.items():
-                    krow_axpy(cols.setdefault(m, {}), col.terms, a, table)
-        total = _op(ctx, n, n, {m: _vec(ctx, n, t) for m, t in cols.items() if t})
+                    krow_axpy(cols.setdefault(m, {}), col, a, table)
+        total = _op(ctx, n, n, {m: t for m, t in cols.items() if t})
         yield {"identity": f"sum k_i R^i({name} x 1) = 0", "seed": list(seed)}, total, zero
 
 
@@ -841,10 +841,10 @@ def _separation(g, n):
     # differ on 011
     if n >= 3:
         b, one = from_word("011"), LinOp.identity(g.ctx, 3)
-        lhs = e_left(e_left(one, 2), 1).column(b)
-        rhs = e_left(e_left(one, 1), 2).column(b)
-        if lhs == rhs:
-            return False, {"identity": "e_1e_2 and e_2e_1 separate on 011", "value": str(lhs)}
+        lhs, rhs = e_left(e_left(one, 2), 1), e_left(e_left(one, 1), 2)
+        if lhs.column(b) == rhs.column(b):
+            return False, {"identity": "e_1e_2 and e_2e_1 separate on 011",
+                           "value": column_text(lhs, b.mask)}
     yield from ()  # a verdict without pairs
 
 
@@ -929,12 +929,8 @@ def _kp_law(g, n):
 
 
 # --- action identities, the Jones-Wenzl window, the cap/cup duality ----------
-# Vectors are compared as one-column maps X^0 -> X^z and scalars as 0-strand
-# maps, so every side goes through the same first-difference witness.
-
-def _col(v: TensorVector) -> LinOp:
-    return LinOp(v.ctx, 0, v.z, {BasisIndex(0, 0): v})
-
+# A vector of X^z is a map X^0 -> X^z and a scalar a map X^0 -> X^0, so
+# every side is a LinOp and goes through the same first-difference witness.
 
 def _num(ctx: FieldCtx, c: CycloNum) -> LinOp:
     return LinOp.identity(ctx, 0).scale(c)
@@ -943,7 +939,7 @@ def _num(ctx: FieldCtx, c: CycloNum) -> LinOp:
 def _action_sides(g, top: int):
     """The action identities of K, E and F on X^z, z <= top."""
     ctx = g.ctx
-    qp, qf, unit = ctx.q_power, ctx.qfact, lambda b: TensorVector.unit(ctx, b)
+    qp, qf = ctx.q_power, ctx.qfact
     I1, K1, Ki1, E1, F1 = (LinOp.identity(ctx, 1), op_K(ctx, 1), op_K_power(ctx, 1, -1),
                            op_E(ctx, 1), op_F(ctx, 1))
     for z in range(1, top + 1):
@@ -967,6 +963,7 @@ def _action_sides(g, top: int):
         # iterated E (F) takes a state S of weight n to x_bottom (x_top),
         # times q^(nz - (n^2-n)/2 - sum S) [n]! ([z-n]!)
         Ek, Fk = [E ** n for n in range(z + 1)], [F ** n for n in range(z + 1)]
+        low, high = unit(ctx, x_bottom(z)), unit(ctx, x_top(z))
 
         def ladder(b, m):
             n = b.weight
@@ -974,10 +971,10 @@ def _action_sides(g, top: int):
 
         yield (f"E^n lowers every state of {z} strands to x_bottom",
                LinOp.from_applier(ctx, z, z, lambda b: Ek[b.weight].column(b)),
-               LinOp.from_applier(ctx, z, z, lambda b: unit(x_bottom(z)) * ladder(b, b.weight)))
+               LinOp.from_applier(ctx, z, z, lambda b: low * ladder(b, b.weight)))
         yield (f"F^(z-n) raises every state of {z} strands to x_top",
                LinOp.from_applier(ctx, z, z, lambda b: Fk[z - b.weight].column(b)),
-               LinOp.from_applier(ctx, z, z, lambda b: unit(x_top(z)) * ladder(b, z - b.weight)))
+               LinOp.from_applier(ctx, z, z, lambda b: high * ladder(b, z - b.weight)))
         # F^k x_bottom and E^k x_top expanded over occupancy subsets
         # as [k]! times the sum of q^(s(s+1)/2 - sum t) rho_t over s-subsets t
         for k in range(z + 1):
@@ -985,8 +982,8 @@ def _action_sides(g, top: int):
                                   (f"E^{k} x_top", e_power, x_top(z), z - k)):
                 want = {basis_index(z, t): qf(k) * qp(s * (s + 1) // 2 - sum(t))
                         for t in combinations(range(1, z + 1), s)}
-                yield (f"{tag} expansion on {z} strands", _col(op(ctx, k, z).column(v)),
-                       _col(TensorVector(ctx, z, want)))
+                yield (f"{tag} expansion on {z} strands", op(ctx, k, z).column(v),
+                       vector(ctx, z, want))
     # coproducts of the powers on every split z1 + z2 <= top
     for z1 in range(1, top):
         for z2 in range(1, top - z1 + 1):
@@ -1002,21 +999,21 @@ def _action_sides(g, top: int):
                 yield f"E^{k} coproduct on {z1} + {z2} strands", e_power(ctx, k, z1 + z2), rhs_e
                 yield f"F^{k} coproduct on {z1} + {z2} strands", f_power(ctx, k, z1 + z2), rhs_f
     # peeling the last or the first strand off E^k x_top and F^k x_bottom
-    nu0, nu1 = unit(BasisIndex(1, 0)), unit(BasisIndex(1, 1))
+    nu0, nu1 = unit(ctx, BasisIndex(1, 0)), unit(ctx, BasisIndex(1, 1))
     for z in range(1, top):
         for k in range(z + 2):
-            e_up = _col(e_power(ctx, k, z + 1).column(x_top(z + 1)))
-            f_up = _col(f_power(ctx, k, z + 1).column(x_bottom(z + 1)))
+            e_up = e_power(ctx, k, z + 1).column(x_top(z + 1))
+            f_up = f_power(ctx, k, z + 1).column(x_bottom(z + 1))
             ek, fk = e_power(ctx, k, z).column(x_top(z)), f_power(ctx, k, z).column(x_bottom(z))
-            ek1 = e_power(ctx, k - 1, z).column(x_top(z)) if k else TensorVector(ctx, z)
-            fk1 = f_power(ctx, k - 1, z).column(x_bottom(z)) if k else TensorVector(ctx, z)
+            ek1 = e_power(ctx, k - 1, z).column(x_top(z)) if k else LinOp.zero(ctx, 0, z)
+            fk1 = f_power(ctx, k - 1, z).column(x_bottom(z)) if k else LinOp.zero(ctx, 0, z)
             qk, c = ctx.qint(k), ctx.qint(k) * qp(k - z - 1)
             last, first = f"last of {z + 1} peeled", f"first of {z + 1} peeled"
-            yield f"E^{k} x_top, {last}", e_up, _col(ek1.tensor(nu0) * qk + ek.tensor(nu1) * qp(-k))
-            yield f"E^{k} x_top, {first}", e_up, _col(nu0.tensor(ek1) * c + nu1.tensor(ek))
-            yield f"F^{k} x_bottom, {last}", f_up, _col(fk.tensor(nu0) + fk1.tensor(nu1) * c)
+            yield f"E^{k} x_top, {last}", e_up, ek1.tensor(nu0) * qk + ek.tensor(nu1) * qp(-k)
+            yield f"E^{k} x_top, {first}", e_up, nu0.tensor(ek1) * c + nu1.tensor(ek)
+            yield f"F^{k} x_bottom, {last}", f_up, fk.tensor(nu0) + fk1.tensor(nu1) * c
             yield (f"F^{k} x_bottom, {first}", f_up,
-                   _col(nu0.tensor(fk) * qp(-k) + nu1.tensor(fk1) * qk))
+                   nu0.tensor(fk) * qp(-k) + nu1.tensor(fk1) * qk)
     # the weight sums xi(n, z): subset sums and their recurrence
     for z in range(top + 1):
         for n in range(z + 1):
@@ -1041,7 +1038,7 @@ def _jw_window_sides(g, n: int):
             continue
         return False, {"identity": f"f_{m} is singular inside the window"}
     proj = jw_closed(ctx, n)
-    low = _col(TensorVector.unit(ctx, x_bottom(n)))
+    low = unit(ctx, x_bottom(n))
     yield f"f_{n}.f_{n} = f_{n}", proj * proj, proj
     yield f"f_{n} fixes x_bottom", proj * low, low
     zero = LinOp.zero(ctx, n, n)
@@ -1054,8 +1051,8 @@ def _duality(g, n):
     # the nested caps realise Hom_U(1, X^2z), which the end-space solver uses
     ctx = g.ctx
     for z in range(1, n // 2 + 1):
-        caps = _col(nested_cap(ctx, z))
-        yield f"nested cap on {2 * z} strands = closed form", caps, _col(nested_cap_closed(ctx, z))
+        caps = nested_cap(ctx, z)
+        yield f"nested cap on {2 * z} strands = closed form", caps, nested_cap_closed(ctx, z)
         yield (f"nested cup.nested cap on {2 * z} strands = delta^{z}",
                nested_cup(ctx, z) * caps, _num(ctx, ctx.loop_value ** z))
 

@@ -3,24 +3,24 @@
 Basis states of X^(tensor z) are occupancy words: position j (1-based,
 leftmost factor first) carries nu_1 when bit j of the mask is set.  The
 weight-n space is spanned by the states with n occupied positions; the
-K-eigenvalue there is q^(z-2n).  On top of the basis sit sparse vectors
-(TensorVector), sparse column operators (LinOp), the coproduct-lifted
-K/E/F operators, whose columns are read from the one E/F rule
-(``e_terms``, ``f_terms``), and their closed-form k-th powers.
+K-eigenvalue there is q^(z-2n).  On top of the basis sit sparse column
+operators (LinOp), the coproduct-lifted K/E/F operators, whose columns
+are read from the one E/F rule (``e_terms``, ``f_terms``), and their
+closed-form k-th powers.  A vector of X^(tensor z) is a LinOp from 0
+strands (``vector``, ``unit``), so applying an operator is composing.
 
 A scalar has one form, an int id of its field's ``uqsl2._kernel.Scalars``
-table, and a CycloNum is a handle on one: a TensorVector holds
-{int mask: int id} and a LinOp {int mask: TensorVector}.  The table is
-``ctx.table`` of the one ``FieldCtx(p)``, so equal values have equal ids
-and equality of vectors and operators is identity of the context and
-equality of id dicts.  Sums, negations, products, composition and the
-index maps are memoised id lookups; sums, composition, ``apply`` and
-``tensor`` raise ValueError on operands of two fields, whose ids would
-be read in the wrong table.
+table, and a CycloNum is a handle on one: a LinOp holds
+{int in mask: {int out mask: int id}}.  The table is ``ctx.table`` of
+the one ``FieldCtx(p)``, so equal values have equal ids and equality of
+operators is identity of the context and equality of id dicts.  Sums,
+negations, products, composition and the index maps are memoised id
+lookups; sums, composition and ``tensor`` raise ValueError on operands
+of two fields, whose ids would be read in the wrong table.
 CycloNum handles and BasisIndex appear only at the boundary: the
-constructors, ``unit``, ``scale``, ``column``, ``coeff`` and ``str``
-read or make a handle's id.  ``LinOp.flat`` hands the entries to
-``uqsl2._elim`` as one id row, as they are held.
+constructors, ``vector``, ``scale``, ``column``, ``coeff`` and
+``column_text`` read or make a handle's id.  ``LinOp.flat`` hands the
+entries to ``uqsl2._elim`` as one id row, as they are held.
 """
 
 from __future__ import annotations
@@ -87,20 +87,37 @@ def x_top(z: int) -> BasisIndex:
     return BasisIndex(z, (1 << z) - 1)
 
 
-# _vec and _op wrap terms and columns already in id form, without __init__.
-_new = object.__new__
-
-
-def _vec(ctx: FieldCtx, z: int, terms: dict) -> "TensorVector":
-    v = _new(TensorVector)
-    v.ctx, v.z, v.terms = ctx, z, terms
-    return v
-
-
 def _op(ctx: FieldCtx, z_in: int, z_out: int, columns: dict) -> "LinOp":
-    out = _new(LinOp)
+    """The LinOp of id columns already in form, made without __init__."""
+    out = object.__new__(LinOp)
     out.ctx, out.z_in, out.z_out, out.columns = ctx, z_in, z_out, columns
     return out
+
+
+def vector(ctx: FieldCtx, z: int, terms: dict) -> "LinOp":
+    """The vector sum of c.b over ``terms`` {BasisIndex: CycloNum} of
+    X^(tensor z), as a map from 0 strands; zero coefficients are dropped."""
+    col = {}
+    for b, c in terms.items():
+        if c:
+            if b.z != z:
+                raise ValueError(f"basis index {b} is not on {z} strands")
+            col[b.mask] = c.id
+    return _op(ctx, 0, z, {0: col} if col else {})
+
+
+def unit(ctx: FieldCtx, b: BasisIndex) -> "LinOp":
+    """The basis vector b, as a map from 0 strands."""
+    return _op(ctx, 0, b.z, {0: {b.mask: ONE}})
+
+
+def _times(table, col: dict, a: int) -> dict:
+    """The id column ``col`` times the nonzero scalar id ``a``; ``col``
+    itself when ``a`` is one, since columns are never mutated."""
+    if a == ONE:
+        return col
+    muls = table.mul
+    return {t: muls.get((x, a)) or table.product(x, a) for t, x in col.items()}
 
 
 def linear_text(terms) -> str:
@@ -115,119 +132,49 @@ def linear_text(terms) -> str:
     return out or "0"
 
 
+def column_text(op: "LinOp", mask: int) -> str:
+    """Column ``mask`` of ``op`` as a sum over its out basis, "0" when zero."""
+    col = op.columns.get(mask, {})
+    basis = sorted((BasisIndex(op.z_out, m) for m in col), key=BasisIndex.word)
+    return linear_text((str(op.ctx.wrap(col[b.mask])), str(b)) for b in basis)
+
+
 def _same_field(a, b) -> None:
     """Raise ValueError unless a and b hold ids of the same field's table."""
     if a.ctx is not b.ctx:
         raise ValueError(f"operands over different fields: {a.ctx} and {b.ctx}")
 
 
-class TensorVector:
-    """Sparse element of X^(tensor z): occupancy mask -> scalar id."""
-
-    __slots__ = ("ctx", "z", "terms")
-
-    def __init__(self, ctx: FieldCtx, z: int, terms: dict | None = None):
-        """``terms`` maps BasisIndex to CycloNum; zero coefficients are dropped."""
-        self.ctx = ctx
-        self.z = z
-        self.terms: dict[int, int] = {}
-        if terms:
-            for b, c in terms.items():
-                if c:
-                    if b.z != z:
-                        raise ValueError(f"basis index {b} is not on {z} strands")
-                    self.terms[b.mask] = c.id
-
-    @classmethod
-    def unit(cls, ctx: FieldCtx, b: BasisIndex) -> "TensorVector":
-        return _vec(ctx, b.z, {b.mask: ONE})
-
-    def __add__(self, other: "TensorVector") -> "TensorVector":
-        _same_field(self, other)
-        if self.z != other.z:
-            raise ValueError(f"cannot add vectors on {self.z} and {other.z} strands")
-        out = dict(self.terms)
-        krow_axpy(out, other.terms, ONE, self.ctx.table)
-        return _vec(self.ctx, self.z, out)
-
-    def __neg__(self) -> "TensorVector":
-        table = self.ctx.table
-        negs = table.neg
-        return _vec(self.ctx, self.z, {
-            b: negs.get(x) or table.negation(x) for b, x in self.terms.items()})
-
-    def __sub__(self, other: "TensorVector") -> "TensorVector":
-        return self + (-other)
-
-    def scale(self, c) -> "TensorVector":
-        return self._times(self.ctx.scalar(c).id)
-
-    def _times(self, a: int) -> "TensorVector":
-        """This vector times the scalar id ``a``."""
-        if a == ONE or not a:
-            return _vec(self.ctx, self.z, dict(self.terms) if a else {})
-        table = self.ctx.table
-        muls = table.mul
-        return _vec(self.ctx, self.z, {
-            b: muls.get((x, a)) or table.product(x, a) for b, x in self.terms.items()})
-
-    def __mul__(self, c):
-        return self.scale(c)
-
-    __rmul__ = __mul__
-
-    def tensor(self, other: "TensorVector") -> "TensorVector":
-        _same_field(self, other)
-        table, shift = self.ctx.table, self.z
-        muls = table.mul
-        out = {}
-        for b1, x in self.terms.items():
-            for b2, y in other.terms.items():
-                out[b1 | b2 << shift] = muls.get((x, y)) or table.product(x, y)
-        return _vec(self.ctx, self.z + other.z, out)
-
-    def coeff(self, b: BasisIndex) -> CycloNum:
-        return self.ctx.wrap(self.terms.get(b.mask, 0))
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorVector):
-            return NotImplemented
-        return self.z == other.z and self.ctx is other.ctx and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.z, frozenset(self.terms.items())))
-
-    def __str__(self):
-        basis = sorted((BasisIndex(self.z, m) for m in self.terms), key=BasisIndex.word)
-        return linear_text((str(self.ctx.wrap(self.terms[b.mask])), str(b)) for b in basis)
-
-    __repr__ = __str__
-
-
 class LinOp:
-    """Column-sparse linear map X^(tensor z_in) -> X^(tensor z_out)."""
+    """Column-sparse linear map X^(tensor z_in) -> X^(tensor z_out).
+
+    ``columns`` maps an in mask to its column {out mask: scalar id}; no
+    column and no entry is zero.  A vector of X^(tensor z) is a map from 0
+    strands, its one column at mask 0.  Operators share column dicts: a
+    sum keeps the other operand's columns, ``cup_inputs`` stores one
+    column under two masks, and the generators and rotation orbits are
+    cached for the whole process.  So a column is never mutated after
+    its operator is built, and every in-place sum works on a copy.
+    """
 
     __slots__ = ("ctx", "z_in", "z_out", "columns")
 
     def __init__(self, ctx: FieldCtx, z_in: int, z_out: int, columns=None):
-        """``columns`` maps BasisIndex to TensorVector; zero columns are dropped."""
+        """``columns`` maps BasisIndex to a vector on z_out strands; zero columns are dropped."""
         self.ctx = ctx
         self.z_in = z_in
         self.z_out = z_out
-        self.columns: dict[int, TensorVector] = {}
+        self.columns: dict[int, dict[int, int]] = {}
         if columns:
             for b, v in columns.items():
                 if v:
-                    if b.z != z_in or v.z != z_out:
+                    if b.z != z_in or v.z_in or v.z_out != z_out:
                         raise ValueError(f"column {b} is not a map from {z_in} to {z_out} strands")
-                    self.columns[b.mask] = v
+                    self.columns[b.mask] = v.columns[0]
 
     @classmethod
     def identity(cls, ctx: FieldCtx, z: int) -> "LinOp":
-        return _op(ctx, z, z, {m: _vec(ctx, z, {m: ONE}) for m in range(1 << z)})
+        return _op(ctx, z, z, {m: {m: ONE} for m in range(1 << z)})
 
     @classmethod
     def zero(cls, ctx: FieldCtx, z_in: int, z_out: int) -> "LinOp":
@@ -237,25 +184,16 @@ class LinOp:
     def from_applier(cls, ctx: FieldCtx, z_in: int, z_out: int, fn) -> "LinOp":
         return cls(ctx, z_in, z_out, {b: fn(b) for b in all_indices(z_in)})
 
-    def column(self, b: BasisIndex) -> TensorVector:
+    def column(self, b: BasisIndex) -> "LinOp":
+        """The image of basis state b, as a vector."""
         col = self.columns.get(b.mask)
-        return col if col is not None else TensorVector(self.ctx, self.z_out)
+        return _op(self.ctx, 0, self.z_out, {0: col} if col else {})
 
-    def _apply(self, terms: dict, table) -> dict:
-        """Id terms of this operator applied to the id terms ``terms``."""
-        cols = self.columns
-        acc: dict[int, int] = {}
-        for b, c in terms.items():
-            col = cols.get(b)
-            if col is not None:
-                krow_axpy(acc, col.terms, c, table)
-        return acc
-
-    def apply(self, vec: TensorVector) -> TensorVector:
-        _same_field(self, vec)
-        if vec.z != self.z_in:
-            raise ValueError(f"cannot apply {self!r} to a vector on {vec.z} strands")
-        return _vec(self.ctx, self.z_out, self._apply(vec.terms, self.ctx.table))
+    def coeff(self, b: BasisIndex) -> CycloNum:
+        """The coefficient of basis state b in this vector."""
+        if self.z_in:
+            raise ValueError(f"{self!r} is no vector")
+        return self.ctx.wrap(self.columns.get(0, {}).get(b.mask, 0))
 
     def __mul__(self, other):
         """Composition self . other (apply other first)."""
@@ -263,19 +201,22 @@ class LinOp:
             _same_field(self, other)
             if other.z_out != self.z_in:
                 raise ValueError(f"cannot compose {self!r} after {other!r}")
-            table, ctx, z = self.ctx.table, self.ctx, self.z_out
-            cols = {}
+            table, mine, cols = self.ctx.table, self.columns, {}
             for b, col in other.columns.items():
-                acc = self._apply(col.terms, table)
+                acc: dict[int, int] = {}
+                for t, c in col.items():
+                    src = mine.get(t)
+                    if src is not None:
+                        krow_axpy(acc, src, c, table)
                 if acc:
-                    cols[b] = _vec(ctx, z, acc)
-            return _op(ctx, other.z_in, z, cols)
+                    cols[b] = acc
+            return _op(self.ctx, other.z_in, self.z_out, cols)
         return self.scale(other)
 
     def scale(self, c) -> "LinOp":
-        a = self.ctx.scalar(c).id
+        a, table = self.ctx.scalar(c).id, self.ctx.table
         return _op(self.ctx, self.z_in, self.z_out,
-                   {b: col._times(a) for b, col in self.columns.items()} if a else {})
+                   {b: _times(table, col, a) for b, col in self.columns.items()} if a else {})
 
     def __rmul__(self, c):
         return self.scale(c)
@@ -284,18 +225,26 @@ class LinOp:
         _same_field(self, other)
         if (self.z_in, self.z_out) != (other.z_in, other.z_out):
             raise ValueError(f"cannot add {self!r} and {other!r}")
-        cols = dict(self.columns)
+        table, cols = self.ctx.table, dict(self.columns)
         for b, col in other.columns.items():
             s = cols.get(b)
-            v = col if s is None else s + col
-            if v:
-                cols[b] = v
+            if s is None:
+                cols[b] = col
+                continue
+            s = dict(s)
+            krow_axpy(s, col, ONE, table)
+            if s:
+                cols[b] = s
             else:
                 del cols[b]
         return _op(self.ctx, self.z_in, self.z_out, cols)
 
     def __neg__(self) -> "LinOp":
-        return _op(self.ctx, self.z_in, self.z_out, {b: -col for b, col in self.columns.items()})
+        table = self.ctx.table
+        negs = table.neg
+        return _op(self.ctx, self.z_in, self.z_out, {
+            b: {t: negs.get(x) or table.negation(x) for t, x in col.items()}
+            for b, col in self.columns.items()})
 
     def __sub__(self, other: "LinOp") -> "LinOp":
         return self + (-other)
@@ -311,11 +260,14 @@ class LinOp:
     def tensor(self, other: "LinOp") -> "LinOp":
         """Kronecker product: self on the left strands, other on the right."""
         _same_field(self, other)
-        shift = self.z_in
+        table, shift_in, shift_out = self.ctx.table, self.z_in, self.z_out
+        muls = table.mul
         cols = {}
         for b1, c1 in self.columns.items():
             for b2, c2 in other.columns.items():
-                cols[b1 | b2 << shift] = c1.tensor(c2)
+                cols[b1 | b2 << shift_in] = {
+                    t1 | t2 << shift_out: muls.get((x, y)) or table.product(x, y)
+                    for t1, x in c1.items() for t2, y in c2.items()}
         return _op(self.ctx, self.z_in + other.z_in, self.z_out + other.z_out, cols)
 
     def flat(self) -> dict:
@@ -324,7 +276,7 @@ class LinOp:
         return {
             b << shift | b2: c
             for b, col in self.columns.items()
-            for b2, c in col.terms.items()
+            for b2, c in col.items()
         }
 
     def __bool__(self):
@@ -350,11 +302,10 @@ def widen(op: LinOp, left: int, right: int) -> LinOp:
     cols = {}
     for a in range(1 << left):
         for b, col in op.columns.items():
-            terms = [(a | t << left, c) for t, c in col.terms.items()]
+            terms = [(a | t << left, c) for t, c in col.items()]
             for r in range(1 << right):
                 ro = r << (left + zo)
-                cols[a | b << left | r << (left + zi)] = _vec(
-                    op.ctx, zo + w, {t | ro: c for t, c in terms})
+                cols[a | b << left | r << (left + zi)] = {t | ro: c for t, c in terms}
     return _op(op.ctx, zi + w, zo + w, cols)
 
 
@@ -386,7 +337,7 @@ def _lifted(ctx: FieldCtx, z: int, rule) -> LinOp:
     for m in range(1 << z):
         terms = {t: qid(e) for t, e in rule(z, m)}
         if terms:
-            cols[m] = _vec(ctx, z, terms)
+            cols[m] = terms
     return _op(ctx, z, z, cols)
 
 
@@ -406,14 +357,7 @@ def op_F(ctx: FieldCtx, z: int) -> LinOp:
 
 def op_K_power(ctx: FieldCtx, z: int, e: int) -> LinOp:
     """Diagonal K^e (e may be negative)."""
-    return LinOp.from_applier(
-        ctx,
-        z,
-        z,
-        lambda b: TensorVector(
-            ctx, z, {b: ctx.q_power(e * (z - 2 * b.weight))}
-        ),
-    )
+    return _op(ctx, z, z, {m: {m: ctx.qid(e * (z - 2 * m.bit_count()))} for m in range(1 << z)})
 
 
 def e_power(ctx: FieldCtx, k: int, z: int) -> LinOp:
@@ -424,7 +368,7 @@ def e_power(ctx: FieldCtx, k: int, z: int) -> LinOp:
     """
     if k < 0:
         raise ValueError(f"E^k needs k >= 0, got {k}")
-    fact = ctx.qfact(k).id
+    fact, table = ctx.qfact(k).id, ctx.table
     base = k * z + k * (k - 1) // 2
     cols = {}
     for b in all_indices(z):
@@ -440,8 +384,8 @@ def e_power(ctx: FieldCtx, k: int, z: int) -> LinOp:
             for u in U:
                 rm |= 1 << (u - 1)
             terms[b.mask & ~rm] = ctx.qid(e)
-        cols[b] = _vec(ctx, z, terms)._times(fact)
-    return LinOp(ctx, z, z, cols)
+        cols[b.mask] = _times(table, terms, fact)
+    return _op(ctx, z, z, cols)
 
 
 def f_power(ctx: FieldCtx, k: int, z: int) -> LinOp:
@@ -452,7 +396,7 @@ def f_power(ctx: FieldCtx, k: int, z: int) -> LinOp:
     """
     if k < 0:
         raise ValueError(f"F^k needs k >= 0, got {k}")
-    fact = ctx.qfact(k).id
+    fact, table = ctx.qfact(k).id, ctx.table
     base = k + k * (k - 1) // 2
     cols = {}
     for b in all_indices(z):
@@ -470,6 +414,6 @@ def f_power(ctx: FieldCtx, k: int, z: int) -> LinOp:
             for v in V:
                 add |= 1 << (v - 1)
             terms[b.mask | add] = ctx.qid(e)
-        cols[b] = _vec(ctx, z, terms)._times(fact)
-    return LinOp(ctx, z, z, cols)
+        cols[b.mask] = _times(table, terms, fact)
+    return _op(ctx, z, z, cols)
 

@@ -47,6 +47,6 @@ def diagram_dict(d) -> dict:
 
 
 def homogeneous_weight(v) -> int | None:
-    """The common weight of a TensorVector's terms, or None if mixed or zero."""
-    ws = {b.bit_count() for b in v.terms}
+    """The common weight of a vector's terms, or None if mixed or zero."""
+    ws = {b.bit_count() for b in v.columns.get(0, {})}
     return ws.pop() if len(ws) == 1 else None

@@ -262,8 +262,10 @@ def test_run_accepts_config_directly(tmp_path):
 
 
 # The five invocations of perfbench/workloads.py, in JSON, with the sha256 of
-# the report and the exit code.  A change to the program must leave them
-# byte-identical unless it means to change what a report says.
+# the report and the exit code, and two that run the checks with vector
+# sides, which those five leave out: `all`, and action, jw_window and
+# duality at p = 4.  A change to the program must leave them byte-identical
+# unless it means to change what a report says.
 _EQ = ",".join(f"eq{k}" for k in range(1, 22))
 _PT = "pt_alpha,pt_beta,pt_alphabeta,pt_betaalpha"
 _PS = ["--p", "2", "--p", "3", "--p", "4", "--p", "5", "--p", "6"]
@@ -284,6 +286,13 @@ BENCHMARK_REPORTS = {
     "homspace": (
         ["hom", *_PS],
         "68514fa7901791e3710b6e17d086d162d0b687c328c1586dc010bf6bf24b045f", EXIT_OK),
+    "all": (
+        ["all"],
+        "0579e1c7ee085868ca65780bdc72010d767d4e8b6be2dc6326e2314db143fbb4", EXIT_FAILED),
+    "vector checks p=4": (
+        ["verify", "--p", "4", "--relations", "kp_periodicity,jw_window,rot_rank,action,duality",
+         "--budget", "70000"],
+        "cc889b2b7a2f55e945a1532401184611cebc1d6863dc85959589a0ce76a86b97", EXIT_OK),
 }
 
 

@@ -8,11 +8,14 @@ from __future__ import annotations
 
 import copy
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uqsl2._elim import SparseRref, nullspace, rank_of_vectors, residue_rank
-from uqsl2._kernel import ONE, kadd, kmul, kneg, knorm
+from uqsl2._elim import (
+    SparseRref, _reduce, _residue_axpy, nullspace, rank_of_vectors, residue_rank,
+)
+from uqsl2._kernel import ONE, kadd, kmul, kneg, knorm, krow_axpy
 from uqsl2.cyclo_field import CycloNum, FieldCtx
 
 CTX = {p: FieldCtx(p) for p in (2, 3)}
@@ -320,3 +323,15 @@ def test_residue_rank_matches_dense_rank(modulus, data):
     rows = data.draw(st.lists(row, max_size=6))
     expect = _dense_rank_mod(rows, ncols, modulus)
     assert residue_rank([dict(r) for r in rows], modulus) == expect
+
+
+@pytest.mark.parametrize("ring", ["field", "residues mod 7"])
+def test_uncleared_pivot_raises(ring):
+    # a pivot row scaled to +1 instead of -1: adding r[c] times it doubles
+    # column c instead of clearing it, which must raise, not loop forever
+    if ring == "field":
+        r, piv, axpy, domain = {0: ONE, 1: ONE}, {0: ONE}, krow_axpy, CTX[3].table
+    else:
+        r, piv, axpy, domain = {0: 1, 1: 1}, {0: 1}, _residue_axpy, 7
+    with pytest.raises(ArithmeticError, match="column 0 "):
+        _reduce(r, {0: piv}, axpy, domain)

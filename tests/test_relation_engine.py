@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 from collections import defaultdict
 from math import comb, isqrt
 
@@ -205,6 +206,20 @@ def test_sigma_split_matches_unsplit_solve(p):
     # n <= 2p - 2 are certified by the two bounds, the rest solved exactly
     for n in range(7):
         assert _commutant_dim(p, n) == _unsplit_commutant_dim(p, n), (p, n)
+
+
+def test_checks_leave_cached_columns_unchanged():
+    # operators share column dicts, and the generators and rotation orbits
+    # are cached for the process, so a check that summed into a column in
+    # place would change every later check's inputs
+    cached = []
+    for p in (2, 3):
+        g = relation_engine._gens(p)
+        cached += [g.alpha, g.beta, *relation_engine._rotation_orbit(p, "alpha"),
+                   *relation_engine._rotation_orbit(p, "beta")]
+    copies = [copy.deepcopy(op.columns) for op in cached]
+    run_checks(ps=(2, 3))
+    assert [op.columns for op in cached] == copies
 
 
 @pytest.fixture

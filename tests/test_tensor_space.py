@@ -10,9 +10,9 @@ from uqsl2.cyclo_field import FieldCtx
 from uqsl2.tensor_space import (
     BasisIndex,
     LinOp,
-    TensorVector,
     all_indices,
     basis_index,
+    column_text,
     e_power,
     f_power,
     from_word,
@@ -20,6 +20,8 @@ from uqsl2.tensor_space import (
     op_F,
     op_K,
     op_K_power,
+    unit as basis_vector,
+    vector,
     widen,
     x_bottom,
     x_top,
@@ -31,7 +33,7 @@ CTX = {p: FieldCtx(p) for p in (2, 3, 4)}
 
 
 def unit(ctx, word):
-    return TensorVector.unit(ctx, from_word(word))
+    return basis_vector(ctx, from_word(word))
 
 
 # --- basis indexing -------------------------------------------------------
@@ -66,7 +68,7 @@ def test_vector_algebra():
     w = unit(ctx, "01") * ctx.q
     assert (v - w) == unit(ctx, "10")
     assert not (v - v)
-    assert (v * 0) == TensorVector(ctx, 2)
+    assert (v * 0) == LinOp.zero(ctx, 0, 2)
     assert homogeneous_weight(v) == 1
     mixed = unit(ctx, "00") + unit(ctx, "11")
     assert homogeneous_weight(mixed) is None
@@ -82,23 +84,24 @@ def test_vector_tensor_order():
 def test_vector_render():
     ctx2, ctx3 = CTX[2], CTX[3]
     v2 = unit(ctx2, "01") * ctx2.q_power(-1) + unit(ctx2, "10")
-    assert str(v2) == "-q*v01 + v10"
+    assert column_text(v2, 0) == "-q*v01 + v10"
     v3 = unit(ctx3, "01") * ctx3.q_power(-1) + unit(ctx3, "10")
-    assert str(v3) == "(-q + 1)*v01 + v10"
-    assert str(TensorVector(ctx2, 2)) == "0"
+    assert column_text(v3, 0) == "(-q + 1)*v01 + v10"
+    assert column_text(vector(ctx2, 2, {}), 0) == "0"
+    assert column_text(op_E(ctx3, 2), from_word("11").mask) == "(-q + 1)*v01 + v10"
 
 
 def test_two_fields_are_refused():
     # a p = 2 id read in the p = 3 table names some other value
     k2, k3 = op_K(CTX[2], 2), op_K(CTX[3], 2)
     v2, v3 = unit(CTX[2], "01"), unit(CTX[3], "01")
-    calls = [lambda: k3 * k2, lambda: k2 * k3, lambda: k3 + k2, lambda: k3.apply(v2),
+    calls = [lambda: k3 * k2, lambda: k2 * k3, lambda: k3 + k2, lambda: k3 * v2,
              lambda: k3.tensor(k2), lambda: v3 + v2, lambda: v3 - v2, lambda: v3.tensor(v2)]
     for call in calls:
         with pytest.raises(ValueError):
             call()
     assert LinOp.identity(CTX[2], 2) != LinOp.identity(CTX[3], 2)
-    assert TensorVector(CTX[2], 2) != TensorVector(CTX[3], 2)
+    assert vector(CTX[2], 2, {}) != vector(CTX[3], 2, {})
     assert LinOp.identity(CTX[3], 2) == LinOp.identity(FieldCtx(3), 2)
 
 
@@ -108,13 +111,13 @@ def test_op_k_example():
     # K on the occupancy {1,3} state of three strands: weight 2, q^(3-4)
     ctx = CTX[3]
     v = unit(ctx, "101")
-    assert op_K(ctx, 3).apply(v) == v * ctx.q_power(-1)
+    assert op_K(ctx, 3) * v == v * ctx.q_power(-1)
 
 
 def test_op_e_example():
     for p in (2, 3):
         ctx = CTX[p]
-        got = op_E(ctx, 2).apply(unit(ctx, "11"))
+        got = op_E(ctx, 2) * unit(ctx, "11")
         expect = unit(ctx, "01") * ctx.q_power(-1) + unit(ctx, "10")
         assert got == expect
 
@@ -122,8 +125,8 @@ def test_op_e_example():
 def test_op_f_small():
     # F on a single strand fills it with coefficient 1
     ctx = CTX[2]
-    assert op_F(ctx, 1).apply(unit(ctx, "0")) == unit(ctx, "1")
-    assert not op_F(ctx, 1).apply(unit(ctx, "1"))
+    assert op_F(ctx, 1) * unit(ctx, "0") == unit(ctx, "1")
+    assert not op_F(ctx, 1) * unit(ctx, "1")
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -146,7 +149,7 @@ def test_weight_grading(p):
             col = F.column(b)
             if col:
                 assert homogeneous_weight(col) == b.weight + 1
-            assert K.column(b) == TensorVector.unit(ctx, b) * ctx.q_power(
+            assert K.column(b) == basis_vector(ctx, b) * ctx.q_power(
                 z - 2 * b.weight
             )
 
@@ -168,7 +171,7 @@ def test_powers_match_iterated(p):
 
 def test_e_squared_fully_lowers():
     ctx = CTX[3]
-    got = e_power(ctx, 2, 2).apply(unit(ctx, "11"))
+    got = e_power(ctx, 2, 2) * unit(ctx, "11")
     assert got == unit(ctx, "00") * ctx.qfact(2)
 
 
@@ -200,7 +203,7 @@ def test_linop_apply_matches_columns():
     F = op_F(ctx, 3)
     v = unit(ctx, "010") * ctx.q + unit(ctx, "001") * 2
     direct = F.column(from_word("010")) * ctx.q + F.column(from_word("001")) * 2
-    assert F.apply(v) == direct
+    assert F * v == direct
 
 
 @given(st.integers(0, 63))
@@ -208,7 +211,7 @@ def test_linop_apply_matches_columns():
 def test_kpow_diagonal(mask):
     ctx = CTX[3]
     b = BasisIndex(6, mask)
-    v = TensorVector.unit(ctx, b)
+    v = basis_vector(ctx, b)
     got = op_K_power(ctx, 6, -2).column(b)
     assert got == v * ctx.q_power(-2 * (6 - 2 * b.weight))
 
@@ -229,11 +232,11 @@ def _ref_vec(ctx, data, z):
 
 
 def _vector(ctx, z, ref):
-    return TensorVector(ctx, z, {BasisIndex(z, m): c for m, c in ref.items()})
+    return vector(ctx, z, {BasisIndex(z, m): c for m, c in ref.items()})
 
 
 def _entries(v):
-    return {m: v.coeff(BasisIndex(v.z, m)) for m in v.terms}
+    return {m: v.coeff(BasisIndex(v.z_out, m)) for m in v.columns.get(0, {})}
 
 
 def _nonzero(ref):
@@ -265,7 +268,7 @@ def test_vector_ids_match_cyclonum(p, data):
     assert _entries(va.tensor(vw)) == _nonzero(
         {m1 | m2 << z1: x * y for m1, x in a.items() for m2, y in w.items()})
     assert (va == vb) == (_nonzero(a) == _nonzero(b))
-    assert va - va == TensorVector(ctx, z1)
+    assert va - va == LinOp.zero(ctx, 0, z1)
 
 
 @pytest.mark.parametrize("p", [2, 3, 4, 5, 6])
@@ -281,7 +284,7 @@ def test_linop_ids_match_cyclonum(p, data):
                                    for m, col in refs[n].items()})
                for n, (zi, zo) in shapes.items())
     v = _ref_vec(ctx, data, z1)
-    assert _entries(A.apply(_vector(ctx, z1, v))) == _ref_apply(ctx, refs["A"], v)
+    assert _entries(A * _vector(ctx, z1, v)) == _ref_apply(ctx, refs["A"], v)
     AB = A * B
     for m, col in refs["B"].items():
         assert _entries(AB.column(BasisIndex(z0, m))) == _ref_apply(ctx, refs["A"], col)
@@ -307,7 +310,7 @@ def test_ids_survive_field_switch():
     # same values
     ctx2 = FieldCtx(2)
     built = (op_F(ctx2, 3) * op_E(ctx2, 3)).scale(ctx2.q_power(-1)) + op_K(ctx2, 3)
-    text = str(built.column(from_word("110")))
+    text = column_text(built, from_word("110").mask)
     ctx3 = FieldCtx(3)
     assert (op_F(ctx3, 3) * op_E(ctx3, 3)).scale(ctx3.qint(2)) != op_K(ctx3, 3)
     # a new value interned first, so a table rebuilt on the switch would
@@ -315,4 +318,4 @@ def test_ids_survive_field_switch():
     assert LinOp.identity(ctx2, 1).scale(Fraction(5, 7)) != LinOp.identity(ctx2, 1)
     fresh = (op_F(ctx2, 3) * op_E(ctx2, 3)).scale(ctx2.q_power(-1)) + op_K(ctx2, 3)
     assert built == fresh
-    assert str(fresh.column(from_word("110"))) == text
+    assert column_text(fresh, from_word("110").mask) == text

@@ -22,10 +22,10 @@ import pytest
 
 from uqsl2 import relation_engine
 from uqsl2.cyclo_field import SingularRatio
-from uqsl2.diagram_algebra import cap_inputs, cup_outputs, jw_closed
+from uqsl2.diagram_algebra import cap_inputs, cup_outputs, e_left, jw_closed
 from uqsl2.pa_generators import GeneratorSet, embed, make_generators, nested_cap_closed
 from uqsl2.relation_engine import RELATION_IDS, verify
-from uqsl2.tensor_space import BasisIndex, LinOp, TensorVector, f_power, op_K
+from uqsl2.tensor_space import BasisIndex, LinOp, column_text, f_power, op_K, unit
 
 # prop2..prop5 and rot_rank compare ranks and solver dimensions, not
 # operator identities.  Their faulted verdicts are pinned below, but the
@@ -70,7 +70,7 @@ def _jw_without_window(ctx, n):
 def _bumped(g: GeneratorSet, name: str, row: int, col: int) -> GeneratorSet:
     """``g`` with 1 added to generator ``name`` at the entry v_col -> v_row."""
     n = 2 * g.p - 1
-    bump = LinOp(g.ctx, n, n, {BasisIndex(n, col): TensorVector.unit(g.ctx, BasisIndex(n, row))})
+    bump = LinOp(g.ctx, n, n, {BasisIndex(n, col): unit(g.ctx, BasisIndex(n, row))})
     ops = {"alpha": g.alpha, "beta": g.beta}
     ops[name] = ops[name] + bump
     return GeneratorSet(g.ctx, ops["alpha"], ops["beta"], g.gamma)
@@ -90,44 +90,50 @@ def _beta_off_by_one(p: int) -> GeneratorSet:
     return _bumped(make_generators(p), "beta", 0, 0)
 
 
-# fault -> (relation id, engine name replaced, stand-in, witness at p = 2)
+# fault -> (relation id, p, engine name replaced, stand-in, witness)
 FAULTS = {
     # straightening is linear in F^k, so a doubled F^k first shows in its expansion
-    "action": ("action", "f_power", lambda ctx, k, z: f_power(ctx, k, z).scale(2), {
+    "action": ("action", 2, "f_power", lambda ctx, k, z: f_power(ctx, k, z).scale(2), {
         "identity": "F^0 x_bottom expansion on 1 strands", "basis": "", "lhs": "2*v0", "rhs": "v0",
     }),
-    "jw_window": ("jw_window", "jw_closed", lambda ctx, n: jw_closed(ctx, n).scale(2), {
+    "jw_window": ("jw_window", 2, "jw_closed", lambda ctx, n: jw_closed(ctx, n).scale(2), {
         "identity": "f_1 closed = recursive", "basis": "0", "lhs": "2*v0", "rhs": "v0",
     }),
-    "jw_window_finite": ("jw_window", "jw_closed", _jw_without_window, {
+    "jw_window_finite": ("jw_window", 2, "jw_closed", _jw_without_window, {
         "identity": "f_2 is singular inside the window",
     }),
-    "duality": ("duality", "nested_cap_closed", lambda ctx, z: nested_cap_closed(ctx, z).scale(2), {
+    "duality": ("duality", 2, "nested_cap_closed",
+                lambda ctx, z: nested_cap_closed(ctx, z).scale(2), {
         "identity": "nested cap on 2 strands = closed form",
         "basis": "",
         "lhs": "-v01 - q*v10",
         "rhs": "-2*v01 - 2*q*v10",
     }),
-    "prop4_membership": ("prop4", "_gens", _alpha_off_by_one, {
+    "prop4_membership": ("prop4", 2, "_gens", _alpha_off_by_one, {
         "identity": "E.alpha = alpha.E",
         "basis": "100",
         "lhs": "v011 + q*v101 - v110",
         "rhs": "-v000 + v011 + q*v101 - v110",
     }),
-    "eq6_single_entry": ("eq6", "_gens", _beta_off_by_one, {
+    "eq6_single_entry": ("eq6", 2, "_gens", _beta_off_by_one, {
         "identity": "beta_1.beta_3 commute",
         "basis": "10100",
         "lhs": "0",
         "rhs": "q*v00000",
+    }),
+    # prop2's separation holds from 3 strands on, so from p = 3; an e_left
+    # that always acts on strands 1, 2 makes e_1e_2 and e_2e_1 agree
+    "prop2_separation": ("prop2", 3, "e_left", lambda op, i: e_left(op, 1), {
+        "identity": "e_1e_2 and e_2e_1 separate on 011", "value": "q*v011 - v101",
     }),
 }
 
 
 @pytest.mark.parametrize("fault", sorted(FAULTS))
 def test_faulted_building_blocks(monkeypatch, fault):
-    rid, name, stand_in, witness = FAULTS[fault]
+    rid, p, name, stand_in, witness = FAULTS[fault]
     monkeypatch.setattr(relation_engine, name, stand_in)
-    r = verify(rid, 2)
+    r = verify(rid, p)
     assert (r.holds, r.witness) == (False, witness)
 
 
@@ -216,7 +222,7 @@ def test_support_witnesses_are_read_on_stated_strands(faulted, p):
     lhs = embed(g.alpha, 1, n) * embed(g.alpha, 2, n)
     b = BasisIndex(n, min(lhs.columns))
     assert r.witness == {"identity": "alpha_1.alpha_2 = 0", "basis": b.word(),
-                         "lhs": str(lhs.column(b)), "rhs": "0"}
+                         "lhs": column_text(lhs, b.mask), "rhs": "0"}
     r = verify("eq17", p)
     assert not r.holds
     assert re.fullmatch(r"e_\d+\.(alpha|beta)_[12] = 0|(alpha|beta)_[12]\.e_\d+ = 0",
